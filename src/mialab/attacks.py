@@ -231,15 +231,3 @@ def run_gbm_attack(
         kind=kind,
         orientation=Orientation.HIGHER_IS_MEMBER,
     )
-
-
-def write_scores_csv(scores: AttackScores, path: str) -> None:
-    """Write ``side,score,kind`` rows for both pools."""
-    with open(path, "w", newline="\n") as fh:
-        fh.write("side,score,kind\n")
-        for side, arr in (
-            ("member", scores.member_scores),
-            ("nonmember", scores.nonmember_scores),
-        ):
-            for v in arr:
-                fh.write(f"{side},{v:.9g},{scores.kind.value}\n")

@@ -10,6 +10,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
@@ -21,12 +22,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PARTIAL = 3
-
-_BOUNDS_COLUMNS = (
-    "tv_joint", "tv_marginal", "exp_cond_tv", "kl_x", "exp_kl_cond",
-    "lower", "upper", "pinsker_upper",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems exit 1, not argparse's 2
@@ -109,10 +104,8 @@ def _cmd_attack(args) -> int:
         print(f"{kind.value}: auroc={result.auroc:.6f} advantage={result.advantage:.6f}")
         for side, arr in (("member", scores.member_scores),
                           ("nonmember", scores.nonmember_scores)):
-            all_rows.extend(f"{side},{v:.9g},{kind.value}" for v in arr)
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write("side,score,kind\n")
-        fh.write("\n".join(all_rows) + ("\n" if all_rows else ""))
+            all_rows.extend({"side": side, "score": v, "kind": kind.value} for v in arr)
+    metrics.write_table(args.out, ("side", "score", "kind"), all_rows, float_format=".9g")
     print(f"wrote scores to {args.out}")
     return EXIT_OK
 
@@ -122,7 +115,8 @@ def _cmd_sweep(args) -> int:
     kinds = _score_kinds(args.scores)
     table = harness.run_sweep(grid, kinds, workers=args.workers, base_seed=args.seed)
     metrics.write_results_csv(table.rows, args.out)
-    harness.write_summary_csv(harness.summarize(table), args.summary_out)
+    metrics.write_table(args.summary_out, harness.SUMMARY_COLUMNS, harness.summarize(table),
+                        sort_by=9)
     print(f"wrote {len(table.rows)} result rows to {args.out}")
     print(f"wrote summary to {args.summary_out}")
     if table.failures:
@@ -136,10 +130,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_bounds(args) -> int:
     reports, violations = divergence.certify_bounds(
         args.trials, args.x, args.y, seed=args.seed)
-    with open(args.out, "w", newline="\n") as fh:
-        fh.write(",".join(_BOUNDS_COLUMNS) + "\n")
-        for rep in reports:
-            fh.write(",".join(f"{getattr(rep, c):.12g}" for c in _BOUNDS_COLUMNS) + "\n")
+    columns = tuple(f.name for f in dataclasses.fields(divergence.BoundsReport))
+    metrics.write_table(args.out, columns, map(dataclasses.asdict, reports),
+                        float_format=".12g")
     print(f"wrote {len(reports)} instances to {args.out}")
     print(f"violations: {violations}")
     return EXIT_OK if violations == 0 else EXIT_DATA
@@ -156,7 +149,8 @@ def _cmd_plot(args) -> int:
 def _cmd_report(args) -> int:
     rows = metrics.read_results_csv(args.results)
     table = harness.SweepTable(rows=rows)
-    harness.write_report_csv(harness.privacy_utility_report(table), args.out)
+    metrics.write_table(args.out, harness.REPORT_COLUMNS,
+                        harness.privacy_utility_report(table), sort_by=9)
     print(f"wrote privacy-utility report to {args.out}")
     return EXIT_OK
 

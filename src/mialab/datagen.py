@@ -29,7 +29,7 @@ stream: datasets generated with the same seed at ``epsilon = 0`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,9 +196,12 @@ def read_csv(path: str) -> Dataset:
             parts = line.strip().split(",")
             if len(parts) != d + 2:
                 raise ValidationError(f"row {line_no}: expected {d + 2} fields")
-            labels.append(int(parts[0]))
-            rows.append([float(v) for v in parts[1:-1]])
-            mask.append(bool(int(parts[-1])))
+            try:
+                labels.append(int(parts[0]))
+                rows.append([float(v) for v in parts[1:-1]])
+                mask.append(bool(int(parts[-1])))
+            except ValueError:
+                raise ValidationError(f"row {line_no}: non-numeric field") from None
     if not rows:
         raise ValidationError(f"dataset file {path!r} has no rows")
     labels_arr = np.asarray(labels, dtype=np.int64)
@@ -210,8 +213,3 @@ def read_csv(path: str) -> Dataset:
         contaminated_mask=np.asarray(mask, dtype=bool),
         params=None,
     )
-
-
-def with_seed(params: GenParams, seed: int) -> GenParams:
-    """Convenience copy with a different seed."""
-    return replace(params, seed=seed)

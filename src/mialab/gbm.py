@@ -124,13 +124,8 @@ def fit_gbm(
     n_estimators: int = 100,
     max_depth: int = 3,
     learning_rate: float = 0.1,
-    seed: int = 0,
 ) -> GbmModel:
-    """Fit the boosted classifier on 0/1 labels.
-
-    ``seed`` is accepted for interface stability; the procedure draws no
-    random numbers.
-    """
+    """Fit the boosted classifier on 0/1 labels; the procedure draws no random numbers."""
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:

@@ -226,11 +226,11 @@ def run_cell(params: GenParams, kinds=DEFAULT_SCORE_KINDS) -> CellResult:
 
 
 def _worker(item):
-    grid_seed, params, kinds = item
+    _, params, kinds = item
     try:
-        return grid_seed, run_cell(params, kinds), None
-    except MialabError as exc:
-        return grid_seed, params, str(exc)
+        return run_cell(params, kinds), None
+    except Exception as exc:  # a failing cell must not abort the sweep
+        return None, f"{type(exc).__name__}: {exc}"
 
 
 def _result_rows(grid_seed: int, result: CellResult) -> list[dict]:
@@ -269,26 +269,19 @@ def run_sweep(
         items.append((params.seed, derived, kinds))
 
     workers = resolve_workers(workers)
-    table = SweepTable()
-    outcomes: dict[tuple[int, GenParams], tuple] = {}
     if workers == 1:
-        results = map(_worker, items)
+        results = list(map(_worker, items))
     else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        results = pool.map(_worker, items, chunksize=8)
-    for grid_seed, payload, error in results:
-        key_params = payload.params if error is None else payload
-        outcomes[(grid_seed, key_params)] = (payload, error)
-    if workers != 1:
-        pool.shutdown()
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(_worker, items, chunksize=8))
 
-    # Emit rows in the deterministic cell order, regardless of completion order.
-    for grid_seed, derived, _ in items:
-        payload, error = outcomes[(grid_seed, derived)]
+    # Both maps yield in submission order, so rows follow the deterministic
+    # cell order whatever order the cells finished in.
+    table = SweepTable()
+    for (grid_seed, p, _), (result, error) in zip(items, results):
         if error is None:
-            table.rows.extend(_result_rows(grid_seed, payload))
+            table.rows.extend(_result_rows(grid_seed, result))
         else:
-            p = derived
             table.failures.append({
                 "d": p.d, "n_train": p.n_train, "mu": p.mu, "w": p.w,
                 "epsilon": p.epsilon, "seed": grid_seed, "error": error,
@@ -315,31 +308,6 @@ def summarize(table: SweepTable) -> list[dict]:
     return out
 
 
-def _sort_key_numeric_first(row: dict, columns) -> tuple:
-    key = []
-    for c in columns:
-        v = row[c]
-        key.append(str(v) if isinstance(v, str) else float(v))
-    return tuple(key)
-
-
-def write_summary_csv(summaries: list[dict], path: str) -> None:
-    ordered = sorted(summaries, key=lambda r: _sort_key_numeric_first(r, SUMMARY_COLUMNS[:9]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(SUMMARY_COLUMNS) + "\n")
-        for row in ordered:
-            parts = []
-            for c in SUMMARY_COLUMNS:
-                v = row[c]
-                if c in ("d", "n_train", "n_seeds"):
-                    parts.append(str(int(v)))
-                elif c in ("model", "score_kind"):
-                    parts.append(str(v))
-                else:
-                    parts.append(f"{float(v):.6f}")
-            fh.write(",".join(parts) + "\n")
-
-
 def privacy_utility_report(table: SweepTable) -> list[dict]:
     """Scatter-ready (utility, advantage) pairs per configuration and score."""
     out = []
@@ -349,23 +317,6 @@ def privacy_utility_report(table: SweepTable) -> list[dict]:
         row["advantage"] = summary["advantage_mean"]
         out.append(row)
     return out
-
-
-def write_report_csv(report_rows: list[dict], path: str) -> None:
-    ordered = sorted(report_rows, key=lambda r: _sort_key_numeric_first(r, REPORT_COLUMNS[:9]))
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(REPORT_COLUMNS) + "\n")
-        for row in ordered:
-            parts = []
-            for c in REPORT_COLUMNS:
-                v = row[c]
-                if c in ("d", "n_train"):
-                    parts.append(str(int(v)))
-                elif c in ("model", "score_kind"):
-                    parts.append(str(v))
-                else:
-                    parts.append(f"{float(v):.6f}")
-            fh.write(",".join(parts) + "\n")
 
 
 _LIST_KEYS = {

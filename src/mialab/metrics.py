@@ -34,8 +34,10 @@ RESULT_COLUMNS = (
     "accuracy",
 )
 
-_INT_COLUMNS = frozenset({"d", "n_train", "seed"})
-_STR_COLUMNS = frozenset({"model", "score_kind"})
+# The column schema of every table the CLI writes: int columns and string
+# columns are written verbatim, every other column is a float.
+_INT_COLUMNS = frozenset({"d", "n_train", "seed", "n_seeds"})
+_STR_COLUMNS = frozenset({"model", "score_kind", "side", "kind"})
 
 
 @dataclass(frozen=True)
@@ -175,36 +177,34 @@ def mean_sem(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / np.sqrt(values.size))
 
 
-def format_result_row(row: dict) -> str:
-    parts = []
-    for col in RESULT_COLUMNS:
-        v = row[col]
-        if col in _INT_COLUMNS:
-            parts.append(str(int(v)))
-        elif col in _STR_COLUMNS:
-            parts.append(str(v))
-        else:
-            parts.append(f"{float(v):.6f}")
-    return ",".join(parts)
+def write_table(path: str, columns, rows, sort_by: int = 0, float_format: str = ".6f") -> None:
+    """Write dict ``rows`` as a CSV table under the shared column schema.
 
-
-def result_sort_key(row: dict) -> tuple:
-    return tuple(
-        str(row[c]) if c in _STR_COLUMNS else float(row[c]) for c in RESULT_COLUMNS[:10]
-    )
+    Int columns are written verbatim, string columns verbatim, and every
+    other column as a float with ``float_format``.  The first ``sort_by``
+    columns order the rows: numbers numerically, strings lexically.
+    """
+    keys = columns[:sort_by]
+    if keys:
+        rows = sorted(rows, key=lambda r: tuple(
+            str(r[c]) if c in _STR_COLUMNS else float(r[c]) for c in keys))
+    with open(path, "w", newline="\n") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(
+                str(int(row[c])) if c in _INT_COLUMNS
+                else str(row[c]) if c in _STR_COLUMNS
+                else format(float(row[c]), float_format)
+                for c in columns) + "\n")
 
 
 def write_results_csv(rows, path: str) -> None:
     """Write the per-(cell, seed, model, score) results table, sorted."""
-    ordered = sorted(rows, key=result_sort_key)
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(RESULT_COLUMNS) + "\n")
-        for row in ordered:
-            fh.write(format_result_row(row) + "\n")
+    write_table(path, RESULT_COLUMNS, rows, sort_by=10)
 
 
 def read_results_csv(path: str) -> list[dict]:
-    """Read a results CSV, raising with the missing columns listed if any."""
+    """Read a results CSV; a missing column or a malformed row raises ``ValidationError``."""
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         missing = [c for c in RESULT_COLUMNS if c not in header]
@@ -212,18 +212,18 @@ def read_results_csv(path: str) -> list[dict]:
             raise ValidationError(f"results CSV missing columns: {', '.join(missing)}")
         pos = {c: header.index(c) for c in RESULT_COLUMNS}
         rows = []
-        for line in fh:
+        for line_no, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) != len(header):
-                continue
+                raise ValidationError(
+                    f"row {line_no}: expected {len(header)} fields, got {len(parts)}")
             row: dict = {}
             for c in RESULT_COLUMNS:
                 raw = parts[pos[c]]
-                if c in _INT_COLUMNS:
-                    row[c] = int(raw)
-                elif c in _STR_COLUMNS:
-                    row[c] = raw
-                else:
-                    row[c] = float(raw)
+                try:
+                    row[c] = raw if c in _STR_COLUMNS else (
+                        int(raw) if c in _INT_COLUMNS else float(raw))
+                except ValueError:
+                    raise ValidationError(f"row {line_no}: bad {c} value {raw!r}") from None
             rows.append(row)
     return rows

@@ -16,12 +16,11 @@ from mialab.attacks import (
     score_log_loss,
     score_max_prob,
     threshold_scores,
-    write_scores_csv,
 )
 from mialab.datagen import Dataset, GenParams, generate_dataset
 from mialab.errors import InsufficientDataError, ValidationError
 from mialab.linear_models import LogisticModel, fit_logistic
-from mialab.metrics import advantage, auroc
+from mialab.metrics import advantage, auroc, write_table
 
 
 def test_score_kind_orientations_documented():
@@ -210,10 +209,11 @@ def test_gbm_attack_deterministic_in_split_seed():
 
 
 def test_scores_csv(tmp_path):
-    scores = AttackScores(member_scores=np.array([0.25]), nonmember_scores=np.array([0.5]),
-                          kind=ScoreKind.MAX_PROB, orientation=Orientation.HIGHER_IS_MEMBER)
+    # the side,score,kind table that `mialab attack` writes
+    rows = [{"side": "member", "score": np.float64(0.25), "kind": ScoreKind.MAX_PROB.value},
+            {"side": "nonmember", "score": np.float64(0.5), "kind": ScoreKind.MAX_PROB.value}]
     path = tmp_path / "scores.csv"
-    write_scores_csv(scores, str(path))
+    write_table(str(path), ("side", "score", "kind"), rows, float_format=".9g")
     lines = path.read_text().splitlines()
     assert lines[0] == "side,score,kind"
     assert lines[1] == "member,0.25,max_prob"

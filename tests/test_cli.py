@@ -204,6 +204,47 @@ def test_plot_schema_mismatch(tmp_path, capsys):
     assert "missing columns" in err
 
 
+def _corrupt_results_row(path, field, value):
+    lines = path.read_text().splitlines()
+    parts = lines[2].split(",")
+    if value is None:
+        del parts[field]
+    else:
+        parts[field] = value
+    lines[2] = ",".join(parts)
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("command", ["plot", "report"])
+def test_results_row_with_wrong_field_count_exit_2(tmp_path, capsys, command):
+    results = tmp_path / "results.csv"
+    _tiny_results_csv(results)
+    _corrupt_results_row(results, -1, None)  # truncated row
+    code = main([command, "--results", str(results), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: row 3: expected 13 fields, got 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["plot", "report"])
+def test_results_row_with_non_numeric_field_exit_2(tmp_path, capsys, command):
+    results = tmp_path / "results.csv"
+    _tiny_results_csv(results)
+    _corrupt_results_row(results, 10, "abc")  # auroc
+    code = main([command, "--results", str(results), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "error: row 3: bad auroc value 'abc'" in capsys.readouterr().err
+
+
+def test_train_rejects_non_numeric_dataset_field_exit_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    for row in ("x,0.5,0", "1,abc,0", "1,0.5,abc"):
+        data.write_text(f"y,x0,contam\n{row}\n")
+        code = main(["train", "--model", "lda", "--data", str(data),
+                     "--out", str(tmp_path / "model.json")])
+        assert code == 2
+        assert "error: row 2: non-numeric field" in capsys.readouterr().err
+
+
 def test_report_round_trip(tmp_path, capsys):
     results = tmp_path / "results.csv"
     _tiny_results_csv(results)

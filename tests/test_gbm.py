@@ -96,8 +96,8 @@ def test_max_depth_respected():
 def test_determinism():
     rng = np.random.default_rng(6)
     X, y = _random_problem(rng, 150, 3)
-    a = serialize_gbm(fit_gbm(X, y, n_estimators=20, max_depth=3, learning_rate=0.1, seed=0))
-    b = serialize_gbm(fit_gbm(X, y, n_estimators=20, max_depth=3, learning_rate=0.1, seed=99))
+    a = serialize_gbm(fit_gbm(X, y, n_estimators=20, max_depth=3, learning_rate=0.1))
+    b = serialize_gbm(fit_gbm(X, y, n_estimators=20, max_depth=3, learning_rate=0.1))
     assert a == b  # no randomness is consumed
 
 

@@ -4,8 +4,11 @@ import pytest
 from mialab.attacks import ScoreKind
 from mialab.datagen import GenParams
 from mialab.errors import MialabError, ValidationError
+from mialab import harness
 from mialab.harness import (
     DEFAULT_SCORE_KINDS,
+    REPORT_COLUMNS,
+    SUMMARY_COLUMNS,
     SweepGrid,
     cell_seed,
     load_sweep_config,
@@ -14,10 +17,8 @@ from mialab.harness import (
     run_cell,
     run_sweep,
     summarize,
-    write_report_csv,
-    write_summary_csv,
 )
-from mialab.metrics import write_results_csv
+from mialab.metrics import write_results_csv, write_table
 
 SMALL_GRID = SweepGrid(
     mu_values=(0.1, 0.4),
@@ -148,6 +149,25 @@ def test_run_sweep_records_failures_and_continues():
     assert all("error" in f for f in table.failures)
 
 
+def test_run_sweep_isolates_unexpected_cell_errors(monkeypatch):
+    real_fit_lda = harness.fit_lda
+
+    def fit_lda(data):
+        if data.d == 8:
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+        return real_fit_lda(data)
+
+    monkeypatch.setattr(harness, "fit_lda", fit_lda)
+    grid = SweepGrid(mu_values=(0.3,), d_values=(4, 8), n_train_values=(40,),
+                     n_test=100, seeds=(0,))
+    table = run_sweep(grid, kinds=(ScoreKind.MAX_PROB,), workers=1)
+    assert {r["d"] for r in table.rows} == {4}
+    assert len(table.rows) == 2  # one per model
+    assert len(table.failures) == 1
+    assert table.failures[0]["d"] == 8
+    assert table.failures[0]["error"].startswith("LinAlgError: ")
+
+
 def test_summary_and_report_shapes(tmp_path):
     table = run_sweep(SMALL_GRID, kinds=(ScoreKind.MAX_PROB, ScoreKind.LDA_LOG_JOINT))
     # rows: 2 cells x 2 seeds x (logistic max_prob + lda max_prob + lda log-joint)
@@ -158,8 +178,8 @@ def test_summary_and_report_shapes(tmp_path):
     assert len(report) == len(summaries)
     assert all(set(("utility", "advantage")) <= set(r) for r in report)
 
-    write_summary_csv(summaries, str(tmp_path / "summary.csv"))
-    write_report_csv(report, str(tmp_path / "report.csv"))
+    write_table(str(tmp_path / "summary.csv"), SUMMARY_COLUMNS, summaries, sort_by=9)
+    write_table(str(tmp_path / "report.csv"), REPORT_COLUMNS, report, sort_by=9)
     header = (tmp_path / "summary.csv").read_text().splitlines()[0]
     assert header.startswith("d,n_train,mu,") and "auroc_mean" in header
     header = (tmp_path / "report.csv").read_text().splitlines()[0]

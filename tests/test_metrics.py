@@ -17,6 +17,7 @@ from mialab.metrics import (
     read_results_csv,
     score_jsd,
     write_results_csv,
+    write_table,
 )
 
 mp.dps = 50
@@ -199,3 +200,29 @@ def test_results_csv_round_trip(tmp_path):
     with pytest.raises(ValidationError) as err:
         read_results_csv(str(bad))
     assert "n_train" in str(err.value)
+
+
+def test_write_table_formats_and_sorts(tmp_path):
+    rows = [
+        {"d": 16, "model": "lda", "auroc": 0.1, "n_seeds": 5},
+        {"d": np.int64(4), "model": "logistic", "auroc": 0.5, "n_seeds": 3},
+        {"d": 4, "model": "lda", "auroc": 2.0 / 3.0, "n_seeds": 5},
+    ]
+    columns = ("d", "model", "auroc", "n_seeds")
+    path = tmp_path / "table.csv"
+    # d sorts numerically (4 before 16, unlike a string sort), then model lexically
+    write_table(str(path), columns, rows, sort_by=2)
+    assert path.read_bytes() == (b"d,model,auroc,n_seeds\n"
+                                 b"4,lda,0.666667,5\n"
+                                 b"4,logistic,0.500000,3\n"
+                                 b"16,lda,0.100000,5\n")
+    # sort_by=0 keeps the input order
+    write_table(str(path), columns, rows, float_format=".9g")
+    assert path.read_bytes() == (b"d,model,auroc,n_seeds\n"
+                                 b"16,lda,0.1,5\n"
+                                 b"4,logistic,0.5,3\n"
+                                 b"4,lda,0.666666667,5\n")
+    write_table(str(path), ("side", "tv_joint", "kind"),
+                [{"side": "member", "tv_joint": 2.0 / 3.0, "kind": "max_prob"}],
+                float_format=".12g")
+    assert path.read_bytes() == b"side,tv_joint,kind\nmember,0.666666666667,max_prob\n"
