@@ -97,6 +97,9 @@ def _cmd_attack(args) -> int:
         model = linear_models.deserialize_model(fh.read())
     member = datagen.read_csv(args.member)
     nonmember = datagen.read_csv(args.nonmember)
+    for side, data in (("member", member), ("nonmember", nonmember)):
+        if data.d != model.d:
+            raise ValidationError(f"model has d={model.d} but {side} data has d={data.d}")
     all_rows = []
     for kind in _score_kinds(args.scores):
         scores = _attack_scores(model, member, nonmember, kind, args.seed)
@@ -115,8 +118,7 @@ def _cmd_sweep(args) -> int:
     kinds = _score_kinds(args.scores)
     table = harness.run_sweep(grid, kinds, workers=args.workers, base_seed=args.seed)
     metrics.write_results_csv(table.rows, args.out)
-    metrics.write_table(args.summary_out, harness.SUMMARY_COLUMNS, harness.summarize(table),
-                        sort_by=9)
+    metrics.write_table(args.summary_out, harness.SUMMARY_COLUMNS, harness.summarize(table))
     print(f"wrote {len(table.rows)} result rows to {args.out}")
     print(f"wrote summary to {args.summary_out}")
     if table.failures:
@@ -149,8 +151,7 @@ def _cmd_plot(args) -> int:
 def _cmd_report(args) -> int:
     rows = metrics.read_results_csv(args.results)
     table = harness.SweepTable(rows=rows)
-    metrics.write_table(args.out, harness.REPORT_COLUMNS,
-                        harness.privacy_utility_report(table), sort_by=9)
+    metrics.write_table(args.out, harness.REPORT_COLUMNS, harness.privacy_utility_report(table))
     print(f"wrote privacy-utility report to {args.out}")
     return EXIT_OK
 

@@ -199,9 +199,12 @@ def read_csv(path: str) -> Dataset:
             try:
                 labels.append(int(parts[0]))
                 rows.append([float(v) for v in parts[1:-1]])
-                mask.append(bool(int(parts[-1])))
+                contam = int(parts[-1])
             except ValueError:
                 raise ValidationError(f"row {line_no}: non-numeric field") from None
+            if contam not in (0, 1):
+                raise ValidationError(f"row {line_no}: contam must be 0 or 1")
+            mask.append(bool(contam))
     if not rows:
         raise ValidationError(f"dataset file {path!r} has no rows")
     labels_arr = np.asarray(labels, dtype=np.int64)

@@ -11,10 +11,17 @@ seed, the grid seed entry, and the bits of every cell parameter, so
 results never depend on enumeration or scheduling order.  Cells are pure
 and independent; a process pool may execute them in any order and the
 aggregated tables come out identical.
+
+Every sweep runs its cells on one BLAS thread per process.  Pool workers
+pin OpenBLAS in their initializer; a serial sweep pins for the duration of
+the run and then restores the caller's thread counts.  On a machine with as
+many workers as cores, each worker's default BLAS thread pool would compete
+with the other workers for the same cores.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 import struct
 import time
@@ -39,7 +46,7 @@ from .linear_models import (
     logistic_posteriors,
     softmax_pairs,
 )
-from .metrics import AttackResult, attack_result, mean_sem
+from .metrics import AttackResult, attack_result, mean_sem, sort_key
 
 WORKERS_ENV_VAR = "MIALAB_WORKERS"
 CONFIG_HEADER = "# mialab sweep config v1"
@@ -54,6 +61,16 @@ DEFAULT_SCORE_KINDS = (
 MODELS = ("logistic", "lda")
 
 _MASK64 = (1 << 64) - 1
+
+# Names of the OpenBLAS thread-count functions, ``{}`` being get or set:
+# scipy's wheels rename ``openblas_`` to ``scipy_openblas_``, and ILP64
+# builds (numpy's) append ``64_``.
+_OPENBLAS_THREAD_FUNCS = (
+    "scipy_openblas_{}_num_threads64_",
+    "scipy_openblas_{}_num_threads",
+    "openblas_{}_num_threads64_",
+    "openblas_{}_num_threads",
+)
 
 SUMMARY_COLUMNS = (
     "d", "n_train", "mu", "sigma", "sigma_noise", "w", "epsilon",
@@ -247,6 +264,46 @@ def _result_rows(grid_seed: int, result: CellResult) -> list[dict]:
     return rows
 
 
+def openblas_thread_controls() -> list[tuple]:
+    """``(get, set)`` thread-count functions of each OpenBLAS mapped into this process.
+
+    Libraries are found by path in ``/proc/self/maps``.  Another BLAS, a
+    library without a known setter, or a platform without ``/proc`` gives
+    no controls.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({parts[5].strip() for parts in (line.split(maxsplit=5) for line in fh)
+                            if len(parts) == 6 and "openblas" in parts[5]})
+    except OSError:
+        return []
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _OPENBLAS_THREAD_FUNCS:
+            try:
+                get, set_ = getattr(lib, name.format("get")), getattr(lib, name.format("set"))
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            controls.append((get, set_))
+            break
+    return controls
+
+
+def pin_blas_threads() -> list[tuple]:
+    """Run every mapped OpenBLAS on one thread; return ``(set, count)`` pairs to restore."""
+    previous = []
+    for get, set_ in openblas_thread_controls():
+        previous.append((set_, get()))
+        set_(1)
+    return previous
+
+
 def resolve_workers(workers: int | None) -> int:
     if workers is None:
         workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
@@ -270,9 +327,15 @@ def run_sweep(
 
     workers = resolve_workers(workers)
     if workers == 1:
-        results = list(map(_worker, items))
+        previous = pin_blas_threads()
+        try:
+            results = list(map(_worker, items))
+        finally:
+            for set_, count in previous:
+                set_(count)
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # Workers are forked, so they inherit the parent's mapped libraries.
+        with ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_threads) as pool:
             results = list(pool.map(_worker, items, chunksize=8))
 
     # Both maps yield in submission order, so rows follow the deterministic
@@ -290,14 +353,13 @@ def run_sweep(
 
 
 def summarize(table: SweepTable) -> list[dict]:
-    """Mean and SEM per (cell, model, score kind) across seeds."""
+    """Mean and SEM per (cell, model, score kind) across seeds, sorted on the cell columns."""
     groups: dict[tuple, list[dict]] = {}
     for row in table.rows:
         key = tuple(row[c] for c in SUMMARY_COLUMNS[:9])
         groups.setdefault(key, []).append(row)
     out = []
-    for key in sorted(groups, key=lambda k: tuple(map(str, k))):
-        rows = groups[key]
+    for key, rows in groups.items():
         summary = dict(zip(SUMMARY_COLUMNS[:9], key))
         for metric in ("auroc", "advantage", "accuracy"):
             mean, sem = mean_sem(np.array([r[metric] for r in rows]))
@@ -305,7 +367,7 @@ def summarize(table: SweepTable) -> list[dict]:
             summary[f"{metric}_sem"] = sem
         summary["n_seeds"] = len(rows)
         out.append(summary)
-    return out
+    return sorted(out, key=lambda s: sort_key(s, SUMMARY_COLUMNS[:9]))
 
 
 def privacy_utility_report(table: SweepTable) -> list[dict]:

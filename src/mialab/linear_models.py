@@ -38,6 +38,10 @@ class LogisticModel:
     converged: bool
     iterations: int
 
+    @property
+    def d(self) -> int:
+        return self.weights.size
+
 
 @dataclass(frozen=True)
 class LdaModel:
@@ -48,6 +52,10 @@ class LdaModel:
     chol_lower: np.ndarray
     shrinkage_intensity: float
     log_det: float
+
+    @property
+    def d(self) -> int:
+        return self.mean_pos.size
 
 
 def _check_train(data: Dataset, min_per_class: int = 1) -> None:

@@ -177,6 +177,11 @@ def mean_sem(values: np.ndarray) -> tuple[float, float]:
     return mean, float(values.std(ddof=1) / np.sqrt(values.size))
 
 
+def sort_key(row: dict, columns) -> tuple:
+    """Order key of ``row`` on ``columns``: numbers numerically, strings lexically."""
+    return tuple(str(row[c]) if c in _STR_COLUMNS else float(row[c]) for c in columns)
+
+
 def write_table(path: str, columns, rows, sort_by: int = 0, float_format: str = ".6f") -> None:
     """Write dict ``rows`` as a CSV table under the shared column schema.
 
@@ -184,10 +189,8 @@ def write_table(path: str, columns, rows, sort_by: int = 0, float_format: str = 
     other column as a float with ``float_format``.  The first ``sort_by``
     columns order the rows: numbers numerically, strings lexically.
     """
-    keys = columns[:sort_by]
-    if keys:
-        rows = sorted(rows, key=lambda r: tuple(
-            str(r[c]) if c in _STR_COLUMNS else float(r[c]) for c in keys))
+    if sort_by:
+        rows = sorted(rows, key=lambda r: sort_key(r, columns[:sort_by]))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:

@@ -1,8 +1,8 @@
 """Acceptance gate: every shipped guarantee, one printed line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
-pass.  The two sweep fixtures dominate the runtime (a few minutes on two
-cores); everything else is seconds.
+pass.  The sweep-backed criteria 7, 8 and 11 dominate the runtime: about
+100 s on two cores, 75 s of it criterion 11; everything else is seconds.
 """
 
 import math

@@ -97,6 +97,24 @@ def test_attack_rejects_unknown_kind(tmp_path, capsys):
     assert "unknown score kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["lda", "logistic"])
+def test_attack_rejects_model_data_dimension_mismatch(tmp_path, capsys, model):
+    wide, narrow = tmp_path / "d8.csv", tmp_path / "d4.csv"
+    for path, d in ((wide, "8"), (narrow, "4")):
+        main(["generate", "--d", d, "--n", "50", "--mu", "0.3", "--out", str(path)])
+    model_path = tmp_path / "model.json"
+    main(["train", "--model", model, "--data", str(wide), "--out", str(model_path)])
+    capsys.readouterr()
+    scores = tmp_path / "s.csv"
+    for member, nonmember, side in ((narrow, wide, "member"), (wide, narrow, "nonmember")):
+        code = main(["attack", "--model-file", str(model_path), "--member", str(member),
+                     "--nonmember", str(nonmember), "--scores", "max_prob",
+                     "--out", str(scores)])
+        assert code == 2
+        assert f"error: model has d=8 but {side} data has d=4" in capsys.readouterr().err
+        assert not scores.exists()
+
+
 def test_sweep_with_config(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(CONFIG)
@@ -243,6 +261,16 @@ def test_train_rejects_non_numeric_dataset_field_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "model.json")])
         assert code == 2
         assert "error: row 2: non-numeric field" in capsys.readouterr().err
+
+
+def test_train_rejects_contam_flag_other_than_0_or_1_exit_2(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    for flag in ("7", "2", "-1"):
+        data.write_text(f"y,x0,contam\n-1,0.2,0\n1,0.1,{flag}\n")
+        code = main(["train", "--model", "lda", "--data", str(data),
+                     "--out", str(tmp_path / "model.json")])
+        assert code == 2
+        assert "error: row 3: contam must be 0 or 1" in capsys.readouterr().err
 
 
 def test_report_round_trip(tmp_path, capsys):

@@ -18,7 +18,7 @@ from mialab.harness import (
     run_sweep,
     summarize,
 )
-from mialab.metrics import write_results_csv, write_table
+from mialab.metrics import RESULT_COLUMNS, write_results_csv, write_table
 
 SMALL_GRID = SweepGrid(
     mu_values=(0.1, 0.4),
@@ -31,6 +31,14 @@ SMALL_GRID = SweepGrid(
 
 def _rows_key(table):
     return sorted(tuple(sorted(r.items())) for r in table.rows)
+
+
+def _openblas_threads():
+    return [get() for get, _ in harness.openblas_thread_controls()]
+
+
+needs_openblas = pytest.mark.skipif(
+    not harness.openblas_thread_controls(), reason="no OpenBLAS library is mapped")
 
 
 def test_run_cell_no_signal_cell_is_null():
@@ -139,6 +147,61 @@ def test_run_sweep_worker_count_invariant():
     assert _rows_key(a) == _rows_key(b)
 
 
+@needs_openblas
+def test_sweep_pool_workers_run_one_blas_thread(monkeypatch):
+    # Pool workers are forked, so they see this stand-in for run_cell; it
+    # reports the worker's thread counts as the cell's failure message.
+    def report_threads(params, kinds):
+        raise RuntimeError(f"threads {_openblas_threads()}")
+
+    monkeypatch.setattr(harness, "run_cell", report_threads)
+    table = run_sweep(SMALL_GRID, kinds=(ScoreKind.MAX_PROB,), workers=2)
+    ones = [1] * len(harness.openblas_thread_controls())
+    assert [f["error"] for f in table.failures] == [f"RuntimeError: threads {ones}"] * 4
+
+
+@needs_openblas
+def test_serial_sweep_pins_blas_and_restores_callers_threads(monkeypatch):
+    seen = []
+    real_run_cell = harness.run_cell
+
+    def run_cell(params, kinds):
+        seen.append(_openblas_threads())
+        return real_run_cell(params, kinds)
+
+    monkeypatch.setattr(harness, "run_cell", run_cell)
+    controls = harness.openblas_thread_controls()
+    original = _openblas_threads()
+    for _, set_threads in controls:
+        set_threads(2)
+    try:
+        run_sweep(SMALL_GRID, kinds=(ScoreKind.MAX_PROB,), workers=1)
+        assert _openblas_threads() == [2] * len(controls)
+    finally:
+        for (_, set_threads), count in zip(controls, original):
+            set_threads(count)
+    assert seen == [[1] * len(controls)] * 4
+
+
+@needs_openblas
+def test_results_csv_independent_of_blas_threads_and_workers(tmp_path, monkeypatch):
+    # At d = 256 and n_test = 4000 the LDA covariance and the triangular
+    # solves are large enough for OpenBLAS to split them across threads.
+    grid = SweepGrid(mu_values=(0.1, 0.3), d_values=(256,), n_train_values=(50, 2000),
+                     seeds=(0,))
+    pinned_serial = run_sweep(grid, workers=1)
+    pinned_pool = run_sweep(grid, workers=2)
+    monkeypatch.setattr(harness, "pin_blas_threads", lambda: [])
+    default_serial = run_sweep(grid, workers=1)
+    outputs = []
+    for name, table in (("pinned_serial", pinned_serial), ("pinned_pool", pinned_pool),
+                        ("default_serial", default_serial)):
+        assert not table.failures
+        write_results_csv(table.rows, str(tmp_path / f"{name}.csv"))
+        outputs.append((tmp_path / f"{name}.csv").read_bytes())
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 def test_run_sweep_records_failures_and_continues():
     # w near 0 at tiny n: some seeds give a single-class sample
     grid = SweepGrid(mu_values=(0.1,), d_values=(2,), n_train_values=(4,),
@@ -184,6 +247,16 @@ def test_summary_and_report_shapes(tmp_path):
     assert header.startswith("d,n_train,mu,") and "auroc_mean" in header
     header = (tmp_path / "report.csv").read_text().splitlines()[0]
     assert header.endswith("utility,advantage")
+
+
+def test_summarize_sorts_cells_numerically():
+    rows = [
+        {**dict.fromkeys(RESULT_COLUMNS, 0.5), "d": d, "n_train": n, "seed": 0,
+         "model": "lda", "score_kind": "max_prob"}
+        for d in (16, 4) for n in (200, 50)
+    ]
+    summaries = summarize(harness.SweepTable(rows=rows))
+    assert [(s["d"], s["n_train"]) for s in summaries] == [(4, 50), (4, 200), (16, 50), (16, 200)]
 
 
 def test_privacy_utility_report_empty():
