@@ -33,7 +33,7 @@ from .errors import (
     UnboundedRatioError,
     ValidationError,
 )
-from .gbm import GbmModel, fit_gbm, gbm_predict
+from .gbm import GbmModel, fit_gbm
 from .harness import CellResult, SweepGrid, SweepTable, run_cell, run_sweep
 from .linear_models import (
     LdaModel,
@@ -41,10 +41,6 @@ from .linear_models import (
     accuracy,
     fit_lda,
     fit_logistic,
-    lda_log_joint,
-    lda_posterior,
-    logistic_posterior,
-    predict,
 )
 from .metrics import AttackResult, Histogram, advantage, auroc, jsd, mean_sem
 
@@ -86,16 +82,11 @@ __all__ = [
     "fit_gbm",
     "fit_lda",
     "fit_logistic",
-    "gbm_predict",
     "generate_dataset",
     "jsd",
     "kl",
-    "lda_log_joint",
-    "lda_posterior",
-    "logistic_posterior",
     "lr_constants",
     "mean_sem",
-    "predict",
     "pushforward",
     "run_cell",
     "run_sweep",

@@ -1,15 +1,23 @@
 """Membership scores and the model-based attack.
 
-Threshold scores are scalar functions of a model's output for one sample;
-sweeping a threshold over them yields the ROC curve evaluated in
-:mod:`mialab.metrics`.  Each score kind carries an orientation declaring
-whether larger values look more member-like, so AUROC can be computed
-uniformly.
+This module alone maps each score kind to the model output it reads.
+:func:`model_outputs` computes a target's outputs on one dataset once, and
+:func:`membership_scores` scores member and nonmember outputs for one kind:
 
-The model-based attack trains a gradient-boosted classifier on
-``[output vector || one-hot(true label)]`` rows built from members
-(attack label 1) and nonmembers (attack label 0), and scores a held-out
-half of each pool.
+=================  ===============================================  =========
+score kind         score of one row                                 member if
+=================  ===============================================  =========
+``max_prob``       largest class posterior in ``probs``             higher
+``entropy``        natural-log entropy of ``probs``                 lower
+``log_loss``       ``-log`` of ``probs`` at the true label          lower
+``lda_log_joint``  largest LDA per-class log-joint in ``logits``    higher
+``gbm_probs``      boosted attack on ``[probs || one-hot label]``   higher
+``gbm_logits``     boosted attack on ``[logits || one-hot label]``  higher
+=================  ===============================================  =========
+
+The boosted attack trains a gradient-boosted classifier on rows of members
+(attack label 1) and nonmembers (attack label 0) and scores a held-out half
+of each pool.  "member if" is the kind's orientation, used by AUROC.
 """
 
 from __future__ import annotations
@@ -27,11 +35,9 @@ from .linear_models import (
     LogisticModel,
     LOG_FLOOR,
     lda_log_joints,
-    lda_posteriors,
     logistic_posteriors,
+    softmax_pairs,
 )
-
-_NORMALIZATION_TOL = 1e-8
 
 
 class Orientation(enum.Enum):
@@ -52,10 +58,6 @@ class ScoreKind(enum.Enum):
         if self in (ScoreKind.ENTROPY, ScoreKind.LOG_LOSS):
             return Orientation.LOWER_IS_MEMBER
         return Orientation.HIGHER_IS_MEMBER
-
-    @property
-    def needs_label(self) -> bool:
-        return self is ScoreKind.LOG_LOSS
 
 
 @dataclass(frozen=True)
@@ -78,43 +80,14 @@ class AttackScores:
                 raise ValidationError(f"{name} contains non-finite values")
 
 
-def _check_posterior(posteriors: np.ndarray) -> np.ndarray:
-    p = np.asarray(posteriors, dtype=np.float64)
-    if p.ndim != 1 or p.size < 2:
-        raise ValidationError("posterior must be a vector of class probabilities")
-    if not np.isfinite(p).all() or p.min() < -_NORMALIZATION_TOL:
-        raise ValidationError("posterior entries must be finite and nonnegative")
-    if abs(p.sum() - 1.0) > _NORMALIZATION_TOL:
-        raise ValidationError(f"posterior does not sum to 1 (sum={p.sum()!r})")
-    return p
+@dataclass(frozen=True)
+class TargetOutputs:
+    """One target's per-row posterior and pre-softmax pairs; ``log_joints`` marks LDA's."""
 
-
-def score_max_prob(posteriors: np.ndarray) -> float:
-    """Largest class probability; higher looks more member-like."""
-    return float(_check_posterior(posteriors).max())
-
-
-def score_entropy(posteriors: np.ndarray) -> float:
-    """Natural-log entropy with 0*log 0 = 0; lower looks more member-like."""
-    p = _check_posterior(posteriors)
-    nz = p[p > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
-
-
-def score_log_loss(posteriors: np.ndarray, true_label_index: int) -> float:
-    """Cross-entropy on the true label; lower looks more member-like."""
-    p = _check_posterior(posteriors)
-    if not 0 <= true_label_index < p.size:
-        raise ValidationError(f"label index {true_label_index} out of range")
-    return float(-np.log(max(p[true_label_index], LOG_FLOOR)))
-
-
-def score_lda_log_joint(log_joint_vector: np.ndarray) -> float:
-    """Maximum per-class log-joint score; higher looks more member-like."""
-    v = np.asarray(log_joint_vector, dtype=np.float64)
-    if not np.isfinite(v).all():
-        raise ValidationError("log-joint entries must be finite")
-    return float(v.max())
+    probs: np.ndarray
+    logits: np.ndarray
+    label_idx: np.ndarray
+    log_joints: bool
 
 
 def label_indices(labels: np.ndarray) -> np.ndarray:
@@ -143,62 +116,55 @@ def threshold_scores(
     raise ValidationError(f"{kind.value} is not a posterior threshold score")
 
 
-def model_outputs(model, X: np.ndarray, interface: str) -> np.ndarray:
-    """Per-sample output vectors of the target under the chosen interface.
+def model_outputs(model, data: Dataset) -> TargetOutputs:
+    """The target's outputs on ``data``, computed once for every score kind.
 
-    ``probs`` yields posterior pairs for both model families.  ``logits``
-    yields the pre-softmax pair: per-class log-joint scores for the
-    generative model, and ``(0, w.x + b)`` for logistic regression.  A
-    target object may instead provide its own ``output_matrix(X, interface)``.
+    LDA logits are its log-joints and logistic logits ``(0, w.x + b)``.  A
+    target may instead provide ``output_matrix(X, "probs" | "logits")``.
     """
-    if interface not in ("probs", "logits"):
-        raise ValidationError(f"interface must be 'probs' or 'logits', got {interface!r}")
+    X, label_idx = data.features, label_indices(data.labels)
     if hasattr(model, "output_matrix"):
-        return np.asarray(model.output_matrix(X, interface), dtype=np.float64)
-    if isinstance(model, LogisticModel):
-        if interface == "probs":
-            return logistic_posteriors(model, X)
-        z = np.asarray(X, dtype=np.float64) @ model.weights + model.bias
-        return np.column_stack([np.zeros_like(z), z])
+        probs, logits = (np.asarray(model.output_matrix(X, interface), dtype=np.float64)
+                         for interface in ("probs", "logits"))
+        return TargetOutputs(probs, logits, label_idx, log_joints=False)
     if isinstance(model, LdaModel):
-        if interface == "probs":
-            return lda_posteriors(model, X)
-        return lda_log_joints(model, X)
+        logits = lda_log_joints(model, X)
+        return TargetOutputs(softmax_pairs(logits), logits, label_idx, log_joints=True)
+    if isinstance(model, LogisticModel):
+        z = np.asarray(X, dtype=np.float64) @ model.weights + model.bias
+        return TargetOutputs(logistic_posteriors(model, X),
+                             np.column_stack([np.zeros_like(z), z]),
+                             label_idx, log_joints=False)
     raise ValidationError(f"unsupported target model: {type(model).__name__}")
 
 
-def build_attack_features(
-    model_output: np.ndarray, true_label_index: int, interface: str
-) -> np.ndarray:
-    """One attack-model row: ``[output vector || one-hot(true label)]``."""
-    v = np.asarray(model_output, dtype=np.float64)
-    if v.ndim != 1 or not np.isfinite(v).all():
-        raise ValidationError("model output must be a finite vector")
-    if interface == "probs":
-        _check_posterior(v)
-    elif interface != "logits":
-        raise ValidationError(f"interface must be 'probs' or 'logits', got {interface!r}")
-    if not 0 <= true_label_index < v.size:
-        raise ValidationError(f"label index {true_label_index} out of range")
-    onehot = np.zeros(v.size)
-    onehot[true_label_index] = 1.0
-    return np.concatenate([v, onehot])
+def membership_scores(
+    kind: ScoreKind, member: TargetOutputs, nonmember: TargetOutputs, seed: int = 0
+) -> AttackScores:
+    """Scores of one kind for one target; ``seed`` seeds the boosted attack's split."""
+    if kind in (ScoreKind.GBM_PROBS, ScoreKind.GBM_LOGITS):
+        return _gbm_scores(member, nonmember, kind, seed)
+    if kind is ScoreKind.LDA_LOG_JOINT:
+        if not (member.log_joints and nonmember.log_joints):
+            raise ValidationError("lda_log_joint requires an lda model")
+        sides = [out.logits.max(axis=1) for out in (member, nonmember)]
+    else:
+        sides = [threshold_scores(kind, out.probs, out.label_idx)
+                 for out in (member, nonmember)]
+    return AttackScores(member_scores=sides[0], nonmember_scores=sides[1],
+                        kind=kind, orientation=kind.orientation)
 
 
-def _attack_matrix(model, data: Dataset, interface: str) -> np.ndarray:
-    outputs = model_outputs(model, data.features, interface)
-    idx = label_indices(data.labels)
-    onehot = np.zeros_like(outputs)
-    onehot[np.arange(outputs.shape[0]), idx] = 1.0
-    return np.hstack([outputs, onehot])
+def _attack_matrix(outputs: TargetOutputs, kind: ScoreKind) -> np.ndarray:
+    """Attack-model rows ``[output vector || one-hot(true label)]``."""
+    values = outputs.probs if kind is ScoreKind.GBM_PROBS else outputs.logits
+    onehot = np.zeros_like(values)
+    onehot[np.arange(values.shape[0]), outputs.label_idx] = 1.0
+    return np.hstack([values, onehot])
 
 
-def run_gbm_attack(
-    target_model,
-    member_data: Dataset,
-    nonmember_data: Dataset,
-    interface: str = "probs",
-    split_seed: int = 0,
+def _gbm_scores(
+    member: TargetOutputs, nonmember: TargetOutputs, kind: ScoreKind, seed: int
 ) -> AttackScores:
     """Train the boosted attack classifier and score held-out samples.
 
@@ -206,12 +172,12 @@ def run_gbm_attack(
     split 50/50 into attack-train and attack-eval halves (seeded), and the
     returned scores are attack-model probabilities on the eval halves.
     """
-    rows_m = _attack_matrix(target_model, member_data, interface)
-    rows_n = _attack_matrix(target_model, nonmember_data, interface)
+    rows_m = _attack_matrix(member, kind)
+    rows_n = _attack_matrix(nonmember, kind)
     if min(rows_m.shape[0], rows_n.shape[0]) < 4:
         raise InsufficientDataError("need at least 4 samples per side")
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=split_seed, spawn_key=(3,)))
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
     size = min(rows_m.shape[0], rows_n.shape[0])
     halves = []
     for rows in (rows_m, rows_n):
@@ -224,10 +190,25 @@ def run_gbm_attack(
     y_train = np.concatenate([np.ones(train_m.shape[0]), np.zeros(train_n.shape[0])])
     attack_model = fit_gbm(X_train, y_train, n_estimators=100, max_depth=3, learning_rate=0.1)
 
-    kind = ScoreKind.GBM_PROBS if interface == "probs" else ScoreKind.GBM_LOGITS
     return AttackScores(
         member_scores=gbm_predict_matrix(attack_model, eval_m),
         nonmember_scores=gbm_predict_matrix(attack_model, eval_n),
         kind=kind,
         orientation=Orientation.HIGHER_IS_MEMBER,
     )
+
+
+def run_gbm_attack(
+    target_model,
+    member_data: Dataset,
+    nonmember_data: Dataset,
+    interface: str = "probs",
+    split_seed: int = 0,
+) -> AttackScores:
+    """The boosted attack on the target's ``probs`` or ``logits`` interface."""
+    kinds = {"probs": ScoreKind.GBM_PROBS, "logits": ScoreKind.GBM_LOGITS}
+    if interface not in kinds:
+        raise ValidationError(f"interface must be 'probs' or 'logits', got {interface!r}")
+    return _gbm_scores(model_outputs(target_model, member_data),
+                       model_outputs(target_model, nonmember_data),
+                       kinds[interface], split_seed)

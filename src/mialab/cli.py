@@ -13,8 +13,6 @@ import argparse
 import dataclasses
 import sys
 
-import numpy as np
-
 from . import attacks, datagen, divergence, harness, linear_models, metrics, svgplot
 from .errors import MialabError, ValidationError
 
@@ -68,30 +66,6 @@ def _cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _attack_scores(model, member, nonmember, kind, seed):
-    if kind in (attacks.ScoreKind.GBM_PROBS, attacks.ScoreKind.GBM_LOGITS):
-        interface = "probs" if kind is attacks.ScoreKind.GBM_PROBS else "logits"
-        return attacks.run_gbm_attack(model, member, nonmember,
-                                      interface=interface, split_seed=seed)
-    if kind is attacks.ScoreKind.LDA_LOG_JOINT:
-        if not isinstance(model, linear_models.LdaModel):
-            raise ValidationError("lda_log_joint requires an lda model")
-        member_scores = linear_models.lda_log_joints(model, member.features).max(axis=1)
-        nonmember_scores = linear_models.lda_log_joints(model, nonmember.features).max(axis=1)
-    else:
-        p_member = linear_models.posteriors(model, member.features)
-        p_nonmember = linear_models.posteriors(model, nonmember.features)
-        member_scores = attacks.threshold_scores(
-            kind, p_member, attacks.label_indices(member.labels))
-        nonmember_scores = attacks.threshold_scores(
-            kind, p_nonmember, attacks.label_indices(nonmember.labels))
-    return attacks.AttackScores(
-        member_scores=np.asarray(member_scores),
-        nonmember_scores=np.asarray(nonmember_scores),
-        kind=kind, orientation=kind.orientation,
-    )
-
-
 def _cmd_attack(args) -> int:
     with open(args.model_file) as fh:
         model = linear_models.deserialize_model(fh.read())
@@ -100,9 +74,11 @@ def _cmd_attack(args) -> int:
     for side, data in (("member", member), ("nonmember", nonmember)):
         if data.d != model.d:
             raise ValidationError(f"model has d={model.d} but {side} data has d={data.d}")
+    kinds = _score_kinds(args.scores)
+    outputs = [attacks.model_outputs(model, data) for data in (member, nonmember)]
     all_rows = []
-    for kind in _score_kinds(args.scores):
-        scores = _attack_scores(model, member, nonmember, kind, args.seed)
+    for kind in kinds:
+        scores = attacks.membership_scores(kind, *outputs, seed=args.seed)
         result = metrics.attack_result(scores)
         print(f"{kind.value}: auroc={result.auroc:.6f} advantage={result.advantage:.6f}")
         for side, arr in (("member", scores.member_scores),

@@ -195,11 +195,6 @@ def gbm_predict_matrix(model: GbmModel, X: np.ndarray) -> np.ndarray:
     return expit(gbm_raw_scores(model, X))
 
 
-def gbm_predict(model: GbmModel, row: np.ndarray) -> float:
-    """Membership probability in (0, 1) for one feature row."""
-    return float(gbm_predict_matrix(model, np.asarray(row)[None, :])[0])
-
-
 def staged_train_deviance(
     model: GbmModel, features: np.ndarray, labels: np.ndarray
 ) -> np.ndarray:

@@ -30,22 +30,10 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attacks import (
-    AttackScores,
-    ScoreKind,
-    label_indices,
-    run_gbm_attack,
-    threshold_scores,
-)
+from .attacks import ScoreKind, membership_scores, model_outputs
 from .datagen import GenParams, generate_dataset
 from .errors import MialabError, ValidationError
-from .linear_models import (
-    fit_lda,
-    fit_logistic,
-    lda_log_joints,
-    logistic_posteriors,
-    softmax_pairs,
-)
+from .linear_models import fit_lda, fit_logistic
 from .metrics import AttackResult, attack_result, mean_sem, sort_key
 
 WORKERS_ENV_VAR = "MIALAB_WORKERS"
@@ -57,8 +45,6 @@ DEFAULT_SCORE_KINDS = (
     ScoreKind.LOG_LOSS,
     ScoreKind.LDA_LOG_JOINT,
 )
-
-MODELS = ("logistic", "lda")
 
 _MASK64 = (1 << 64) - 1
 
@@ -162,21 +148,6 @@ def cell_seed(base_seed: int, grid_seed: int, params: GenParams) -> int:
     return state
 
 
-def _applicable(model_name: str, kind: ScoreKind) -> bool:
-    if kind is ScoreKind.LDA_LOG_JOINT:
-        return model_name == "lda"
-    return True
-
-
-def _threshold_attack(kind, member_scores, nonmember_scores) -> AttackScores:
-    return AttackScores(
-        member_scores=np.asarray(member_scores, dtype=np.float64),
-        nonmember_scores=np.asarray(nonmember_scores, dtype=np.float64),
-        kind=kind,
-        orientation=kind.orientation,
-    )
-
-
 def run_cell(params: GenParams, kinds=DEFAULT_SCORE_KINDS) -> CellResult:
     """Run one configuration end to end; deterministic given ``params``."""
     start = time.perf_counter()
@@ -184,52 +155,20 @@ def run_cell(params: GenParams, kinds=DEFAULT_SCORE_KINDS) -> CellResult:
     try:
         train = generate_dataset(params, "train")
         test = generate_dataset(params, "test")
+        split_seed = _splitmix64(params.seed ^ 0xA77ACC)
 
-        models = {"logistic": fit_logistic(train), "lda": fit_lda(train)}
-
-        # Model outputs are computed once per dataset and reused by every
-        # score kind; LDA posteriors are the softmax of its log-joints.
-        lj_train = lda_log_joints(models["lda"], train.features)
-        lj_test = lda_log_joints(models["lda"], test.features)
-        posterior_sets = {
-            "logistic": (
-                logistic_posteriors(models["logistic"], train.features),
-                logistic_posteriors(models["logistic"], test.features),
-            ),
-            "lda": (softmax_pairs(lj_train), softmax_pairs(lj_test)),
-        }
-        accuracies = {
-            name: float(np.mean(np.where(p[:, 1] >= p[:, 0], 1, -1) == test.labels))
-            for name, (_, p) in posterior_sets.items()
-        }
-        train_idx = label_indices(train.labels)
-        test_idx = label_indices(test.labels)
-
+        accuracies: dict[str, float] = {}
         attacks: dict[tuple[str, ScoreKind], AttackResult] = {}
-        for name in MODELS:
-            p_train, p_test = posterior_sets[name]
+        for name, fit in (("logistic", fit_logistic), ("lda", fit_lda)):
+            model = fit(train)
+            # Outputs are computed once per dataset and shared by every kind.
+            member, nonmember = model_outputs(model, train), model_outputs(model, test)
+            p = nonmember.probs
+            accuracies[name] = float(np.mean(np.where(p[:, 1] >= p[:, 0], 1, -1) == test.labels))
             for kind in kinds:
-                if not _applicable(name, kind):
+                if kind is ScoreKind.LDA_LOG_JOINT and not member.log_joints:
                     continue
-                if kind in (ScoreKind.MAX_PROB, ScoreKind.ENTROPY, ScoreKind.LOG_LOSS):
-                    scores = _threshold_attack(
-                        kind,
-                        threshold_scores(kind, p_train, train_idx),
-                        threshold_scores(kind, p_test, test_idx),
-                    )
-                elif kind is ScoreKind.LDA_LOG_JOINT:
-                    scores = _threshold_attack(
-                        kind, lj_train.max(axis=1), lj_test.max(axis=1)
-                    )
-                elif kind in (ScoreKind.GBM_PROBS, ScoreKind.GBM_LOGITS):
-                    interface = "probs" if kind is ScoreKind.GBM_PROBS else "logits"
-                    scores = run_gbm_attack(
-                        models[name], train, test,
-                        interface=interface,
-                        split_seed=_splitmix64(params.seed ^ 0xA77ACC),
-                    )
-                else:  # pragma: no cover - enum is exhaustive
-                    raise ValidationError(f"unsupported score kind {kind!r}")
+                scores = membership_scores(kind, member, nonmember, split_seed)
                 attacks[(name, kind)] = attack_result(scores, cell=params)
     except MialabError as exc:
         raise type(exc)(f"cell {params}: {exc}") from exc
@@ -306,7 +245,11 @@ def pin_blas_threads() -> list[tuple]:
 
 def resolve_workers(workers: int | None) -> int:
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
+        raw = os.environ.get(WORKERS_ENV_VAR, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ValidationError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
     if workers < 1:
         raise ValidationError(f"worker count must be >= 1, got {workers}")
     return workers

@@ -48,7 +48,6 @@ class LdaModel:
     prior_pos: float
     mean_pos: np.ndarray
     mean_neg: np.ndarray
-    covariance: np.ndarray
     chol_lower: np.ndarray
     shrinkage_intensity: float
     log_det: float
@@ -119,12 +118,6 @@ def fit_logistic(data: Dataset, tol: float = 1e-8, max_iter: int = 10_000) -> Lo
     )
 
 
-def logistic_posterior(model: LogisticModel, x: np.ndarray) -> np.ndarray:
-    """Posterior pair ``(P(-1|x), P(+1|x))`` for one input."""
-    z = float(np.dot(model.weights, np.asarray(x, dtype=np.float64)) + model.bias)
-    return np.array([expit(-z), expit(z)])
-
-
 def logistic_posteriors(model: LogisticModel, X: np.ndarray) -> np.ndarray:
     """Row-wise posterior pairs, shape (n, 2)."""
     z = np.asarray(X, dtype=np.float64) @ model.weights + model.bias
@@ -190,7 +183,6 @@ def fit_lda(data: Dataset) -> LdaModel:
         prior_pos=prior_pos,
         mean_pos=mean_pos,
         mean_neg=mean_neg,
-        covariance=cov,
         chol_lower=chol,
         shrinkage_intensity=intensity,
         log_det=log_det,
@@ -215,11 +207,6 @@ def lda_log_joints(model: LdaModel, X: np.ndarray) -> np.ndarray:
     return out
 
 
-def lda_log_joint(model: LdaModel, x: np.ndarray) -> np.ndarray:
-    """Length-2 vector of per-class log-joint scores for one input."""
-    return lda_log_joints(model, np.asarray(x)[None, :])[0]
-
-
 def softmax_pairs(log_scores: np.ndarray) -> np.ndarray:
     """Row-wise softmax of per-class log scores (shift-invariant)."""
     shifted = log_scores - log_scores.max(axis=1, keepdims=True)
@@ -232,10 +219,6 @@ def lda_posteriors(model: LdaModel, X: np.ndarray) -> np.ndarray:
     return softmax_pairs(lda_log_joints(model, X))
 
 
-def lda_posterior(model: LdaModel, x: np.ndarray) -> np.ndarray:
-    return lda_posteriors(model, np.asarray(x)[None, :])[0]
-
-
 def posteriors(model, X: np.ndarray) -> np.ndarray:
     """Posterior pairs for either model family."""
     if isinstance(model, LogisticModel):
@@ -243,12 +226,6 @@ def posteriors(model, X: np.ndarray) -> np.ndarray:
     if isinstance(model, LdaModel):
         return lda_posteriors(model, X)
     raise ValidationError(f"unsupported model type: {type(model).__name__}")
-
-
-def predict(model, x: np.ndarray) -> int:
-    """Label with the larger posterior; the tie at 0.5 goes to +1."""
-    p = posteriors(model, np.asarray(x)[None, :])[0]
-    return 1 if p[1] >= p[0] else -1
 
 
 def accuracy(model, data: Dataset) -> float:
@@ -283,27 +260,43 @@ def serialize_model(model) -> str:
 
 
 def deserialize_model(text: str):
+    """Model from :func:`serialize_model` text, checked before any use."""
     try:
         payload = json.loads(text)
         kind = payload["kind"]
         if kind == "logistic":
-            return LogisticModel(
+            model = LogisticModel(
                 weights=np.asarray(payload["weights"], dtype=np.float64),
                 bias=float(payload["bias"]),
                 converged=bool(payload["converged"]),
                 iterations=int(payload["iterations"]),
             )
+            if model.weights.ndim != 1 or not model.weights.size \
+                    or not np.isfinite(np.append(model.weights, model.bias)).all():
+                raise ValidationError("weights must be a nonempty finite vector, bias finite")
+            return model
         if kind == "lda":
-            chol = np.asarray(payload["chol_lower"], dtype=np.float64)
+            prior_pos = float(payload["prior_pos"])
+            mean_pos, mean_neg, chol = (np.asarray(payload[key], dtype=np.float64)
+                                        for key in ("mean_pos", "mean_neg", "chol_lower"))
+            d = mean_pos.size
+            if not 0.0 < prior_pos < 1.0:
+                raise ValidationError(f"prior_pos must lie in (0, 1), got {prior_pos!r}")
+            if not d or (mean_pos.shape, mean_neg.shape, chol.shape) != ((d,), (d,), (d, d)):
+                raise ValidationError("need means of one length d and a d x d chol_lower, "
+                                      f"got {mean_pos.shape}, {mean_neg.shape}, {chol.shape}")
+            if not (np.isfinite(np.concatenate([mean_pos, mean_neg, chol.ravel()])).all()
+                    and not np.triu(chol, 1).any() and np.all(np.diag(chol) > 0.0)):
+                raise ValidationError("means and chol_lower must be finite, and chol_lower "
+                                      "lower-triangular with a positive diagonal")
             return LdaModel(
-                prior_pos=float(payload["prior_pos"]),
-                mean_pos=np.asarray(payload["mean_pos"], dtype=np.float64),
-                mean_neg=np.asarray(payload["mean_neg"], dtype=np.float64),
-                covariance=chol @ chol.T,
+                prior_pos=prior_pos,
+                mean_pos=mean_pos,
+                mean_neg=mean_neg,
                 chol_lower=chol,
                 shrinkage_intensity=float(payload["shrinkage_intensity"]),
                 log_det=2.0 * float(np.sum(np.log(np.diag(chol)))),
             )
         raise ValidationError(f"unknown model kind: {kind!r}")
-    except (KeyError, TypeError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed model file: {exc}") from exc

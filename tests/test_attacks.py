@@ -7,19 +7,23 @@ from mialab.attacks import (
     AttackScores,
     Orientation,
     ScoreKind,
-    build_attack_features,
+    TargetOutputs,
+    _attack_matrix,
     label_indices,
+    membership_scores,
     model_outputs,
     run_gbm_attack,
-    score_entropy,
-    score_lda_log_joint,
-    score_log_loss,
-    score_max_prob,
     threshold_scores,
 )
 from mialab.datagen import Dataset, GenParams, generate_dataset
 from mialab.errors import InsufficientDataError, ValidationError
-from mialab.linear_models import LogisticModel, fit_logistic
+from mialab.linear_models import (
+    LogisticModel,
+    fit_lda,
+    fit_logistic,
+    lda_log_joints,
+    softmax_pairs,
+)
 from mialab.metrics import advantage, auroc, write_table
 
 
@@ -32,51 +36,72 @@ def test_score_kind_orientations_documented():
         assert kind.orientation is expected
 
 
+def _one_row(probs=(0.5, 0.5), label_idx=1, logits=None):
+    """One-row target outputs; given logits stand for an LDA target's log-joints."""
+    probs = np.array([probs], dtype=np.float64)
+    log_joints = logits is not None
+    logits = np.array([logits], dtype=np.float64) if log_joints else np.zeros_like(probs)
+    return TargetOutputs(probs, logits, np.array([label_idx]), log_joints=log_joints)
+
+
+def _score(kind, **row):
+    out = _one_row(**row)
+    return float(membership_scores(kind, out, out).member_scores[0])
+
+
 def test_max_prob_values():
-    assert score_max_prob([0.5, 0.5]) == 0.5
-    assert score_max_prob([0.1, 0.9]) == 0.9
+    assert _score(ScoreKind.MAX_PROB, probs=[0.5, 0.5]) == 0.5
+    assert _score(ScoreKind.MAX_PROB, probs=[0.1, 0.9]) == 0.9
     k = 5
-    assert score_max_prob([1 / k] * k) == pytest.approx(1 / k)
-    with pytest.raises(ValidationError):
-        score_max_prob([0.5, 0.2])
+    assert _score(ScoreKind.MAX_PROB, probs=[1 / k] * k) == pytest.approx(1 / k)
 
 
 def test_entropy_values():
-    assert score_entropy([1.0, 0.0]) == 0.0
-    assert score_entropy([0.5, 0.5]) == pytest.approx(np.log(2), abs=1e-12)
+    assert _score(ScoreKind.ENTROPY, probs=[1.0, 0.0]) == 0.0
+    assert _score(ScoreKind.ENTROPY, probs=[0.5, 0.5]) == pytest.approx(np.log(2), abs=1e-12)
     expected = -(0.9 * np.log(0.9) + 0.1 * np.log(0.1))
-    assert score_entropy([0.9, 0.1]) == pytest.approx(expected, abs=1e-12)
-    assert score_entropy([0.9, 0.1]) == pytest.approx(0.3251, abs=5e-5)
+    assert _score(ScoreKind.ENTROPY, probs=[0.9, 0.1]) == pytest.approx(expected, abs=1e-12)
+    assert _score(ScoreKind.ENTROPY, probs=[0.9, 0.1]) == pytest.approx(0.3251, abs=5e-5)
 
 
 def test_log_loss_values():
-    assert score_log_loss([0.0, 1.0], 1) == 0.0
-    assert score_log_loss([0.5, 0.5], 0) == pytest.approx(np.log(2), abs=1e-12)
+    assert _score(ScoreKind.LOG_LOSS, probs=[0.0, 1.0], label_idx=1) == 0.0
+    assert _score(ScoreKind.LOG_LOSS, probs=[0.5, 0.5], label_idx=0) == pytest.approx(
+        np.log(2), abs=1e-12)
     p = float(np.exp(-2.0))
-    assert score_log_loss([1 - p, p], 1) == pytest.approx(2.0, abs=1e-12)
-    with pytest.raises(ValidationError):
-        score_log_loss([0.5, 0.5], 2)
+    assert _score(ScoreKind.LOG_LOSS, probs=[1 - p, p], label_idx=1) == pytest.approx(
+        2.0, abs=1e-12)
 
 
 def test_lda_log_joint_score():
-    assert score_lda_log_joint([-1.0, -3.0]) == -1.0
-    base = score_lda_log_joint([-4.2, -1.7])
-    assert score_lda_log_joint([-4.2 + 3.0, -1.7 + 3.0]) == pytest.approx(base + 3.0)
+    assert _score(ScoreKind.LDA_LOG_JOINT, logits=[-1.0, -3.0]) == -1.0
+    base = _score(ScoreKind.LDA_LOG_JOINT, logits=[-4.2, -1.7])
+    assert _score(ScoreKind.LDA_LOG_JOINT, logits=[-4.2 + 3.0, -1.7 + 3.0]) == pytest.approx(
+        base + 3.0)
     with pytest.raises(ValidationError):
-        score_lda_log_joint([np.inf, 0.0])
+        _score(ScoreKind.LDA_LOG_JOINT, logits=[np.inf, 0.0])
+    # a discriminative target's logits are not log-joints
+    with pytest.raises(ValidationError, match="requires an lda model"):
+        _score(ScoreKind.LDA_LOG_JOINT, probs=[0.3, 0.7])
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.floats(0.0001, 0.9999))
-def test_batch_threshold_scores_match_single_sample(p):
-    posterior = np.array([1.0 - p, p])
-    P = posterior[None, :]
-    assert threshold_scores(ScoreKind.MAX_PROB, P)[0] == score_max_prob(posterior)
-    assert threshold_scores(ScoreKind.ENTROPY, P)[0] == pytest.approx(
-        score_entropy(posterior), abs=1e-15)
-    idx = np.array([1])
-    assert threshold_scores(ScoreKind.LOG_LOSS, P, idx)[0] == pytest.approx(
-        score_log_loss(posterior, 1), abs=1e-15)
+@given(st.lists(st.floats(0.0001, 0.9999), min_size=1, max_size=8))
+def test_batch_threshold_scores_match_single_sample(ps):
+    # every row of a batch scores as it does alone, and as its closed form
+    p = np.array(ps)
+    batch = TargetOutputs(np.column_stack([1 - p, p]), np.zeros((p.size, 2)),
+                          np.ones(p.size, dtype=np.intp), log_joints=False)
+    closed_forms = {
+        ScoreKind.MAX_PROB: np.maximum(p, 1 - p),
+        ScoreKind.ENTROPY: -(p * np.log(p) + (1 - p) * np.log(1 - p)),
+        ScoreKind.LOG_LOSS: -np.log(p),
+    }
+    for kind, expected in closed_forms.items():
+        scores = membership_scores(kind, batch, batch).member_scores
+        singles = [_score(kind, probs=[1 - q, q], label_idx=1) for q in ps]
+        assert scores.tolist() == singles
+        np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=1e-15)
 
 
 def test_entropy_and_max_prob_rank_identically_for_binary():
@@ -115,35 +140,41 @@ def test_label_indices():
 
 
 def test_build_attack_features_definition():
-    row = build_attack_features(np.array([0.7, 0.3]), 1, "probs")
-    np.testing.assert_allclose(row, [0.7, 0.3, 0.0, 1.0])
-    row = build_attack_features(np.array([-3.0, -1.0]), 0, "logits")
-    np.testing.assert_allclose(row, [-3.0, -1.0, 1.0, 0.0])
-    with pytest.raises(ValidationError):
-        build_attack_features(np.array([0.7, 0.3]), 2, "probs")
-    with pytest.raises(ValidationError):
-        build_attack_features(np.array([0.7, 0.4]), 0, "probs")
+    # attack rows are [output vector || one-hot(true label)] on the kind's interface
+    out = _one_row(probs=[0.7, 0.3], label_idx=1, logits=[-3.0, -1.0])
+    np.testing.assert_allclose(_attack_matrix(out, ScoreKind.GBM_PROBS), [[0.7, 0.3, 0.0, 1.0]])
+    out = _one_row(probs=[0.2, 0.8], label_idx=0, logits=[-3.0, -1.0])
+    np.testing.assert_allclose(_attack_matrix(out, ScoreKind.GBM_LOGITS), [[-3.0, -1.0, 1.0, 0.0]])
 
 
 @settings(max_examples=50, deadline=None)
 @given(st.floats(0.01, 0.99), st.floats(0.01, 0.99), st.integers(0, 1), st.integers(0, 1))
 def test_feature_construction_injective(p1, p2, l1, l2):
-    a = build_attack_features(np.array([1 - p1, p1]), l1, "probs")
-    b = build_attack_features(np.array([1 - p2, p2]), l2, "probs")
+    a = _attack_matrix(_one_row(probs=[1 - p1, p1], label_idx=l1), ScoreKind.GBM_PROBS)
+    b = _attack_matrix(_one_row(probs=[1 - p2, p2], label_idx=l2), ScoreKind.GBM_PROBS)
     if (p1, l1) != (p2, l2):
         assert not np.array_equal(a, b)
 
 
 def test_model_outputs_interfaces():
     model = LogisticModel(weights=np.array([2.0]), bias=-1.0, converged=True, iterations=0)
-    X = np.array([[0.5], [2.0]])
-    probs = model_outputs(model, X, "probs")
-    np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
-    logits = model_outputs(model, X, "logits")
-    np.testing.assert_allclose(logits[:, 0], 0.0)
-    np.testing.assert_allclose(logits[:, 1], [0.0, 3.0])
+    data = Dataset(features=np.array([[0.5], [2.0]]), labels=np.array([-1, 1]),
+                   contaminated_mask=np.zeros(2, dtype=bool), params=None)
+    out = model_outputs(model, data)
+    np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-12)
+    np.testing.assert_allclose(out.logits[:, 0], 0.0)
+    np.testing.assert_allclose(out.logits[:, 1], [0.0, 3.0])
+    assert out.label_idx.tolist() == [0, 1] and not out.log_joints
+    member, nonmember = _toy_pair(seed=2, n_train=40, n_test=40, d=3)
+    lda = fit_lda(member)
+    out = model_outputs(lda, nonmember)
+    assert out.log_joints
+    assert out.logits.tobytes() == lda_log_joints(lda, nonmember.features).tobytes()
+    assert out.probs.tobytes() == softmax_pairs(out.logits).tobytes()
     with pytest.raises(ValidationError):
-        model_outputs(model, X, "raw")
+        model_outputs(object(), data)
+    with pytest.raises(ValidationError):
+        run_gbm_attack(model, data, data, interface="raw")
 
 
 class _MemorizingTarget:

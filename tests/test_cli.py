@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,74 @@ def test_attack_rejects_model_data_dimension_mismatch(tmp_path, capsys, model):
         assert code == 2
         assert f"error: model has d=8 but {side} data has d=4" in capsys.readouterr().err
         assert not scores.exists()
+
+
+def _trained_model(tmp_path, model="lda"):
+    data, model_path = tmp_path / "data.csv", tmp_path / "model.json"
+    main(["generate", "--d", "4", "--n", "40", "--mu", "0.3", "--out", str(data)])
+    main(["train", "--model", model, "--data", str(data), "--out", str(model_path)])
+    return data, model_path
+
+
+def test_attack_computes_lda_outputs_once_per_dataset(tmp_path, capsys, lda_log_joints_calls):
+    data, model_path = _trained_model(tmp_path)
+    lda_log_joints_calls.clear()  # training computes its own accuracy
+    code = main(["attack", "--model-file", str(model_path), "--member", str(data),
+                 "--nonmember", str(data), "--scores", "max_prob", "entropy", "log_loss",
+                 "lda_log_joint", "gbm_probs", "gbm_logits", "--out", str(tmp_path / "s.csv")])
+    assert code == 0
+    assert capsys.readouterr().out.count("auroc=") == 6
+    assert lda_log_joints_calls == [40, 40]
+
+
+def _set(field, value):
+    return lambda payload: payload.__setitem__(field, value)
+
+
+def _set_chol(i, j, value):
+    return lambda payload: payload["chol_lower"][i].__setitem__(j, value)
+
+
+# name -> (model kind, corruption of its JSON payload, expected message)
+_MALFORMED_MODELS = {
+    "chol_2x2_for_d4": ("lda", _set("chol_lower", [[1.0, 0.0], [0.0, 1.0]]), "d x d chol_lower"),
+    "chol_string": ("lda", _set("chol_lower", "abc"), "malformed model file"),
+    "chol_negative_diagonal": ("lda", _set_chol(0, 0, -1.0), "positive diagonal"),
+    "chol_upper_entry": ("lda", _set_chol(0, 1, 0.5), "lower-triangular"),
+    "chol_nan": ("lda", _set_chol(1, 0, float("nan")), "must be finite"),
+    "prior_above_1": ("lda", _set("prior_pos", 1.5), "prior_pos must lie in (0, 1)"),
+    "prior_0": ("lda", _set("prior_pos", 0.0), "prior_pos must lie in (0, 1)"),
+    "mean_length": ("lda", _set("mean_neg", [0.0, 1.0]), "means of one length d"),
+    "weights_matrix": ("logistic", _set("weights", [[1.0, 2.0], [3.0, 4.0]]),
+                       "nonempty finite vector"),
+    "weights_empty": ("logistic", _set("weights", []), "nonempty finite vector"),
+    "bias_string": ("logistic", _set("bias", "x"), "malformed model file"),
+}
+
+
+@pytest.mark.parametrize("case", list(_MALFORMED_MODELS))
+def test_attack_rejects_malformed_model_file_exit_2(tmp_path, capsys, case):
+    model, corrupt, message = _MALFORMED_MODELS[case]
+    data, model_path = _trained_model(tmp_path, model)
+    payload = json.loads(model_path.read_text())
+    corrupt(payload)
+    model_path.write_text(json.dumps(payload))
+    capsys.readouterr()
+    code = main(["attack", "--model-file", str(model_path), "--member", str(data),
+                 "--nonmember", str(data), "--scores", "max_prob",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_sweep_rejects_non_integer_workers_env_exit_2(tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(CONFIG)
+    monkeypatch.setenv("MIALAB_WORKERS", "abc")
+    code = main(["sweep", "--config", str(cfg), "--scores", "max_prob",
+                 "--out", str(tmp_path / "r.csv"), "--summary-out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "MIALAB_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
 
 
 def test_sweep_with_config(tmp_path, capsys):

@@ -8,7 +8,6 @@ from mialab.gbm import (
     _best_split,
     deserialize_gbm,
     fit_gbm,
-    gbm_predict,
     gbm_predict_matrix,
     serialize_gbm,
     staged_train_deviance,
@@ -104,15 +103,15 @@ def test_determinism():
 def test_empty_model_and_stump_predictions():
     empty = GbmModel(trees=[], learning_rate=0.1, base_score=0.0,
                      n_estimators=0, max_depth=3, n_features=2)
-    assert gbm_predict(empty, [1.0, -1.0]) == 0.5
+    assert gbm_predict_matrix(empty, np.array([1.0, -1.0])[None, :])[0] == 0.5
 
     stump = GbmModel(
         trees=[TreeNode(feature=0, threshold=0.0,
                         left=TreeNode(value=-10.0), right=TreeNode(value=10.0))],
         learning_rate=1.0, base_score=0.0, n_estimators=1, max_depth=1, n_features=1,
     )
-    assert gbm_predict(stump, [1.0]) >= 0.9999
-    assert gbm_predict(stump, [-1.0]) <= 0.0001
+    assert gbm_predict_matrix(stump, np.array([1.0])[None, :])[0] >= 0.9999
+    assert gbm_predict_matrix(stump, np.array([-1.0])[None, :])[0] <= 0.0001
 
 
 def test_serialization_round_trip_bit_exact():
@@ -137,4 +136,4 @@ def test_error_paths():
     model = fit_gbm(np.array([[0.0], [1.0], [2.0], [3.0]]), np.array([0.0, 0.0, 1.0, 1.0]),
                     n_estimators=2, max_depth=1)
     with pytest.raises(ValidationError):
-        gbm_predict(model, [0.0, 1.0])  # width mismatch
+        gbm_predict_matrix(model, np.array([0.0, 1.0])[None, :])  # width mismatch

@@ -92,6 +92,14 @@ def test_run_cell_gbm_kinds():
         assert att.n_member >= 15  # half of the downsampled pool
 
 
+def test_run_cell_computes_lda_outputs_once_per_dataset(lda_log_joints_calls):
+    # every score kind, the boosted ones included, reads the shared outputs
+    params = GenParams(d=4, n_train=60, n_test=200, mu=0.3, seed=5)
+    result = run_cell(params, kinds=tuple(ScoreKind))
+    assert lda_log_joints_calls == [60, 200]
+    assert len(result.attacks) == 2 * len(ScoreKind) - 1  # no lda_log_joint on logistic
+
+
 def test_run_cell_attaches_cell_context_to_errors():
     params = GenParams(d=2, n_train=2, mu=0.1, seed=1)  # 2 samples: LDA must fail
     with pytest.raises(MialabError) as err:
@@ -324,3 +332,6 @@ def test_worker_env_var_default(monkeypatch):
     assert resolve_workers(2) == 2
     with pytest.raises(ValidationError):
         resolve_workers(0)
+    monkeypatch.setenv("MIALAB_WORKERS", "abc")
+    with pytest.raises(ValidationError, match="MIALAB_WORKERS must be an integer, got 'abc'"):
+        resolve_workers(None)

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
 from mialab.datagen import Dataset, GenParams, generate_dataset
-from mialab.errors import DataError, DegenerateDataError, ValidationError
+from mialab.errors import DataError, DegenerateDataError, MialabError, ValidationError
 from mialab.linear_models import (
     LdaModel,
     LogisticModel,
@@ -12,13 +16,9 @@ from mialab.linear_models import (
     deserialize_model,
     fit_lda,
     fit_logistic,
-    lda_log_joint,
     lda_log_joints,
-    lda_posterior,
     lda_posteriors,
-    logistic_posterior,
     logistic_posteriors,
-    predict,
     serialize_model,
 )
 
@@ -44,8 +44,7 @@ def test_logistic_separable_classifies_train_perfectly():
     x = np.concatenate([np.linspace(-2, -1, 10), np.linspace(1, 2, 10)])
     data = _dataset(x[:, None], [-1] * 10 + [1] * 10)
     model = fit_logistic(data)
-    preds = [predict(model, row) for row in data.features]
-    assert np.array_equal(preds, data.labels)
+    assert accuracy(model, data) == 1.0
 
 
 def test_logistic_symmetry_of_objective():
@@ -101,13 +100,15 @@ def test_logistic_errors():
 
 def test_logistic_posterior_values():
     model = LogisticModel(weights=np.zeros(2), bias=0.0, converged=True, iterations=0)
-    np.testing.assert_allclose(logistic_posterior(model, [1.0, 2.0]), [0.5, 0.5])
+    np.testing.assert_allclose(logistic_posteriors(model, np.array([1.0, 2.0])[None, :])[0],
+                               [0.5, 0.5])
 
     saturated = LogisticModel(weights=np.zeros(2), bias=50.0, converged=True, iterations=0)
-    assert logistic_posterior(saturated, [0.0, 0.0])[1] >= 1 - 1e-20
+    assert logistic_posteriors(saturated, np.zeros(2)[None, :])[0, 1] >= 1 - 1e-20
 
     unit = LogisticModel(weights=np.array([1.0]), bias=0.0, converged=True, iterations=0)
-    assert logistic_posterior(unit, [1.0])[1] == pytest.approx(0.7310585786, abs=1e-9)
+    assert logistic_posteriors(unit, np.array([1.0])[None, :])[0, 1] == pytest.approx(
+        0.7310585786, abs=1e-9)
 
 
 def test_posterior_pairs_normalized():
@@ -192,24 +193,24 @@ def test_lda_posterior_symmetry_and_prior_only_cases():
         prior_pos=0.5,
         mean_pos=np.array([1.0, 0.0]),
         mean_neg=np.array([-1.0, 0.0]),
-        covariance=cov,
         chol_lower=chol,
         shrinkage_intensity=0.0,
         log_det=0.0,
     )
-    np.testing.assert_allclose(lda_posterior(model, [0.0, 5.0]), [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(lda_posteriors(model, np.array([0.0, 5.0])[None, :])[0],
+                               [0.5, 0.5], atol=1e-12)
 
     skew = LdaModel(
         prior_pos=0.7,
         mean_pos=np.zeros(2),
         mean_neg=np.zeros(2),
-        covariance=cov,
         chol_lower=chol,
         shrinkage_intensity=0.0,
         log_det=0.0,
     )
     for x in ([0.0, 0.0], [3.0, -2.0], [100.0, 7.0]):
-        np.testing.assert_allclose(lda_posterior(skew, x), [0.3, 0.7], atol=1e-12)
+        np.testing.assert_allclose(lda_posteriors(skew, np.array(x)[None, :])[0], [0.3, 0.7],
+                                   atol=1e-12)
 
 
 def test_lda_posterior_matches_bayes_rule_oracle():
@@ -220,7 +221,6 @@ def test_lda_posterior_matches_bayes_rule_oracle():
         prior_pos=0.35,
         mean_pos=rng.normal(size=2),
         mean_neg=rng.normal(size=2),
-        covariance=cov,
         chol_lower=np.linalg.cholesky(cov),
         shrinkage_intensity=0.0,
         log_det=float(np.linalg.slogdet(cov)[1]),
@@ -231,7 +231,7 @@ def test_lda_posterior_matches_bayes_rule_oracle():
         f_neg = multivariate_normal.pdf(x, mean=model.mean_neg, cov=cov)
         post_pos = 0.35 * f_pos / (0.35 * f_pos + 0.65 * f_neg)
         np.testing.assert_allclose(
-            lda_posterior(model, x), [1 - post_pos, post_pos], atol=1e-10
+            lda_posteriors(model, x[None, :])[0], [1 - post_pos, post_pos], atol=1e-10
         )
 
 
@@ -241,24 +241,24 @@ def test_lda_log_joint_at_mean_identity_covariance():
         prior_pos=0.5,
         mean_pos=np.ones(d),
         mean_neg=-np.ones(d),
-        covariance=np.eye(d),
         chol_lower=np.eye(d),
         shrinkage_intensity=0.0,
         log_det=0.0,
     )
     expected = np.log(0.5) - 0.5 * d * np.log(2 * np.pi)
-    assert lda_log_joint(model, np.ones(d))[1] == pytest.approx(expected, abs=1e-12)
+    assert lda_log_joints(model, np.ones(d)[None, :])[0, 1] == pytest.approx(expected, abs=1e-12)
 
 
 def test_lda_log_joint_matches_quadratic_form_oracle():
     rng = np.random.default_rng(9)
     data = _random_dataset(80, 4, seed=9)
     model = fit_lda(data)
-    inv = np.linalg.inv(model.covariance)
-    sign, logdet = np.linalg.slogdet(model.covariance)
+    covariance = model.chol_lower @ model.chol_lower.T
+    inv = np.linalg.inv(covariance)
+    sign, logdet = np.linalg.slogdet(covariance)
     assert sign > 0
     x = rng.normal(size=4)
-    lj = lda_log_joint(model, x)
+    lj = lda_log_joints(model, x[None, :])[0]
     for idx, (prior, mean) in enumerate(
         [(1 - model.prior_pos, model.mean_neg), (model.prior_pos, model.mean_pos)]
     ):
@@ -289,7 +289,8 @@ def test_softmax_shift_invariance():
 
 def test_predict_tie_goes_positive():
     model = LogisticModel(weights=np.zeros(1), bias=0.0, converged=True, iterations=0)
-    assert predict(model, [123.0]) == 1
+    assert accuracy(model, _dataset([[123.0]], [1])) == 1.0
+    assert accuracy(model, _dataset([[123.0]], [-1])) == 0.0
 
 
 def test_accuracy_high_signal_cell():
@@ -322,3 +323,31 @@ def test_deserialize_rejects_garbage():
         deserialize_model("{not json")
     with pytest.raises(ValidationError):
         deserialize_model('{"kind": "mystery"}')
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4),
+    max_leaves=12,
+)
+_MODEL_KEYS = ("kind", "weights", "bias", "converged", "iterations", "prior_pos",
+               "mean_pos", "mean_neg", "chol_lower", "shrinkage_intensity", "log_det")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.fixed_dictionaries(
+        {"kind": st.sampled_from(["lda", "logistic"])},
+        optional={key: _JSON_VALUES for key in _MODEL_KEYS[1:]}),
+    st.dictionaries(st.sampled_from(_MODEL_KEYS), _JSON_VALUES),
+    _JSON_VALUES,
+))
+def test_deserialize_model_fuzz_raises_only_mialab_errors(payload):
+    try:
+        model = deserialize_model(json.dumps(payload))
+    except MialabError:
+        return
+    # whatever loads is a usable model of its own dimension
+    X = np.zeros((1, model.d))
+    P = (lda_posteriors if isinstance(model, LdaModel) else logistic_posteriors)(model, X)
+    assert P.shape == (1, 2)
