@@ -8,7 +8,7 @@ divergence oracle that numerically certifies the relevant
 total-variation/KL bounds.
 """
 
-from .attacks import AttackScores, Orientation, ScoreKind
+from .attacks import AttackScores, Orientation, ScoreKind, accuracy
 from .datagen import Dataset, GenParams, contaminate, generate_dataset
 from .divergence import (
     BoundsReport,
@@ -38,7 +38,6 @@ from .harness import CellResult, SweepGrid, SweepTable, run_cell, run_sweep
 from .linear_models import (
     LdaModel,
     LogisticModel,
-    accuracy,
     fit_lda,
     fit_logistic,
 )

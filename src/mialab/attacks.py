@@ -138,6 +138,11 @@ def model_outputs(model, data: Dataset) -> TargetOutputs:
     raise ValidationError(f"unsupported target model: {type(model).__name__}")
 
 
+def accuracy(outputs: TargetOutputs) -> float:
+    """Share of rows whose larger posterior is the true label's; ties go to +1."""
+    return float(np.mean((outputs.probs[:, 1] >= outputs.probs[:, 0]) == outputs.label_idx))
+
+
 def membership_scores(
     kind: ScoreKind, member: TargetOutputs, nonmember: TargetOutputs, seed: int = 0
 ) -> AttackScores:

@@ -61,7 +61,7 @@ def _cmd_train(args) -> int:
         print(f"lda: shrinkage_intensity={model.shrinkage_intensity:.6f}")
     with open(args.out, "w", newline="\n") as fh:
         fh.write(linear_models.serialize_model(model))
-    print(f"train accuracy: {linear_models.accuracy(model, data):.6f}")
+    print(f"train accuracy: {attacks.accuracy(attacks.model_outputs(model, data)):.6f}")
     print(f"wrote model to {args.out}")
     return EXIT_OK
 

@@ -60,14 +60,12 @@ class DiscreteJoint:
             raise ValidationError("joint table must be 2-D")
         return cls(table=t, x_size=t.shape[0], y_size=t.shape[1])
 
-    def marginal_x(self) -> np.ndarray:
-        return self.table.sum(axis=1)
-
-    def conditional(self, x: int) -> np.ndarray:
-        px = float(self.table[x].sum())
-        if px <= 0.0:
-            raise ValidationError(f"conditional undefined at x={x} (zero marginal)")
-        return self.table[x] / px
+    def conditionals(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(p(x), p(y|x))``; a row whose marginal is zero is -1 throughout."""
+        px = self.table.sum(axis=1)
+        cond = np.divide(self.table, px[:, None], out=np.full_like(self.table, -1.0),
+                         where=(px > 0.0)[:, None])
+        return px, cond
 
 
 @dataclass(frozen=True)
@@ -151,39 +149,29 @@ def kl(p, q) -> float:
     return max(0.0, float(np.sum(pa[support] * np.log(pa[support] / qa[support]))))
 
 
+def _check_same_shape(joint_p: DiscreteJoint, joint_q: DiscreteJoint) -> None:
+    if joint_p.table.shape != joint_q.table.shape:
+        raise ValidationError("joint tables must have matching shapes")
+
+
 def decompose(joint_p: DiscreteJoint, joint_q: DiscreteJoint) -> BoundsReport:
     """Exact TV/KL decomposition of a joint pair into marginal and conditional parts."""
-    if (joint_p.x_size, joint_p.y_size) != (joint_q.x_size, joint_q.y_size):
-        raise ValidationError("joint tables must have matching shapes")
-    P, Q = joint_p.table, joint_q.table
-    px, qx = joint_p.marginal_x(), joint_q.marginal_x()
+    _check_same_shape(joint_p, joint_q)
+    (px, p), (qx, q) = joint_p.conditionals(), joint_q.conditionals()
+    seen, q_missing = px > 0.0, qx <= 0.0
 
-    tv_joint = 0.5 * float(np.abs(P - Q).sum())
+    tv_joint = 0.5 * float(np.abs(joint_p.table - joint_q.table).sum())
     tv_marginal = 0.5 * float(np.abs(px - qx).sum())
     kl_x = kl(px, qx)
 
-    exp_cond_tv = 0.0
-    exp_kl_cond = 0.0
-    uniform = np.full(joint_p.y_size, 1.0 / joint_p.y_size)
-    for x in range(joint_p.x_size):
-        if px[x] <= 0.0:
-            continue
-        p_cond = P[x] / px[x]
-        if qx[x] <= 0.0:
-            exp_cond_tv += px[x] * 0.5 * float(np.abs(p_cond - uniform).sum())
-            exp_kl_cond = math.inf
-            continue
-        q_cond = Q[x] / qx[x]
-        exp_cond_tv += px[x] * 0.5 * float(np.abs(p_cond - q_cond).sum())
-        if exp_kl_cond != math.inf:
-            support = p_cond > 0.0
-            if np.any(q_cond[support] == 0.0):
-                exp_kl_cond = math.inf
-            else:
-                term = float(
-                    np.sum(p_cond[support] * np.log(p_cond[support] / q_cond[support]))
-                )
-                exp_kl_cond += px[x] * max(0.0, term)
+    q_tv = np.where(q_missing[:, None], 1.0 / joint_p.y_size, q)
+    tv_rows = np.abs(p - q_tv).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl_rows = np.maximum(np.where(p > 0.0, p * np.log(p / q), 0.0).sum(axis=1), 0.0)
+    # the builtin sum adds left to right as a per-x loop does; numpy's pairwise sum does not
+    exp_cond_tv = float(sum(px[seen] * 0.5 * tv_rows[seen]))
+    unbounded = np.any(seen & q_missing) or np.any((p > 0.0) & (q == 0.0))
+    exp_kl_cond = math.inf if unbounded else float(sum(px[seen] * kl_rows[seen]))
 
     pinsker_upper = math.sqrt(kl_x / 2.0) + math.sqrt(exp_kl_cond / 2.0) \
         if math.isfinite(kl_x) and math.isfinite(exp_kl_cond) else math.inf
@@ -234,118 +222,79 @@ def c_coeff(alpha: float, beta: float) -> float:
 
 
 def lr_constants(joint_p: DiscreteJoint, joint_q: DiscreteJoint) -> tuple[float, float]:
-    """(min, max) of the conditional ratio ``P(y|x)/Q(y|x)`` over supported x."""
-    if (joint_p.x_size, joint_p.y_size) != (joint_q.x_size, joint_q.y_size):
-        raise ValidationError("joint tables must have matching shapes")
-    px, qx = joint_p.marginal_x(), joint_q.marginal_x()
-    lo, hi = math.inf, -math.inf
-    for x in range(joint_p.x_size):
-        if px[x] <= 0.0:
-            continue
-        if qx[x] <= 0.0:
+    """(min, max) of the conditional ratio ``P(y|x)/Q(y|x)`` over supported x; 0/0 is free."""
+    _check_same_shape(joint_p, joint_q)
+    (px, p), (qx, q) = joint_p.conditionals(), joint_q.conditionals()
+    seen = px > 0.0
+    no_q, unbounded = seen & (qx <= 0.0), (p > 0.0) & (q == 0.0)
+    bad = no_q | unbounded.any(axis=1)
+    if bad.any():
+        x = int(np.argmax(bad))
+        if no_q[x]:
             raise UnboundedRatioError(f"Q has no mass at supported x={x}")
-        p_cond = joint_p.table[x] / px[x]
-        q_cond = joint_q.table[x] / qx[x]
-        for y in range(joint_p.y_size):
-            if q_cond[y] == 0.0:
-                if p_cond[y] > 0.0:
-                    raise UnboundedRatioError(
-                        f"conditional ratio unbounded at (x={x}, y={y})"
-                    )
-                continue  # 0/0: no constraint
-            r = p_cond[y] / q_cond[y]
-            lo, hi = min(lo, r), max(hi, r)
-    if not math.isfinite(lo) or not math.isfinite(hi):
-        raise UnboundedRatioError("no supported (x, y) pairs with defined ratios")
-    return lo, hi
+        y = int(np.argmax(unbounded[x]))
+        raise UnboundedRatioError(f"conditional ratio unbounded at (x={x}, y={y})")
+    defined = seen[:, None] & (q > 0.0)
+    ratios = p[defined] / q[defined]
+    return float(ratios.min()), float(ratios.max())
 
 
-def scalar_log_joint_channel(joint: DiscreteJoint, atol: float = _GROUP_ATOL) -> ScoreChannel:
+def _chain_channel(values: np.ndarray) -> ScoreChannel:
+    """Atoms in sorted order open a new outcome wherever the gap to the
+    previous value exceeds ``_GROUP_ATOL``; ``-inf`` atoms share one (their
+    gap is nan)."""
+    flat = values.ravel()
+    order = np.argsort(flat, kind="mergesort")
+    with np.errstate(invalid="ignore"):
+        opens = np.diff(flat[order]) > _GROUP_ATOL
+    ids = np.concatenate(([0], np.cumsum(opens, dtype=np.int64)))
+    outcomes = ids[np.argsort(order)].reshape(values.shape)
+    return ScoreChannel(outcomes=outcomes, outcome_size=int(ids[-1]) + 1)
+
+
+def _row_channel(rows: np.ndarray) -> ScoreChannel:
+    """Each x's outcome is its row's group: the first unlabelled row opens a
+    group that takes every unlabelled row within ``_GROUP_ATOL`` of it."""
+    labels = np.full(rows.shape[0], -1, dtype=np.int64)
+    size = 0
+    for i in range(rows.shape[0]):
+        if labels[i] < 0:
+            close = np.isclose(rows, rows[i], rtol=0.0, atol=_GROUP_ATOL).all(axis=1)
+            labels[close & (labels < 0)] = size
+            size += 1
+    return ScoreChannel(outcomes=np.repeat(labels[:, None], rows.shape[1], axis=1),
+                        outcome_size=size)
+
+
+def scalar_log_joint_channel(joint: DiscreteJoint) -> ScoreChannel:
     """Channel collapsing (x, y) atoms whose model log-joint values coincide.
 
     Zero-probability atoms all score ``-inf`` and share one outcome.
     """
-    flat = joint.table.ravel()
-    outcomes = np.full(flat.size, -1, dtype=np.int64)
-    next_id = 0
-    zero = flat == 0.0
-    if zero.any():
-        outcomes[zero] = next_id
-        next_id += 1
-    finite_idx = np.nonzero(~zero)[0]
-    logs = np.log(flat[finite_idx])
-    order = np.argsort(logs, kind="mergesort")
-    prev = None
-    for pos in order:
-        v = logs[pos]
-        if prev is None or v - prev > atol:
-            group = next_id
-            next_id += 1
-        outcomes[finite_idx[pos]] = group
-        prev = v
-    return ScoreChannel(
-        outcomes=outcomes.reshape(joint.table.shape), outcome_size=next_id
-    )
+    with np.errstate(divide="ignore"):
+        return _chain_channel(np.log(joint.table))
 
 
-def scalar_conditional_channel(joint: DiscreteJoint, atol: float = _GROUP_ATOL) -> ScoreChannel:
+def scalar_conditional_channel(joint: DiscreteJoint) -> ScoreChannel:
     """Channel exposing the scalar conditional probability ``p(y|x)`` of the
     sampled pair; atoms with matching values coincide.  Undefined rows
     (zero marginal) share one outcome."""
-    px = joint.marginal_x()
-    vals = np.empty_like(joint.table)
-    for x in range(joint.x_size):
-        vals[x] = joint.table[x] / px[x] if px[x] > 0.0 else -1.0
-    flat = vals.ravel()
-    order = np.argsort(flat, kind="mergesort")
-    outcomes = np.empty(flat.size, dtype=np.int64)
-    next_id = 0
-    prev = None
-    for pos in order:
-        v = flat[pos]
-        if prev is None or v - prev > atol:
-            next_id += 1
-        outcomes[pos] = next_id - 1
-        prev = v
-    return ScoreChannel(outcomes=outcomes.reshape(joint.table.shape), outcome_size=next_id)
+    return _chain_channel(joint.conditionals()[1])
 
 
-def _group_rows(rows: np.ndarray, atol: float) -> tuple[np.ndarray, int]:
-    reps: list[np.ndarray] = []
-    labels = np.empty(rows.shape[0], dtype=np.int64)
-    for i, row in enumerate(rows):
-        for j, rep in enumerate(reps):
-            if np.allclose(row, rep, rtol=0.0, atol=atol):
-                labels[i] = j
-                break
-        else:
-            labels[i] = len(reps)
-            reps.append(row)
-    return labels, len(reps)
-
-
-def log_joint_vector_channel(joint: DiscreteJoint, atol: float = _GROUP_ATOL) -> ScoreChannel:
+def log_joint_vector_channel(joint: DiscreteJoint) -> ScoreChannel:
     """Channel exposing the full per-class log-joint vector (a function of x).
 
     Two x atoms share an outcome only when their whole log rows coincide.
     """
     with np.errstate(divide="ignore"):
-        rows = np.log(joint.table)
-    labels, size = _group_rows(rows, atol)
-    outcomes = np.repeat(labels[:, None], joint.y_size, axis=1)
-    return ScoreChannel(outcomes=outcomes, outcome_size=size)
+        return _row_channel(np.log(joint.table))
 
 
-def softmax_channel(joint: DiscreteJoint, atol: float = _GROUP_ATOL) -> ScoreChannel:
+def softmax_channel(joint: DiscreteJoint) -> ScoreChannel:
     """Channel exposing the posterior row: log rows equal up to an additive
     shift collapse to the same outcome (the per-x normalizer is discarded)."""
-    px = joint.marginal_x()
-    rows = np.empty_like(joint.table)
-    for x in range(joint.x_size):
-        rows[x] = joint.table[x] / px[x] if px[x] > 0.0 else np.full(joint.y_size, -1.0)
-    labels, size = _group_rows(rows, atol)
-    outcomes = np.repeat(labels[:, None], joint.y_size, axis=1)
-    return ScoreChannel(outcomes=outcomes, outcome_size=size)
+    return _row_channel(joint.conditionals()[1])
 
 
 def identity_channel(x_size: int, y_size: int) -> ScoreChannel:
@@ -373,11 +322,6 @@ def dominance_probe(joint_p: DiscreteJoint, joint_q: DiscreteJoint) -> Dominance
     gap = c * report.kl_x - report.exp_kl_cond
     channel = scalar_log_joint_channel(joint_p)
     tv_scalar = tv(pushforward(joint_p, channel), pushforward(joint_q, channel))
-    adv_cond_ub = (
-        math.sqrt(report.kl_x / 2.0) + math.sqrt(report.exp_kl_cond / 2.0)
-        if math.isfinite(report.kl_x) and math.isfinite(report.exp_kl_cond)
-        else math.inf
-    )
     return DominanceReport(
         kl_x=report.kl_x,
         exp_kl_cond=report.exp_kl_cond,
@@ -386,7 +330,7 @@ def dominance_probe(joint_p: DiscreteJoint, joint_q: DiscreteJoint) -> Dominance
         c=c,
         condition_holds=bool(gap > 0.0),
         adv_scalar_joint_lb=math.sqrt(max(0.0, gap) / 2.0) if math.isfinite(gap) else math.inf,
-        adv_cond_ub=adv_cond_ub,
+        adv_cond_ub=report.pinsker_upper,
         tv_scalar_joint=tv_scalar,
     )
 
@@ -453,11 +397,14 @@ def marginal_skew_pair(
 def certify_bounds(
     trials: int, x_size: int, y_size: int, seed: int = 0
 ) -> tuple[list[BoundsReport], int]:
-    """Run the randomized certification and count violated inequalities.
+    """Run the randomized certification and count the pairs that violate a check.
 
-    Each Dirichlet-random pair must satisfy the sandwich, the KL-based upper
-    bound, and the data-processing check for the softmax quotient against
-    the full log-joint vector channel; the expected violation count is 0.
+    Each Dirichlet-random pair must satisfy five checks: (1) the sandwich
+    ``lower <= TV_joint <= upper``; where ``pinsker_upper`` is finite, (2)
+    ``TV_joint <= pinsker_upper`` and (3) ``upper <= pinsker_upper``; (4) the
+    data-processing check, softmax channel TV <= log-joint vector channel TV;
+    and, where ``dominance_probe``'s condition holds, (5) scalar log-joint
+    channel TV >= ``adv_scalar_joint_lb``.  The expected violation count is 0.
     """
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
@@ -476,14 +423,9 @@ def certify_bounds(
         if math.isfinite(rep.pinsker_upper):
             ok = ok and rep.tv_joint <= rep.pinsker_upper + tol
             ok = ok and rep.upper <= rep.pinsker_upper + tol
-        tv_vec = tv(
-            pushforward(jp, log_joint_vector_channel(jp)),
-            pushforward(jq, log_joint_vector_channel(jp)),
-        )
-        tv_soft = tv(
-            pushforward(jp, softmax_channel(jp)),
-            pushforward(jq, softmax_channel(jp)),
-        )
+        vec, soft = log_joint_vector_channel(jp), softmax_channel(jp)
+        tv_vec = tv(pushforward(jp, vec), pushforward(jq, vec))
+        tv_soft = tv(pushforward(jp, soft), pushforward(jq, soft))
         ok = ok and tv_soft <= tv_vec + tol
         probe = dominance_probe(jp, jq)
         if probe.condition_holds:

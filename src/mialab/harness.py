@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .attacks import ScoreKind, membership_scores, model_outputs
+from .attacks import ScoreKind, accuracy, membership_scores, model_outputs
 from .datagen import GenParams, generate_dataset
 from .errors import MialabError, ValidationError
 from .linear_models import fit_lda, fit_logistic
@@ -163,8 +163,7 @@ def run_cell(params: GenParams, kinds=DEFAULT_SCORE_KINDS) -> CellResult:
             model = fit(train)
             # Outputs are computed once per dataset and shared by every kind.
             member, nonmember = model_outputs(model, train), model_outputs(model, test)
-            p = nonmember.probs
-            accuracies[name] = float(np.mean(np.where(p[:, 1] >= p[:, 0], 1, -1) == test.labels))
+            accuracies[name] = accuracy(nonmember)
             for kind in kinds:
                 if kind is ScoreKind.LDA_LOG_JOINT and not member.log_joints:
                     continue

@@ -214,26 +214,6 @@ def softmax_pairs(log_scores: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def lda_posteriors(model: LdaModel, X: np.ndarray) -> np.ndarray:
-    """Row-wise posterior pairs: softmax over the two log-joint scores."""
-    return softmax_pairs(lda_log_joints(model, X))
-
-
-def posteriors(model, X: np.ndarray) -> np.ndarray:
-    """Posterior pairs for either model family."""
-    if isinstance(model, LogisticModel):
-        return logistic_posteriors(model, X)
-    if isinstance(model, LdaModel):
-        return lda_posteriors(model, X)
-    raise ValidationError(f"unsupported model type: {type(model).__name__}")
-
-
-def accuracy(model, data: Dataset) -> float:
-    p = posteriors(model, data.features)
-    preds = np.where(p[:, 1] >= p[:, 0], 1, -1)
-    return float(np.mean(preds == data.labels))
-
-
 def serialize_model(model) -> str:
     """JSON text for either model family; floats survive round-trips exactly."""
     if isinstance(model, LogisticModel):
@@ -289,7 +269,7 @@ def deserialize_model(text: str):
                     and not np.triu(chol, 1).any() and np.all(np.diag(chol) > 0.0)):
                 raise ValidationError("means and chol_lower must be finite, and chol_lower "
                                       "lower-triangular with a positive diagonal")
-            return LdaModel(
+            model = LdaModel(
                 prior_pos=prior_pos,
                 mean_pos=mean_pos,
                 mean_neg=mean_neg,
@@ -297,6 +277,12 @@ def deserialize_model(text: str):
                 shrinkage_intensity=float(payload["shrinkage_intensity"]),
                 log_det=2.0 * float(np.sum(np.log(np.diag(chol)))),
             )
+            with np.errstate(over="ignore", invalid="ignore"):
+                log_joints = lda_log_joints(model, np.vstack([mean_neg, mean_pos]))
+            if not np.isfinite(log_joints).all():
+                raise ValidationError("malformed model file: log-joints at the model's means "
+                                      "are not finite (chol_lower is too small)")
+            return model
         raise ValidationError(f"unknown model kind: {kind!r}")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed model file: {exc}") from exc

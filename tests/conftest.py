@@ -7,19 +7,35 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 import pytest
 
 
+def _record_calls(monkeypatch, real, calls, entry):
+    """Route every mialab module's binding of ``real`` through one that logs ``entry(*args)``."""
+
+    def counting(*args):
+        calls.append(entry(*args))
+        return real(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("mialab.") and getattr(module, real.__name__, None) is real:
+            monkeypatch.setattr(module, real.__name__, counting)
+
+
 @pytest.fixture
 def lda_log_joints_calls(monkeypatch):
     """Row counts of every ``lda_log_joints`` call, through any mialab module's binding."""
     import mialab
 
-    real = mialab.linear_models.lda_log_joints
     calls = []
+    _record_calls(monkeypatch, mialab.linear_models.lda_log_joints, calls,
+                  lambda model, X: X.shape[0])
+    return calls
 
-    def counting(model, X):
-        calls.append(X.shape[0])
-        return real(model, X)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("mialab.") and getattr(module, "lda_log_joints", None) is real:
-            monkeypatch.setattr(module, "lda_log_joints", counting)
+@pytest.fixture
+def row_channel_calls(monkeypatch):
+    """Names of every ``log_joint_vector_channel`` and ``softmax_channel`` call."""
+    from mialab import divergence
+
+    calls = []
+    for real in (divergence.log_joint_vector_channel, divergence.softmax_channel):
+        _record_calls(monkeypatch, real, calls, lambda joint, name=real.__name__: name)
     return calls

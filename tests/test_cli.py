@@ -132,7 +132,8 @@ def test_attack_computes_lda_outputs_once_per_dataset(tmp_path, capsys, lda_log_
                  "lda_log_joint", "gbm_probs", "gbm_logits", "--out", str(tmp_path / "s.csv")])
     assert code == 0
     assert capsys.readouterr().out.count("auroc=") == 6
-    assert lda_log_joints_calls == [40, 40]
+    # loading the model scores its two means once; each dataset is scored once
+    assert lda_log_joints_calls == [2, 40, 40]
 
 
 def _set(field, value):
@@ -150,6 +151,11 @@ _MALFORMED_MODELS = {
     "chol_negative_diagonal": ("lda", _set_chol(0, 0, -1.0), "positive diagonal"),
     "chol_upper_entry": ("lda", _set_chol(0, 1, 0.5), "lower-triangular"),
     "chol_nan": ("lda", _set_chol(1, 0, float("nan")), "must be finite"),
+    # positive but so small that the log-joints overflow
+    "chol_1e-300_I": ("lda", _set("chol_lower", (1e-300 * np.eye(4)).tolist()),
+                      "malformed model file: log-joints"),
+    "chol_1e-160_I": ("lda", _set("chol_lower", (1e-160 * np.eye(4)).tolist()),
+                      "malformed model file: log-joints"),
     "prior_above_1": ("lda", _set("prior_pos", 1.5), "prior_pos must lie in (0, 1)"),
     "prior_0": ("lda", _set("prior_pos", 0.0), "prior_pos must lie in (0, 1)"),
     "mean_length": ("lda", _set("mean_neg", [0.0, 1.0]), "means of one length d"),
@@ -161,7 +167,7 @@ _MALFORMED_MODELS = {
 
 
 @pytest.mark.parametrize("case", list(_MALFORMED_MODELS))
-def test_attack_rejects_malformed_model_file_exit_2(tmp_path, capsys, case):
+def test_attack_rejects_malformed_model_file_exit_2(tmp_path, capsys, recwarn, case):
     model, corrupt, message = _MALFORMED_MODELS[case]
     data, model_path = _trained_model(tmp_path, model)
     payload = json.loads(model_path.read_text())
@@ -172,7 +178,10 @@ def test_attack_rejects_malformed_model_file_exit_2(tmp_path, capsys, case):
                  "--nonmember", str(data), "--scores", "max_prob",
                  "--out", str(tmp_path / "s.csv")])
     assert code == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_sweep_rejects_non_integer_workers_env_exit_2(tmp_path, capsys, monkeypatch):

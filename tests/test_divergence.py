@@ -1,9 +1,14 @@
 import math
+import re
+import warnings
+from dataclasses import astuple
 
+import _reference_divergence as ref
 import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from mialab import divergence
 from mialab.divergence import (
     BoundsReport,
     DiscreteJoint,
@@ -368,3 +373,85 @@ def test_random_channels_never_increase_tv():
         before, after = dpi_check(jp, jq, channel)
         assert after <= before + 1e-12
         assert before <= 1.0 + 1e-12
+
+
+# ------------------------------------------------------- per-x loop oracle
+
+_CHANNELS = ("log_joint_vector_channel", "softmax_channel",
+             "scalar_log_joint_channel", "scalar_conditional_channel")
+
+
+def _random_table(rng, shape, mode):
+    t = rng.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+    if mode == "zero_atoms":
+        t[rng.random(shape) < 0.3] = 0.0
+        t[0, 0] += 0.1  # keep some mass
+    elif mode == "zero_row":
+        t[rng.integers(shape[0])] = 0.0
+    elif mode == "repeated_rows":
+        t[-1] = t[0]
+        t[1] = 2.0 * t[0]
+    return t / t.sum()
+
+
+def _edge_pairs():
+    rng = np.random.default_rng(21)
+    full = rng.dirichlet(np.ones(12)).reshape(4, 3)
+    zero_atoms = np.array([[0.2, 0.0, 0.1], [0.3, 0.1, 0.0], [0.0, 0.1, 0.0], [0.1, 0.0, 0.1]])
+    zero_row = np.array([[0.2, 0.1, 0.1], [0.0, 0.0, 0.0], [0.3, 0.1, 0.0], [0.1, 0.1, 0.0]])
+    duplicated = full.copy()
+    duplicated[2] = duplicated[0]
+    proportional = full.copy()
+    proportional[1] = 0.5 * proportional[3]
+    pairs = [(t / t.sum(), full) for t in (zero_atoms, zero_row, duplicated, proportional)]
+    pairs.append((zero_atoms, zero_row))
+    pairs += [(jp.table, jq.table) for jp, jq in (matched_normalizer_pair(rng) for _ in range(5))]
+    return pairs + [(q, p) for p, q in pairs]
+
+
+def _random_pairs():
+    rng = np.random.default_rng(22)
+    modes = ("full", "zero_atoms", "zero_row", "repeated_rows")
+    for shape in ((2, 2), (3, 5), (6, 4), (7, 9), (8, 4), (12, 10), (30, 6), (40, 40)):
+        for trial in range(24):
+            mode = modes[trial % 4]
+            yield _random_table(rng, shape, mode), _random_table(rng, shape, mode)
+
+
+def test_vectorized_oracle_matches_per_x_loops():
+    for P, Q in [*_edge_pairs(), *_random_pairs()]:
+        jp, jq = _joint(P), _joint(Q)
+        got, want = astuple(decompose(jp, jq)), ref.decompose(jp.table, jq.table)
+        if jp.y_size < 8 or (jp.table > 0.0).all():
+            assert got == want
+        else:
+            # numpy sums a row of 8 or more KL terms pairwise, and the zero
+            # terms the loop skipped move that grouping
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+        for name in _CHANNELS:
+            channel = getattr(divergence, name)(jp)
+            outcomes, size = getattr(ref, name)(jp.table)
+            assert channel.outcome_size == size
+            np.testing.assert_array_equal(channel.outcomes, outcomes)
+        try:
+            want_ratio = ref.lr_constants(jp.table, jq.table)
+        except ref.Unbounded as exc:
+            with pytest.raises(UnboundedRatioError, match=re.escape(str(exc))):
+                lr_constants(jp, jq)
+        else:
+            assert lr_constants(jp, jq) == want_ratio
+
+
+def test_conditionals_mark_zero_marginal_rows_without_warning():
+    jp = _joint([[0.2, 0.2], [0.0, 0.0], [0.5, 0.1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        px, cond = jp.conditionals()
+    np.testing.assert_array_equal(px, jp.table.sum(axis=1))
+    np.testing.assert_array_equal(cond, [[0.5, 0.5], [-1.0, -1.0], [0.5 / 0.6, 0.1 / 0.6]])
+
+
+def test_certify_bounds_builds_each_row_channel_once_per_trial(row_channel_calls):
+    certify_bounds(5, 6, 4)
+    assert row_channel_calls.count("log_joint_vector_channel") == 5
+    assert row_channel_calls.count("softmax_channel") == 5

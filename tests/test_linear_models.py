@@ -6,20 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import multivariate_normal
 
+from mialab.attacks import accuracy, model_outputs
 from mialab.datagen import Dataset, GenParams, generate_dataset
 from mialab.errors import DataError, DegenerateDataError, MialabError, ValidationError
 from mialab.linear_models import (
     LdaModel,
     LogisticModel,
     _logistic_objective,
-    accuracy,
     deserialize_model,
     fit_lda,
     fit_logistic,
     lda_log_joints,
-    lda_posteriors,
     logistic_posteriors,
     serialize_model,
+    softmax_pairs,
 )
 
 
@@ -44,7 +44,7 @@ def test_logistic_separable_classifies_train_perfectly():
     x = np.concatenate([np.linspace(-2, -1, 10), np.linspace(1, 2, 10)])
     data = _dataset(x[:, None], [-1] * 10 + [1] * 10)
     model = fit_logistic(data)
-    assert accuracy(model, data) == 1.0
+    assert accuracy(model_outputs(model, data)) == 1.0
 
 
 def test_logistic_symmetry_of_objective():
@@ -197,8 +197,9 @@ def test_lda_posterior_symmetry_and_prior_only_cases():
         shrinkage_intensity=0.0,
         log_det=0.0,
     )
-    np.testing.assert_allclose(lda_posteriors(model, np.array([0.0, 5.0])[None, :])[0],
-                               [0.5, 0.5], atol=1e-12)
+    np.testing.assert_allclose(
+        softmax_pairs(lda_log_joints(model, np.array([0.0, 5.0])[None, :]))[0], [0.5, 0.5],
+        atol=1e-12)
 
     skew = LdaModel(
         prior_pos=0.7,
@@ -209,8 +210,8 @@ def test_lda_posterior_symmetry_and_prior_only_cases():
         log_det=0.0,
     )
     for x in ([0.0, 0.0], [3.0, -2.0], [100.0, 7.0]):
-        np.testing.assert_allclose(lda_posteriors(skew, np.array(x)[None, :])[0], [0.3, 0.7],
-                                   atol=1e-12)
+        np.testing.assert_allclose(
+            softmax_pairs(lda_log_joints(skew, np.array(x)[None, :]))[0], [0.3, 0.7], atol=1e-12)
 
 
 def test_lda_posterior_matches_bayes_rule_oracle():
@@ -230,9 +231,8 @@ def test_lda_posterior_matches_bayes_rule_oracle():
         f_pos = multivariate_normal.pdf(x, mean=model.mean_pos, cov=cov)
         f_neg = multivariate_normal.pdf(x, mean=model.mean_neg, cov=cov)
         post_pos = 0.35 * f_pos / (0.35 * f_pos + 0.65 * f_neg)
-        np.testing.assert_allclose(
-            lda_posteriors(model, x[None, :])[0], [1 - post_pos, post_pos], atol=1e-10
-        )
+        np.testing.assert_allclose(softmax_pairs(lda_log_joints(model, x[None, :]))[0],
+                                   [1 - post_pos, post_pos], atol=1e-10)
 
 
 def test_lda_log_joint_at_mean_identity_covariance():
@@ -277,7 +277,7 @@ def test_softmax_shift_invariance():
     model = fit_lda(data)
     X = rng.normal(size=(50, 3))
     lj = lda_log_joints(model, X)
-    base = lda_posteriors(model, X)
+    base = softmax_pairs(lda_log_joints(model, X))
     for c in (1.0, -17.5, 300.0):
         shifted = np.exp(lj + c - (lj + c).max(axis=1, keepdims=True))
         shifted /= shifted.sum(axis=1, keepdims=True)
@@ -289,8 +289,8 @@ def test_softmax_shift_invariance():
 
 def test_predict_tie_goes_positive():
     model = LogisticModel(weights=np.zeros(1), bias=0.0, converged=True, iterations=0)
-    assert accuracy(model, _dataset([[123.0]], [1])) == 1.0
-    assert accuracy(model, _dataset([[123.0]], [-1])) == 0.0
+    assert accuracy(model_outputs(model, _dataset([[123.0]], [1]))) == 1.0
+    assert accuracy(model_outputs(model, _dataset([[123.0]], [-1]))) == 0.0
 
 
 def test_accuracy_high_signal_cell():
@@ -299,7 +299,7 @@ def test_accuracy_high_signal_cell():
     train = generate_dataset(params, "train")
     test = generate_dataset(params, "test")
     model = fit_lda(train)
-    assert accuracy(model, test) > 0.95
+    assert accuracy(model_outputs(model, test)) > 0.95
 
 
 def test_serialization_round_trip_bit_exact():
@@ -313,8 +313,8 @@ def test_serialization_round_trip_bit_exact():
             a = logistic_posteriors(model, X)
             b = logistic_posteriors(clone, X)
         else:
-            a = lda_posteriors(model, X)
-            b = lda_posteriors(clone, X)
+            a = softmax_pairs(lda_log_joints(model, X))
+            b = softmax_pairs(lda_log_joints(clone, X))
         assert a.tobytes() == b.tobytes()
 
 
@@ -349,5 +349,6 @@ def test_deserialize_model_fuzz_raises_only_mialab_errors(payload):
         return
     # whatever loads is a usable model of its own dimension
     X = np.zeros((1, model.d))
-    P = (lda_posteriors if isinstance(model, LdaModel) else logistic_posteriors)(model, X)
+    P = (softmax_pairs(lda_log_joints(model, X)) if isinstance(model, LdaModel)
+         else logistic_posteriors(model, X))
     assert P.shape == (1, 2)
