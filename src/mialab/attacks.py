@@ -194,10 +194,12 @@ def _gbm_scores(
     X_train = np.vstack([train_m, train_n])
     y_train = np.concatenate([np.ones(train_m.shape[0]), np.zeros(train_n.shape[0])])
     attack_model = fit_gbm(X_train, y_train, n_estimators=100, max_depth=3, learning_rate=0.1)
+    # prediction is per row, so one call on both eval halves scores each as two calls would
+    probs = gbm_predict_matrix(attack_model, np.vstack([eval_m, eval_n]))
 
     return AttackScores(
-        member_scores=gbm_predict_matrix(attack_model, eval_m),
-        nonmember_scores=gbm_predict_matrix(attack_model, eval_n),
+        member_scores=probs[: eval_m.shape[0]],
+        nonmember_scores=probs[eval_m.shape[0] :],
         kind=kind,
         orientation=Orientation.HIGHER_IS_MEMBER,
     )

@@ -14,7 +14,7 @@ import dataclasses
 import sys
 
 from . import attacks, datagen, divergence, harness, linear_models, metrics, svgplot
-from .errors import MialabError, ValidationError
+from .errors import MialabError, ValidationError, open_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,7 +67,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_attack(args) -> int:
-    with open(args.model_file) as fh:
+    with open_text(args.model_file) as fh:
         model = linear_models.deserialize_model(fh.read())
     member = datagen.read_csv(args.member)
     nonmember = datagen.read_csv(args.nonmember)

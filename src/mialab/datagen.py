@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, open_text
 
 _TAG_TRAIN = 0
 _TAG_TEST = 1
@@ -185,7 +185,7 @@ def write_csv(data: Dataset, path: str) -> None:
 
 def read_csv(path: str) -> Dataset:
     """Read a dataset written by :func:`write_csv`.  ``params`` is not recoverable."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip()
         fields = header.split(",")
         if len(fields) < 3 or fields[0] != "y" or fields[-1] != "contam":

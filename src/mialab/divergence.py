@@ -25,6 +25,7 @@ placeholder row, which keeps every reported bound valid.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,10 +62,15 @@ class DiscreteJoint:
         return cls(table=t, x_size=t.shape[0], y_size=t.shape[1])
 
     def conditionals(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(p(x), p(y|x))``; a row whose marginal is zero is -1 throughout."""
+        """``(p(x), p(y|x))``, read-only; a row whose marginal is zero is -1 throughout."""
+        return self._conditionals
+
+    @functools.cached_property
+    def _conditionals(self) -> tuple[np.ndarray, np.ndarray]:
         px = self.table.sum(axis=1)
         cond = np.divide(self.table, px[:, None], out=np.full_like(self.table, -1.0),
                          where=(px > 0.0)[:, None])
+        px.flags.writeable = cond.flags.writeable = False
         return px, cond
 
 
@@ -308,16 +314,19 @@ def constant_channel(x_size: int, y_size: int) -> ScoreChannel:
     return ScoreChannel(outcomes=np.zeros((x_size, y_size), dtype=np.int64), outcome_size=1)
 
 
-def dominance_probe(joint_p: DiscreteJoint, joint_q: DiscreteJoint) -> DominanceReport:
+def dominance_probe(
+    joint_p: DiscreteJoint, joint_q: DiscreteJoint, report: BoundsReport | None = None
+) -> DominanceReport:
     """Evaluate the scalar-joint dominance condition and both advantage bounds.
 
     ``condition_holds`` is ``c * KL_X > KL_cond``; when it does, the exact TV
     of the scalar log-joint channel is expected to clear
     ``sqrt(max(0, c*KL_X - KL_cond) / 2)`` while the conditional channel is
-    capped by ``sqrt(KL_X/2) + sqrt(KL_cond/2)``.
+    capped by ``sqrt(KL_X/2) + sqrt(KL_cond/2)``.  ``report`` is the pair's
+    :func:`decompose`, computed here when not given.
     """
     alpha, beta = lr_constants(joint_p, joint_q)
-    report = decompose(joint_p, joint_q)
+    report = decompose(joint_p, joint_q) if report is None else report
     c = c_coeff(alpha, beta)
     gap = c * report.kl_x - report.exp_kl_cond
     channel = scalar_log_joint_channel(joint_p)
@@ -427,7 +436,7 @@ def certify_bounds(
         tv_vec = tv(pushforward(jp, vec), pushforward(jq, vec))
         tv_soft = tv(pushforward(jp, soft), pushforward(jq, soft))
         ok = ok and tv_soft <= tv_vec + tol
-        probe = dominance_probe(jp, jq)
+        probe = dominance_probe(jp, jq, rep)
         if probe.condition_holds:
             ok = ok and probe.tv_scalar_joint >= probe.adv_scalar_joint_lb - tol
         if not ok:

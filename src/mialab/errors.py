@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the text-file reader that maps
+undecodable input onto them."""
+
+import contextlib
 
 
 class MialabError(Exception):
@@ -23,3 +26,14 @@ class InsufficientDataError(DataError):
 
 class UnboundedRatioError(MialabError):
     """No finite likelihood-ratio bounds exist for the given pair."""
+
+
+@contextlib.contextmanager
+def open_text(path: str):
+    """Open ``path`` for reading; bytes the text codec rejects raise ``ValidationError``."""
+    with open(path) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            raise ValidationError(
+                f"{path!r} is not a text file: {exc.reason} at byte {exc.start}") from None

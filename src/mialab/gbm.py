@@ -8,6 +8,13 @@ unique values), then assigns leaf values with the Newton step
 ``sigmoid(base_score + learning_rate * sum of tree outputs)`` with
 ``base_score`` the log-odds of the empirical positive rate.
 
+The split search is the exact-greedy presort of XGBoost (Chen & Guestrin,
+KDD 2016).  Each fit sorts every feature once, stably; a node takes its rows
+from those orders by mask, so no node sorts, and scores every candidate of
+every feature in one pass of row-wise prefix sums.  Each feature sums its
+residuals in its own sorted order, exactly as a per-feature search would,
+so the trees are the same bit for bit.
+
 There is no subsampling and no randomness: fitting is fully deterministic.
 Ties between equal-gain splits go to the lowest feature index, then the
 smallest threshold.  A node becomes a leaf when it reaches ``max_depth``,
@@ -52,34 +59,52 @@ class GbmModel:
     n_features: int
 
 
-def _best_split(x: np.ndarray, residuals: np.ndarray) -> tuple[float, float] | None:
-    """Best (threshold, children-score) for one feature, or None.
+def _node_splits(values: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Best (threshold, children score) of every feature row of one node.
 
+    ``values`` holds each feature's node values in ascending order (one row
+    per feature) and ``residuals`` the node's residuals in the same order.
     The children score is ``S_L^2/n_L + S_R^2/n_R``; maximizing it minimizes
     the summed squared error of the two children.  Candidate thresholds are
     midpoints of consecutive distinct sorted values; a midpoint that rounds
     onto one of its neighbors cannot realize the intended partition and is
-    skipped.
+    skipped.  A feature without a candidate scores ``-inf``.
     """
-    order = np.argsort(x, kind="mergesort")
-    xs = x[order]
-    cut = np.nonzero(np.diff(xs) > 0)[0]
-    if cut.size == 0:
-        return None
-    thresholds = 0.5 * (xs[cut] + xs[cut + 1])
-    valid = (thresholds > xs[cut]) & (thresholds < xs[cut + 1])
-    if not valid.any():
-        return None
-    cut, thresholds = cut[valid], thresholds[valid]
+    lo, hi = values[:, :-1], values[:, 1:]
+    thresholds = 0.5 * (lo + hi)
+    valid = (thresholds > lo) & (thresholds < hi)
+    # each row sums in its own order, so each feature's total is its own last prefix
+    prefix = np.cumsum(residuals, axis=1)
+    s_left, total = prefix[:, :-1], prefix[:, -1:]
+    n = values.shape[1]
+    n_left = np.arange(1, n, dtype=np.float64)
+    score = np.where(valid, s_left**2 / n_left + (total - s_left) ** 2 / (n - n_left), -np.inf)
+    best = np.argmax(score, axis=1)  # first max -> smallest threshold
+    rows = np.arange(values.shape[0])
+    return thresholds[rows, best], score[rows, best]
 
-    prefix = np.cumsum(residuals[order])
-    total = prefix[-1]
-    n = x.shape[0]
-    n_left = (cut + 1).astype(np.float64)
-    s_left = prefix[cut]
-    score = s_left**2 / n_left + (total - s_left) ** 2 / (n - n_left)
-    best = int(np.argmax(score))  # first max -> smallest threshold
-    return float(thresholds[best]), float(score[best])
+
+def _best_split(x: np.ndarray, residuals: np.ndarray) -> tuple[float, float] | None:
+    """Best (threshold, children-score) for one feature, or None; see :func:`_node_splits`."""
+    if x.shape[0] < 2:
+        return None
+    order = np.argsort(x, kind="mergesort")
+    thresholds, scores = _node_splits(x[order][None, :], residuals[order][None, :])
+    if scores[0] == -np.inf:
+        return None
+    return float(thresholds[0]), float(scores[0])
+
+
+def _subset(
+    keep: np.ndarray, idx: np.ndarray, order: np.ndarray, values: np.ndarray, grows: bool
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """The rows of a node that ``keep`` marks, as ``(idx, order, values)``;
+    a child at ``max_depth`` is a leaf (``grows`` false) and needs no sorted rows."""
+    if not grows:
+        return idx[keep[idx]], None, None
+    rows = keep[order]
+    shape = (order.shape[0], -1)
+    return idx[keep[idx]], order[rows].reshape(shape), values[rows].reshape(shape)
 
 
 def _build_tree(
@@ -87,30 +112,30 @@ def _build_tree(
     residuals: np.ndarray,
     hessians: np.ndarray,
     idx: np.ndarray,
+    order: np.ndarray | None,
+    values: np.ndarray | None,
     depth: int,
     max_depth: int,
     train_out: np.ndarray,
 ) -> TreeNode:
+    """Grow the subtree on rows ``idx`` (ascending); row ``f`` of ``order``
+    lists those rows by ascending feature ``f`` and ``values`` holds the
+    feature values in that order (both None at ``max_depth``)."""
     node_res = residuals[idx]
     if depth < max_depth and idx.size >= 2:
-        parent_score = node_res.sum() ** 2 / idx.size
-        best_feature, best_threshold, best_score = -1, 0.0, parent_score
-        for f in range(X.shape[1]):
-            found = _best_split(X[idx, f], node_res)
-            if found is None:
-                continue
-            threshold, score = found
-            if score > best_score:
-                best_feature, best_threshold, best_score = f, threshold, score
-        if best_feature >= 0:
-            go_left = X[idx, best_feature] <= best_threshold
-            node = TreeNode(feature=best_feature, threshold=best_threshold)
-            node.left = _build_tree(
-                X, residuals, hessians, idx[go_left], depth + 1, max_depth, train_out
-            )
-            node.right = _build_tree(
-                X, residuals, hessians, idx[~go_left], depth + 1, max_depth, train_out
-            )
+        thresholds, scores = _node_splits(values, residuals[order])
+        f = int(np.argmax(scores))  # first max -> lowest feature
+        if scores[f] > node_res.sum() ** 2 / idx.size:
+            threshold = float(thresholds[f])
+            goes_left = X[:, f] <= threshold
+            node = TreeNode(feature=f, threshold=threshold)
+            grows = depth + 1 < max_depth
+            node.left = _build_tree(X, residuals, hessians,
+                                    *_subset(goes_left, idx, order, values, grows),
+                                    depth + 1, max_depth, train_out)
+            node.right = _build_tree(X, residuals, hessians,
+                                     *_subset(~goes_left, idx, order, values, grows),
+                                     depth + 1, max_depth, train_out)
             return node
 
     value = float(node_res.sum() / max(hessians[idx].sum(), HESSIAN_FLOOR))
@@ -145,13 +170,17 @@ def fit_gbm(
     base = float(np.log(rate / (1.0 - rate)))
     raw = np.full(X.shape[0], base)
     idx = np.arange(X.shape[0])
+    # a stable sort restricted to the ascending rows of a node is that node's
+    # own stable sort, so one presort serves every node of every stage
+    order = np.argsort(X.T, axis=1, kind="mergesort")
+    values = np.take_along_axis(X.T, order, axis=1)
     trees: list[TreeNode] = []
     for _ in range(n_estimators):
         p = expit(raw)
         residuals = y - p
         hessians = p * (1.0 - p)
         contrib = np.zeros(X.shape[0])
-        root = _build_tree(X, residuals, hessians, idx, 0, max_depth, contrib)
+        root = _build_tree(X, residuals, hessians, idx, order, values, 0, max_depth, contrib)
         trees.append(root)
         raw += learning_rate * contrib
     return GbmModel(
@@ -211,69 +240,3 @@ def staged_train_deviance(
         raw += model.learning_rate * _eval_tree(tree, X)
         out.append(float(np.mean(np.logaddexp(0.0, raw) - y * raw)))
     return np.asarray(out)
-
-
-def tree_depth(node: TreeNode) -> int:
-    if node.is_leaf:
-        return 0
-    return 1 + max(tree_depth(node.left), tree_depth(node.right))
-
-
-def _write_node(node: TreeNode, lines: list[str]) -> None:
-    if node.is_leaf:
-        lines.append(f"leaf {node.value!r}")
-    else:
-        lines.append(f"split {node.feature} {node.threshold!r}")
-        _write_node(node.left, lines)
-        _write_node(node.right, lines)
-
-
-def serialize_gbm(model: GbmModel) -> str:
-    """Preorder text form; float fields use ``repr`` so round-trips are exact."""
-    lines = [
-        "gbm v1",
-        f"n_estimators={model.n_estimators} max_depth={model.max_depth} "
-        f"learning_rate={model.learning_rate!r} base_score={model.base_score!r} "
-        f"n_features={model.n_features}",
-    ]
-    for k, tree in enumerate(model.trees):
-        lines.append(f"tree {k}")
-        _write_node(tree, lines)
-    return "\n".join(lines) + "\n"
-
-
-def _parse_node(lines: list[str], pos: int) -> tuple[TreeNode, int]:
-    parts = lines[pos].split()
-    if parts[0] == "leaf":
-        return TreeNode(value=float(parts[1])), pos + 1
-    if parts[0] == "split":
-        node = TreeNode(feature=int(parts[1]), threshold=float(parts[2]))
-        node.left, pos = _parse_node(lines, pos + 1)
-        node.right, pos = _parse_node(lines, pos)
-        return node, pos
-    raise ValidationError(f"unrecognized tree line: {lines[pos]!r}")
-
-
-def deserialize_gbm(text: str) -> GbmModel:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "gbm v1":
-        raise ValidationError("not a gbm v1 file")
-    try:
-        header = dict(kv.split("=") for kv in lines[1].split())
-        model = GbmModel(
-            trees=[],
-            learning_rate=float(header["learning_rate"]),
-            base_score=float(header["base_score"]),
-            n_estimators=int(header["n_estimators"]),
-            max_depth=int(header["max_depth"]),
-            n_features=int(header["n_features"]),
-        )
-        pos = 2
-        while pos < len(lines):
-            if not lines[pos].startswith("tree "):
-                raise ValidationError(f"expected tree header at line {pos + 1}")
-            root, pos = _parse_node(lines, pos + 1)
-            model.trees.append(root)
-    except (KeyError, ValueError, IndexError) as exc:
-        raise ValidationError(f"malformed gbm file: {exc}") from exc
-    return model

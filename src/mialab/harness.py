@@ -32,7 +32,7 @@ import numpy as np
 
 from .attacks import ScoreKind, accuracy, membership_scores, model_outputs
 from .datagen import GenParams, generate_dataset
-from .errors import MialabError, ValidationError
+from .errors import MialabError, ValidationError, open_text
 from .linear_models import fit_lda, fit_logistic
 from .metrics import AttackResult, attack_result, mean_sem, sort_key
 
@@ -371,5 +371,5 @@ def parse_sweep_config(text: str) -> SweepGrid:
 
 
 def load_sweep_config(path: str) -> SweepGrid:
-    with open(path) as fh:
+    with open_text(path) as fh:
         return parse_sweep_config(fh.read())

@@ -16,7 +16,7 @@ import numpy as np
 
 from .attacks import AttackScores, Orientation, ScoreKind
 from .datagen import GenParams
-from .errors import InsufficientDataError, ValidationError
+from .errors import InsufficientDataError, ValidationError, open_text
 
 RESULT_COLUMNS = (
     "d",
@@ -208,7 +208,7 @@ def write_results_csv(rows, path: str) -> None:
 
 def read_results_csv(path: str) -> list[dict]:
     """Read a results CSV; a missing column or a malformed row raises ``ValidationError``."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().strip().split(",")
         missing = [c for c in RESULT_COLUMNS if c not in header]
         if missing:

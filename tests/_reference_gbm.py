@@ -1,14 +1,20 @@
-"""Independent brute-force booster used only as a test oracle.
+"""Boosting oracles used only by the tests; kept free of imports from mialab.gbm.
 
-Same split rule and leaf formula as the package implementation, coded the
-slow way: every (feature, midpoint) candidate is scored by explicitly
-slicing and summing, and trees are grown with plain recursion over index
-lists.  Kept free of any code sharing with mialab.gbm on purpose.
+Two references live here:
+
+* a brute-force booster with the package's split rule and leaf formula,
+  coded the slow way: every (feature, midpoint) candidate is scored by
+  explicitly slicing and summing, and trees are grown with plain recursion
+  over index lists;
+* the per-feature engine (one stable sort of each feature at every node,
+  features scanned in order), whose trees the presorted package engine must
+  reproduce bit for bit: same features, same thresholds, same leaf values.
 """
 
 import math
 
 import numpy as np
+from scipy.special import expit
 
 
 def enumerate_best_split(x, residuals):
@@ -108,3 +114,86 @@ def reference_boost(X, y, n_estimators, max_depth, learning_rate):
         raw = raw + learning_rate * np.array([tree.predict(row) for row in X])
         staged.append(deviance(raw))
     return base, trees, np.asarray(staged)
+
+
+def per_feature_best_split(x, residuals):
+    """Best (threshold, children score) of one feature by its own stable sort, or None."""
+    order = np.argsort(x, kind="mergesort")
+    xs = x[order]
+    cut = np.nonzero(np.diff(xs) > 0)[0]
+    if cut.size == 0:
+        return None
+    thresholds = 0.5 * (xs[cut] + xs[cut + 1])
+    valid = (thresholds > xs[cut]) & (thresholds < xs[cut + 1])
+    if not valid.any():
+        return None
+    cut, thresholds = cut[valid], thresholds[valid]
+
+    prefix = np.cumsum(residuals[order])
+    total = prefix[-1]
+    n = x.shape[0]
+    n_left = (cut + 1).astype(np.float64)
+    s_left = prefix[cut]
+    score = s_left**2 / n_left + (total - s_left) ** 2 / (n - n_left)
+    best = int(np.argmax(score))  # first max -> smallest threshold
+    return float(thresholds[best]), float(score[best])
+
+
+def _per_feature_tree(X, residuals, hessians, idx, depth, max_depth, train_out):
+    """Nested ``("split", feature, threshold, left, right)`` / ``("leaf", value)`` tuples."""
+    node_res = residuals[idx]
+    if depth < max_depth and idx.size >= 2:
+        parent_score = node_res.sum() ** 2 / idx.size
+        best_feature, best_threshold, best_score = -1, 0.0, parent_score
+        for f in range(X.shape[1]):
+            found = per_feature_best_split(X[idx, f], node_res)
+            if found is None:
+                continue
+            threshold, score = found
+            if score > best_score:  # strict: an equal later feature loses
+                best_feature, best_threshold, best_score = f, threshold, score
+        if best_feature >= 0:
+            go_left = X[idx, best_feature] <= best_threshold
+            return (
+                "split", best_feature, best_threshold,
+                _per_feature_tree(X, residuals, hessians, idx[go_left], depth + 1, max_depth,
+                                  train_out),
+                _per_feature_tree(X, residuals, hessians, idx[~go_left], depth + 1, max_depth,
+                                  train_out),
+            )
+
+    value = float(node_res.sum() / max(hessians[idx].sum(), 1e-12))
+    train_out[idx] = value
+    return ("leaf", value)
+
+
+def per_feature_boost(X, y, n_estimators, max_depth, learning_rate):
+    """(base_score, trees) of the per-feature engine, trees as nested tuples."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    rate = y.mean()
+    base = float(np.log(rate / (1.0 - rate)))
+    raw = np.full(X.shape[0], base)
+    idx = np.arange(X.shape[0])
+    trees = []
+    for _ in range(n_estimators):
+        p = expit(raw)
+        residuals = y - p
+        hessians = p * (1.0 - p)
+        contrib = np.zeros(X.shape[0])
+        trees.append(_per_feature_tree(X, residuals, hessians, idx, 0, max_depth, contrib))
+        raw += learning_rate * contrib
+    return base, trees
+
+
+def per_row_predict(base, trees, learning_rate, X):
+    """Attack-model probabilities, one row at a time."""
+    out = np.empty(X.shape[0])
+    for i, row in enumerate(np.asarray(X, dtype=np.float64)):
+        raw = np.float64(base)
+        for node in trees:
+            while node[0] == "split":
+                node = node[3] if row[node[1]] <= node[2] else node[4]
+            raw += learning_rate * node[1]
+        out[i] = expit(raw)
+    return out

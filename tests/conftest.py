@@ -1,3 +1,4 @@
+import functools
 import sys
 from pathlib import Path
 
@@ -38,4 +39,23 @@ def row_channel_calls(monkeypatch):
     calls = []
     for real in (divergence.log_joint_vector_channel, divergence.softmax_channel):
         _record_calls(monkeypatch, real, calls, lambda joint, name=real.__name__: name)
+    return calls
+
+
+@pytest.fixture
+def joint_work_calls(monkeypatch):
+    """Names of every ``decompose`` call and every conditional-table computation."""
+    from mialab import divergence
+
+    calls = []
+    _record_calls(monkeypatch, divergence.decompose, calls, lambda p, q: "decompose")
+    compute = divergence.DiscreteJoint._conditionals.func
+
+    def counting(joint):
+        calls.append("conditionals")
+        return compute(joint)
+
+    cached = functools.cached_property(counting)
+    cached.__set_name__(divergence.DiscreteJoint, "_conditionals")
+    monkeypatch.setattr(divergence.DiscreteJoint, "_conditionals", cached)
     return calls

@@ -26,6 +26,8 @@ from mialab.linear_models import (
 )
 from mialab.metrics import advantage, auroc, write_table
 
+from _reference_gbm import per_feature_boost, per_row_predict
+
 
 def test_score_kind_orientations_documented():
     higher = {ScoreKind.MAX_PROB, ScoreKind.LDA_LOG_JOINT, ScoreKind.GBM_PROBS,
@@ -227,6 +229,27 @@ def test_gbm_attack_insufficient_data():
     target = LogisticModel(weights=np.zeros(2), bias=0.0, converged=True, iterations=0)
     with pytest.raises(InsufficientDataError):
         run_gbm_attack(target, member, nonmember)
+
+
+@pytest.mark.parametrize("interface", ["probs", "logits"])
+@pytest.mark.parametrize("fit", [fit_logistic, fit_lda])
+def test_gbm_attack_matches_per_feature_engine(monkeypatch, fit, interface):
+    import mialab.attacks as attacks
+
+    member, nonmember = _toy_pair(seed=4, n_train=150, n_test=150, d=4)
+    target = fit(member)
+    scores = run_gbm_attack(target, member, nonmember, interface=interface, split_seed=2)
+
+    def reference_fit(X, y, n_estimators, max_depth, learning_rate):
+        base, trees = per_feature_boost(X, y, n_estimators, max_depth, learning_rate)
+        return base, trees, learning_rate
+
+    monkeypatch.setattr(attacks, "fit_gbm", reference_fit)
+    monkeypatch.setattr(attacks, "gbm_predict_matrix",
+                        lambda model, rows: per_row_predict(*model, rows))
+    oracle = run_gbm_attack(target, member, nonmember, interface=interface, split_seed=2)
+    assert scores.member_scores.tobytes() == oracle.member_scores.tobytes()
+    assert scores.nonmember_scores.tobytes() == oracle.nonmember_scores.tobytes()
 
 
 def test_gbm_attack_deterministic_in_split_seed():

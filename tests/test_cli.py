@@ -352,6 +352,25 @@ def test_train_rejects_contam_flag_other_than_0_or_1_exit_2(tmp_path, capsys):
         assert "error: row 3: contam must be 0 or 1" in capsys.readouterr().err
 
 
+def test_every_file_reader_rejects_undecodable_bytes_exit_2(tmp_path, capsys):
+    data, model_path, binary = tmp_path / "d.csv", tmp_path / "model.json", tmp_path / "bin"
+    main(["generate", "--d", "2", "--n", "30", "--mu", "0.2", "--out", str(data)])
+    main(["train", "--model", "lda", "--data", str(data), "--out", str(model_path)])
+    binary.write_bytes(b"\x80")
+    out = str(tmp_path / "out")
+    for argv in (["train", "--model", "lda", "--data", str(binary), "--out", out],
+                 ["attack", "--model-file", str(binary), "--member", str(data),
+                  "--nonmember", str(data), "--out", out],
+                 ["attack", "--model-file", str(model_path), "--member", str(data),
+                  "--nonmember", str(binary), "--out", out],
+                 ["sweep", "--config", str(binary), "--out", out],
+                 ["report", "--results", str(binary), "--out", out],
+                 ["plot", "--results", str(binary), "--out", out]):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert "is not a text file" in capsys.readouterr().err
+
+
 def test_report_round_trip(tmp_path, capsys):
     results = tmp_path / "results.csv"
     _tiny_results_csv(results)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mialab.datagen import (
     GenParams,
@@ -8,7 +10,9 @@ from mialab.datagen import (
     read_csv,
     write_csv,
 )
-from mialab.errors import ValidationError
+from mialab.errors import MialabError, ValidationError
+
+from _payloads import table_payloads
 
 
 def test_param_validation():
@@ -167,3 +171,15 @@ def test_csv_rejects_malformed(tmp_path):
     path.write_text("y,x0,contam\n2,0.5,0\n")
     with pytest.raises(ValidationError):
         read_csv(str(path))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(*(table_payloads(",".join(["y", *(f"x{i}" for i in range(d)), "contam"]))
+                   for d in (1, 3))))
+def test_read_csv_raises_only_typed_errors(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("fuzz") / "data.csv"
+    path.write_bytes(payload)
+    try:
+        read_csv(str(path))
+    except MialabError:
+        pass

@@ -455,3 +455,9 @@ def test_certify_bounds_builds_each_row_channel_once_per_trial(row_channel_calls
     certify_bounds(5, 6, 4)
     assert row_channel_calls.count("log_joint_vector_channel") == 5
     assert row_channel_calls.count("softmax_channel") == 5
+
+
+def test_certify_bounds_decomposes_each_pair_once_per_trial(joint_work_calls):
+    certify_bounds(5, 6, 4)
+    assert joint_work_calls.count("decompose") == 5
+    assert joint_work_calls.count("conditionals") == 10  # one table per joint

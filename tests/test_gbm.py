@@ -6,15 +6,13 @@ from mialab.gbm import (
     GbmModel,
     TreeNode,
     _best_split,
-    deserialize_gbm,
     fit_gbm,
     gbm_predict_matrix,
-    serialize_gbm,
     staged_train_deviance,
-    tree_depth,
 )
 
-from _reference_gbm import enumerate_best_split, reference_boost
+from _gbm_text import deserialize_gbm, serialize_gbm, tree_depth
+from _reference_gbm import enumerate_best_split, per_feature_boost, reference_boost
 
 
 def _random_problem(rng, n, m):
@@ -82,6 +80,57 @@ def test_split_search_matches_exhaustive_enumeration():
         sse_mine = float(np.sum(r**2)) - score
         assert thr == pytest.approx(oracle[0], abs=0)
         assert sse_mine == pytest.approx(oracle[1], abs=1e-9)
+
+
+def _tree_bits(node):
+    """Nested tuples of a tree with floats in hex, so equality is bit equality."""
+    if isinstance(node, TreeNode):
+        if node.is_leaf:
+            return ("leaf", node.value.hex())
+        return ("split", node.feature, node.threshold.hex(),
+                _tree_bits(node.left), _tree_bits(node.right))
+    if node[0] == "leaf":
+        return ("leaf", node[1].hex())
+    return ("split", node[1], node[2].hex(), _tree_bits(node[3]), _tree_bits(node[4]))
+
+
+def _attack_style(rng, n):
+    """``[p, 1 - p, one-hot label]``: both pairs of columns are complements."""
+    p = rng.uniform(0.05, 0.95, size=n)
+    label = (rng.random(n) < p).astype(float)
+    return np.column_stack([p, 1.0 - p, 1.0 - label, label])
+
+
+def _presort_cases():
+    rng = np.random.default_rng(11)
+    normal = rng.normal(size=(90, 4))
+    constant = normal.copy()
+    constant[:, 1] = 0.25
+    return {
+        "normal": normal,
+        "rounded": np.round(rng.normal(size=(90, 4)), 2),
+        "constant_column": constant,
+        "n2": np.array([[0.3, 1.0], [-0.7, 1.0]]),
+        "n3": np.array([[0.3], [0.3], [-1.2]]),
+        "attack_probs": _attack_style(rng, 120),
+        "attack_probs_coarse": np.round(_attack_style(rng, 120), 1),
+    }
+
+
+@pytest.mark.parametrize("max_depth", [0, 1, 3, 4])
+@pytest.mark.parametrize("case", sorted(_presort_cases()))
+def test_presorted_engine_matches_per_feature_engine_tree_for_tree(case, max_depth):
+    X = _presort_cases()[case]
+    rng = np.random.default_rng(max_depth)
+    y = (rng.random(X.shape[0]) < 0.5).astype(float)
+    y[0], y[-1] = 0.0, 1.0
+    if case.startswith("attack"):
+        y = np.where(rng.random(X.shape[0]) < 0.8, X[:, 3], 1.0 - X[:, 3])
+    model = fit_gbm(X, y, n_estimators=15, max_depth=max_depth, learning_rate=0.1)
+    base, trees = per_feature_boost(X, y, n_estimators=15, max_depth=max_depth,
+                                    learning_rate=0.1)
+    assert model.base_score.hex() == base.hex()
+    assert [_tree_bits(t) for t in model.trees] == [_tree_bits(t) for t in trees]
 
 
 def test_max_depth_respected():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from mialab.attacks import ScoreKind
 from mialab.datagen import GenParams
@@ -19,6 +20,8 @@ from mialab.harness import (
     summarize,
 )
 from mialab.metrics import RESULT_COLUMNS, write_results_csv, write_table
+
+from _payloads import config_payloads
 
 SMALL_GRID = SweepGrid(
     mu_values=(0.1, 0.4),
@@ -335,3 +338,13 @@ def test_worker_env_var_default(monkeypatch):
     monkeypatch.setenv("MIALAB_WORKERS", "abc")
     with pytest.raises(ValidationError, match="MIALAB_WORKERS must be an integer, got 'abc'"):
         resolve_workers(None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config_payloads(harness.CONFIG_HEADER, sorted(harness._LIST_KEYS)
+                       + sorted(harness._SCALAR_KEYS) + ["", "bogus", "# note"]))
+def test_parse_sweep_config_raises_only_typed_errors(text):
+    try:
+        parse_sweep_config(text)
+    except MialabError:
+        pass

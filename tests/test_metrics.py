@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from mialab.attacks import AttackScores, Orientation, ScoreKind
-from mialab.errors import InsufficientDataError, ValidationError
+from mialab.errors import InsufficientDataError, MialabError, ValidationError
 from mialab.metrics import (
+    RESULT_COLUMNS,
     Histogram,
     advantage,
     auroc,
@@ -19,6 +20,8 @@ from mialab.metrics import (
     write_results_csv,
     write_table,
 )
+
+from _payloads import table_payloads
 
 mp.dps = 50
 
@@ -226,3 +229,14 @@ def test_write_table_formats_and_sorts(tmp_path):
                 [{"side": "member", "tv_joint": 2.0 / 3.0, "kind": "max_prob"}],
                 float_format=".12g")
     assert path.read_bytes() == b"side,tv_joint,kind\nmember,0.666666666667,max_prob\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_payloads(",".join(RESULT_COLUMNS)))
+def test_read_results_csv_raises_only_typed_errors(tmp_path_factory, payload):
+    path = tmp_path_factory.mktemp("fuzz") / "results.csv"
+    path.write_bytes(payload)
+    try:
+        read_results_csv(str(path))
+    except MialabError:
+        pass
