@@ -9,7 +9,7 @@ total-variation/KL bounds.
 """
 
 from .attacks import AttackScores, Orientation, ScoreKind, accuracy
-from .datagen import Dataset, GenParams, contaminate, generate_dataset
+from .datagen import Dataset, GenParams, generate_dataset
 from .divergence import (
     BoundsReport,
     DiscreteJoint,
@@ -19,7 +19,6 @@ from .divergence import (
     certify_bounds,
     decompose,
     dominance_probe,
-    dpi_check,
     kl,
     lr_constants,
     pushforward,
@@ -41,7 +40,7 @@ from .linear_models import (
     fit_lda,
     fit_logistic,
 )
-from .metrics import AttackResult, Histogram, advantage, auroc, jsd, mean_sem
+from .metrics import AttackResult, advantage, auroc, mean_sem
 
 __version__ = "0.1.0"
 
@@ -57,7 +56,6 @@ __all__ = [
     "DominanceReport",
     "GbmModel",
     "GenParams",
-    "Histogram",
     "InsufficientDataError",
     "LdaModel",
     "LogisticModel",
@@ -74,15 +72,12 @@ __all__ = [
     "auroc",
     "c_coeff",
     "certify_bounds",
-    "contaminate",
     "decompose",
     "dominance_probe",
-    "dpi_check",
     "fit_gbm",
     "fit_lda",
     "fit_logistic",
     "generate_dataset",
-    "jsd",
     "kl",
     "lr_constants",
     "mean_sem",

@@ -177,6 +177,8 @@ def _gbm_scores(
     split 50/50 into attack-train and attack-eval halves (seeded), and the
     returned scores are attack-model probabilities on the eval halves.
     """
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     rows_m = _attack_matrix(member, kind)
     rows_n = _attack_matrix(nonmember, kind)
     if min(rows_m.shape[0], rows_n.shape[0]) < 4:

@@ -94,7 +94,7 @@ def _cmd_sweep(args) -> int:
     kinds = _score_kinds(args.scores)
     table = harness.run_sweep(grid, kinds, workers=args.workers, base_seed=args.seed)
     metrics.write_results_csv(table.rows, args.out)
-    metrics.write_table(args.summary_out, harness.SUMMARY_COLUMNS, harness.summarize(table))
+    metrics.write_table(args.summary_out, harness.SUMMARY_COLUMNS, harness.summarize(table.rows))
     print(f"wrote {len(table.rows)} result rows to {args.out}")
     print(f"wrote summary to {args.summary_out}")
     if table.failures:
@@ -117,8 +117,8 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_plot(args) -> int:
-    rows = metrics.read_results_csv(args.results)
-    paths = svgplot.render_sweep_figures(rows, args.out, prefix=args.prefix)
+    summaries = harness.summarize(metrics.read_results_csv(args.results))
+    paths = svgplot.render_sweep_figures(summaries, args.out, prefix=args.prefix)
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK
@@ -126,8 +126,7 @@ def _cmd_plot(args) -> int:
 
 def _cmd_report(args) -> int:
     rows = metrics.read_results_csv(args.results)
-    table = harness.SweepTable(rows=rows)
-    metrics.write_table(args.out, harness.REPORT_COLUMNS, harness.privacy_utility_report(table))
+    metrics.write_table(args.out, harness.REPORT_COLUMNS, harness.privacy_utility_report(rows))
     print(f"wrote privacy-utility report to {args.out}")
     return EXIT_OK
 

@@ -99,7 +99,6 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     contaminated_mask: np.ndarray
-    params: GenParams | None
 
     @property
     def n(self) -> int:
@@ -135,26 +134,11 @@ def generate_dataset(params: GenParams, split: str) -> Dataset:
         features=features,
         labels=labels,
         contaminated_mask=np.zeros(n, dtype=bool),
-        params=params,
     )
     if params.epsilon > 0.0:
         contam_rng = _stream(params.seed, _TAG_CONTAM, tag)
         data = _contaminate(data, params.epsilon, params.tau, contam_rng)
     return data
-
-
-def contaminate(data: Dataset, epsilon: float, tau: float, seed: int) -> Dataset:
-    """Replace each row with probability ``epsilon`` by an ``N(0, tau^2 I)`` draw.
-
-    Labels are kept unchanged; the returned ``contaminated_mask`` records
-    exactly the rows replaced by this call.  Uses the contamination
-    substream keyed by ``(seed, contam-tag)``.
-    """
-    if not 0.0 <= epsilon < 1.0:
-        raise ValidationError(f"epsilon must lie in [0, 1), got {epsilon!r}")
-    if not np.isfinite(tau) or tau <= 0:
-        raise ValidationError(f"tau must be positive, got {tau!r}")
-    return _contaminate(data, epsilon, tau, _stream(seed, _TAG_CONTAM))
 
 
 def _contaminate(
@@ -169,7 +153,6 @@ def _contaminate(
         features=features,
         labels=data.labels.copy(),
         contaminated_mask=mask,
-        params=data.params,
     )
 
 
@@ -184,7 +167,7 @@ def write_csv(data: Dataset, path: str) -> None:
 
 
 def read_csv(path: str) -> Dataset:
-    """Read a dataset written by :func:`write_csv`.  ``params`` is not recoverable."""
+    """Read a dataset written by :func:`write_csv`."""
     with open_text(path) as fh:
         header = fh.readline().strip()
         fields = header.split(",")
@@ -214,5 +197,4 @@ def read_csv(path: str) -> Dataset:
         features=np.asarray(rows, dtype=np.float64),
         labels=labels_arr,
         contaminated_mask=np.asarray(mask, dtype=bool),
-        params=None,
     )

@@ -9,8 +9,6 @@ marginal/conditional decomposition bounds can all be evaluated exactly
   conditional part and reports the resulting sandwich
   ``|TV_X - E TV_cond| <= TV_joint <= TV_X + E TV_cond`` together with the
   KL-based upper bound ``sqrt(KL_X/2) + sqrt(E KL_cond / 2)``.
-* ``dpi_check`` verifies that post-processing through any channel cannot
-  increase TV between the induced output laws.
 * ``dominance_probe`` evaluates the coefficient
   ``c(alpha, beta) = log(beta/alpha) / (1 + log(beta/alpha))`` built from
   the conditional likelihood-ratio range, and compares the exact TV of the
@@ -87,14 +85,6 @@ class ScoreChannel:
             raise ValidationError("outcomes must be a 2-D integer array")
         if o.size and (o.min() < 0 or o.max() >= self.outcome_size):
             raise ValidationError("outcome indices out of range")
-
-    @classmethod
-    def from_function(cls, fn, x_size: int, y_size: int) -> "ScoreChannel":
-        out = np.empty((x_size, y_size), dtype=np.int64)
-        for x in range(x_size):
-            for y in range(y_size):
-                out[x, y] = fn(x, y)
-        return cls(outcomes=out, outcome_size=int(out.max()) + 1 if out.size else 0)
 
 
 @dataclass(frozen=True)
@@ -204,19 +194,6 @@ def pushforward(joint: DiscreteJoint, channel: ScoreChannel) -> np.ndarray:
     return out / total
 
 
-def dpi_check(
-    joint_p: DiscreteJoint, joint_q: DiscreteJoint, channel: ScoreChannel
-) -> tuple[float, float]:
-    """(TV before, TV after) the channel; post-processing cannot increase TV."""
-    tv_before = 0.5 * float(np.abs(joint_p.table - joint_q.table).sum())
-    tv_after = tv(pushforward(joint_p, channel), pushforward(joint_q, channel))
-    if tv_after > tv_before + 1e-12:
-        raise AssertionError(
-            f"data-processing violated: {tv_after} > {tv_before}"
-        )
-    return tv_before, tv_after
-
-
 def c_coeff(alpha: float, beta: float) -> float:
     """``log(beta/alpha) / (1 + log(beta/alpha))``; zero exactly when alpha == beta."""
     if not (np.isfinite(alpha) and np.isfinite(beta)):
@@ -281,13 +258,6 @@ def scalar_log_joint_channel(joint: DiscreteJoint) -> ScoreChannel:
         return _chain_channel(np.log(joint.table))
 
 
-def scalar_conditional_channel(joint: DiscreteJoint) -> ScoreChannel:
-    """Channel exposing the scalar conditional probability ``p(y|x)`` of the
-    sampled pair; atoms with matching values coincide.  Undefined rows
-    (zero marginal) share one outcome."""
-    return _chain_channel(joint.conditionals()[1])
-
-
 def log_joint_vector_channel(joint: DiscreteJoint) -> ScoreChannel:
     """Channel exposing the full per-class log-joint vector (a function of x).
 
@@ -301,17 +271,6 @@ def softmax_channel(joint: DiscreteJoint) -> ScoreChannel:
     """Channel exposing the posterior row: log rows equal up to an additive
     shift collapse to the same outcome (the per-x normalizer is discarded)."""
     return _row_channel(joint.conditionals()[1])
-
-
-def identity_channel(x_size: int, y_size: int) -> ScoreChannel:
-    return ScoreChannel(
-        outcomes=np.arange(x_size * y_size, dtype=np.int64).reshape(x_size, y_size),
-        outcome_size=x_size * y_size,
-    )
-
-
-def constant_channel(x_size: int, y_size: int) -> ScoreChannel:
-    return ScoreChannel(outcomes=np.zeros((x_size, y_size), dtype=np.int64), outcome_size=1)
 
 
 def dominance_probe(
@@ -350,59 +309,6 @@ def sample_dirichlet_joint(rng: np.random.Generator, x_size: int, y_size: int) -
     return DiscreteJoint.from_array(flat.reshape(x_size, y_size))
 
 
-def matched_normalizer_pair(
-    rng: np.random.Generator, group_sizes: tuple[int, ...] = (3, 2, 1), y_size: int = 4
-) -> tuple[DiscreteJoint, DiscreteJoint]:
-    """A pair built so the softmax quotient loses nothing.
-
-    Within each group the target's rows are proportional (same posterior,
-    different normalizer) and the shadow keeps a constant marginal ratio, so
-    collapsing the normalizer changes neither induced TV.
-    """
-    x_size = sum(group_sizes)
-    p = np.empty((x_size, y_size))
-    px = rng.dirichlet(np.ones(x_size))
-    q_ratio = np.empty(x_size)
-    x = 0
-    for g, size in enumerate(group_sizes):
-        base = rng.dirichlet(np.ones(y_size))
-        ratio = rng.uniform(0.25, 4.0)
-        for _ in range(size):
-            p[x] = px[x] * base
-            q_ratio[x] = ratio
-            x += 1
-    qx = px * q_ratio
-    qx /= qx.sum()
-    q = qx[:, None] * rng.dirichlet(np.ones(y_size), size=x_size)
-    return (
-        DiscreteJoint.from_array(p / p.sum()),
-        DiscreteJoint.from_array(q / q.sum()),
-    )
-
-
-def marginal_skew_pair(
-    rng: np.random.Generator, x_size: int, y_size: int, delta: float = 0.05
-) -> tuple[DiscreteJoint, DiscreteJoint]:
-    """A pair with nearly matched conditionals but independent marginals.
-
-    Small ``delta`` keeps the conditional likelihood ratios inside
-    ``[1/(1+delta), 1/(1-delta)]`` so the marginal term can dominate.
-    """
-    if not 0.0 <= delta < 1.0:
-        raise ValidationError(f"delta must lie in [0, 1), got {delta!r}")
-    cond = rng.dirichlet(np.ones(y_size), size=x_size)
-    px = rng.dirichlet(np.ones(x_size))
-    qx = rng.dirichlet(np.ones(x_size))
-    perturbed = cond * (1.0 + delta * rng.uniform(-1.0, 1.0, size=cond.shape))
-    perturbed /= perturbed.sum(axis=1, keepdims=True)
-    p = px[:, None] * cond
-    q = qx[:, None] * perturbed
-    return (
-        DiscreteJoint.from_array(p / p.sum()),
-        DiscreteJoint.from_array(q / q.sum()),
-    )
-
-
 def certify_bounds(
     trials: int, x_size: int, y_size: int, seed: int = 0
 ) -> tuple[list[BoundsReport], int]:
@@ -417,6 +323,8 @@ def certify_bounds(
     """
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
     if x_size < 2 or y_size < 2:
         raise ValidationError("need at least 2 atoms on each axis")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))

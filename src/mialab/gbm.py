@@ -84,17 +84,6 @@ def _node_splits(values: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray,
     return thresholds[rows, best], score[rows, best]
 
 
-def _best_split(x: np.ndarray, residuals: np.ndarray) -> tuple[float, float] | None:
-    """Best (threshold, children-score) for one feature, or None; see :func:`_node_splits`."""
-    if x.shape[0] < 2:
-        return None
-    order = np.argsort(x, kind="mergesort")
-    thresholds, scores = _node_splits(x[order][None, :], residuals[order][None, :])
-    if scores[0] == -np.inf:
-        return None
-    return float(thresholds[0]), float(scores[0])
-
-
 def _subset(
     keep: np.ndarray, idx: np.ndarray, order: np.ndarray, values: np.ndarray, grows: bool
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
@@ -223,20 +212,3 @@ def gbm_raw_scores(model: GbmModel, X: np.ndarray) -> np.ndarray:
 def gbm_predict_matrix(model: GbmModel, X: np.ndarray) -> np.ndarray:
     return expit(gbm_raw_scores(model, X))
 
-
-def staged_train_deviance(
-    model: GbmModel, features: np.ndarray, labels: np.ndarray
-) -> np.ndarray:
-    """Mean binomial deviance after 0, 1, ..., n_estimators stages.
-
-    Computed from raw scores as ``log(1 + e^z) - y*z``, which needs no
-    probability clamping.
-    """
-    X = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.float64)
-    raw = np.full(X.shape[0], model.base_score)
-    out = [float(np.mean(np.logaddexp(0.0, raw) - y * raw))]
-    for tree in model.trees:
-        raw += model.learning_rate * _eval_tree(tree, X)
-        out.append(float(np.mean(np.logaddexp(0.0, raw) - y * raw)))
-    return np.asarray(out)

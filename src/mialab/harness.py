@@ -24,7 +24,6 @@ from __future__ import annotations
 import ctypes
 import os
 import struct
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -115,7 +114,6 @@ class CellResult:
     params: GenParams
     accuracies: dict[str, float]
     attacks: dict[tuple[str, ScoreKind], AttackResult]
-    wall_time: float
 
 
 @dataclass
@@ -150,7 +148,6 @@ def cell_seed(base_seed: int, grid_seed: int, params: GenParams) -> int:
 
 def run_cell(params: GenParams, kinds=DEFAULT_SCORE_KINDS) -> CellResult:
     """Run one configuration end to end; deterministic given ``params``."""
-    start = time.perf_counter()
     kinds = tuple(kinds)
     try:
         train = generate_dataset(params, "train")
@@ -168,7 +165,7 @@ def run_cell(params: GenParams, kinds=DEFAULT_SCORE_KINDS) -> CellResult:
                 if kind is ScoreKind.LDA_LOG_JOINT and not member.log_joints:
                     continue
                 scores = membership_scores(kind, member, nonmember, split_seed)
-                attacks[(name, kind)] = attack_result(scores, cell=params)
+                attacks[(name, kind)] = attack_result(scores)
     except MialabError as exc:
         raise type(exc)(f"cell {params}: {exc}") from exc
 
@@ -176,7 +173,6 @@ def run_cell(params: GenParams, kinds=DEFAULT_SCORE_KINDS) -> CellResult:
         params=params,
         accuracies=accuracies,
         attacks=attacks,
-        wall_time=time.perf_counter() - start,
     )
 
 
@@ -267,7 +263,9 @@ def run_sweep(
         derived = replace(params, seed=cell_seed(base_seed, params.seed, params))
         items.append((params.seed, derived, kinds))
 
-    workers = resolve_workers(workers)
+    # A fork pool starts all its workers at the first submit, so it gets no
+    # more workers than cells; a single cell runs serially.
+    workers = min(resolve_workers(workers), len(items))
     if workers == 1:
         previous = pin_blas_threads()
         try:
@@ -294,10 +292,11 @@ def run_sweep(
     return table
 
 
-def summarize(table: SweepTable) -> list[dict]:
-    """Mean and SEM per (cell, model, score kind) across seeds, sorted on the cell columns."""
+def summarize(rows: list[dict]) -> list[dict]:
+    """Mean and SEM of result ``rows`` per (cell, model, score kind) across seeds,
+    sorted on the cell columns."""
     groups: dict[tuple, list[dict]] = {}
-    for row in table.rows:
+    for row in rows:
         key = tuple(row[c] for c in SUMMARY_COLUMNS[:9])
         groups.setdefault(key, []).append(row)
     out = []
@@ -312,10 +311,10 @@ def summarize(table: SweepTable) -> list[dict]:
     return sorted(out, key=lambda s: sort_key(s, SUMMARY_COLUMNS[:9]))
 
 
-def privacy_utility_report(table: SweepTable) -> list[dict]:
+def privacy_utility_report(rows: list[dict]) -> list[dict]:
     """Scatter-ready (utility, advantage) pairs per configuration and score."""
     out = []
-    for summary in summarize(table):
+    for summary in summarize(rows):
         row = {c: summary[c] for c in REPORT_COLUMNS[:9]}
         row["utility"] = summary["accuracy_mean"]
         row["advantage"] = summary["advantage_mean"]

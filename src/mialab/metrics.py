@@ -1,4 +1,4 @@
-"""AUROC, direction-invariant advantage, JSD, and summary statistics.
+"""AUROC, direction-invariant advantage, summary statistics and CSV tables.
 
 AUROC is computed as the Mann-Whitney rank statistic: the fraction of
 (member, nonmember) pairs where the member scores more member-like, with
@@ -14,8 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackScores, Orientation, ScoreKind
-from .datagen import GenParams
+from .attacks import AttackScores, Orientation
 from .errors import InsufficientDataError, ValidationError, open_text
 
 RESULT_COLUMNS = (
@@ -44,28 +43,6 @@ _STR_COLUMNS = frozenset({"model", "score_kind", "side", "kind"})
 class AttackResult:
     auroc: float
     advantage: float
-    kind: ScoreKind
-    n_member: int
-    n_nonmember: int
-    cell: GenParams | None = None
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """A normalized histogram over strictly increasing bin edges."""
-
-    bin_edges: np.ndarray
-    masses: np.ndarray
-
-    def __post_init__(self) -> None:
-        edges = np.asarray(self.bin_edges, dtype=np.float64)
-        masses = np.asarray(self.masses, dtype=np.float64)
-        if edges.ndim != 1 or masses.ndim != 1 or masses.size != edges.size - 1:
-            raise ValidationError("need len(bin_edges) == len(masses) + 1")
-        if not np.all(np.diff(edges) > 0):
-            raise ValidationError("bin edges must be strictly increasing")
-        if masses.min() < 0 or abs(masses.sum() - 1.0) > 1e-12:
-            raise ValidationError("masses must be nonnegative and sum to 1")
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -106,64 +83,9 @@ def advantage(auroc_value: float) -> float:
     return max(auroc_value, 1.0 - auroc_value)
 
 
-def attack_result(scores: AttackScores, cell: GenParams | None = None) -> AttackResult:
+def attack_result(scores: AttackScores) -> AttackResult:
     a = auroc(scores)
-    return AttackResult(
-        auroc=a,
-        advantage=advantage(a),
-        kind=scores.kind,
-        n_member=scores.member_scores.size,
-        n_nonmember=scores.nonmember_scores.size,
-        cell=cell,
-    )
-
-
-def equal_width_edges(values: np.ndarray, n_bins: int = 32) -> np.ndarray:
-    """Equal-width bin edges spanning the (pooled) value range."""
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0 or not np.isfinite(values).all():
-        raise ValidationError("need nonempty finite values to bin")
-    lo, hi = float(values.min()), float(values.max())
-    if lo == hi:
-        lo, hi = lo - 0.5, hi + 0.5
-    return np.linspace(lo, hi, n_bins + 1)
-
-
-def histogram(values: np.ndarray, bin_edges: np.ndarray) -> Histogram:
-    """Histogram of ``values`` over the given edges; all values must fall inside."""
-    values = np.asarray(values, dtype=np.float64)
-    counts, _ = np.histogram(values, bins=bin_edges)
-    total = counts.sum()
-    if total != values.size:
-        raise ValidationError("values fall outside the bin range")
-    return Histogram(bin_edges=np.asarray(bin_edges, dtype=np.float64),
-                     masses=counts / total)
-
-
-def jsd(p: Histogram, q: Histogram) -> float:
-    """Jensen-Shannon divergence (natural log) between two aligned histograms."""
-    if not np.array_equal(p.bin_edges, q.bin_edges):
-        raise ValidationError("histograms must share identical bin edges")
-    pm, qm = p.masses, q.masses
-    mm = 0.5 * (pm + qm)
-
-    def half_kl(a: np.ndarray) -> float:
-        nz = a > 0.0
-        return float(np.sum(a[nz] * np.log(a[nz] / mm[nz])))
-
-    return 0.5 * half_kl(pm) + 0.5 * half_kl(qm)
-
-
-def score_jsd(scores: AttackScores, n_bins: int = 32) -> float:
-    """JSD between member and nonmember score histograms on pooled bins.
-
-    A memorization diagnostic: large values mean the two score laws are far
-    apart, i.e. heavy train/test leakage.
-    """
-    pooled = np.concatenate([scores.member_scores, scores.nonmember_scores])
-    edges = equal_width_edges(pooled, n_bins)
-    return jsd(histogram(scores.member_scores, edges),
-               histogram(scores.nonmember_scores, edges))
+    return AttackResult(auroc=a, advantage=advantage(a))
 
 
 def mean_sem(values: np.ndarray) -> tuple[float, float]:

@@ -7,6 +7,10 @@ two panels over the class-separation axis: test accuracy on top,
 membership advantage below with a reference line at 0.5.  Series are
 (model, score-kind) colors with one marker shape per training size, and
 the shaded band spans mean +/- 1.96 * SEM across seeds.
+
+Points are the per-cell means and SEMs of ``harness.summarize``.  A figure
+shows one setting of sigma, sigma_noise, w and epsilon; results that mix
+settings at one dimensionality are rejected rather than averaged.
 """
 
 from __future__ import annotations
@@ -14,10 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import ValidationError
-from .metrics import mean_sem
 
 _COLORS = {
     ("logistic", "max_prob"): "#1f77b4",
@@ -37,6 +38,7 @@ _MARKERS = ("circle", "square", "triangle", "diamond")
 
 _W, _PANEL_H, _LEFT, _RIGHT, _TOP, _GAP, _BOTTOM = 760, 250, 70, 160, 34, 46, 46
 _BAND_Z = 1.96
+_SETTING_AXES = ("sigma", "sigma_noise", "w", "epsilon")
 
 
 def _fmt(v: float) -> str:
@@ -144,23 +146,19 @@ class _Panel:
         return parts
 
 
-def _collect_series(rows: list[dict], value_key: str, per_kind: bool) -> list[_Series]:
-    n_values = sorted({r["n_train"] for r in rows})
+def _collect_series(summaries: list[dict], metric: str, per_kind: bool) -> list[_Series]:
+    n_values = sorted({s["n_train"] for s in summaries})
     marker_of = {n: _MARKERS[i % len(_MARKERS)] for i, n in enumerate(n_values)}
-    groups: dict[tuple, list[dict]] = {}
-    for r in rows:
-        key = (r["model"], r["score_kind"] if per_kind else None, r["n_train"])
-        groups.setdefault(key, []).append(r)
+    groups: dict[tuple, dict[float, tuple[float, float]]] = {}
+    for s in summaries:
+        key = (s["model"], s["score_kind"] if per_kind else None, s["n_train"])
+        # accuracy is per (model, cell, seed), so every kind of a model carries
+        # the same accuracy summary; the first is kept
+        groups.setdefault(key, {}).setdefault(s["mu"], (s[f"{metric}_mean"], s[f"{metric}_sem"]))
     series = []
     for key in sorted(groups, key=str):
         model, kind, n_train = key
-        by_mu: dict[float, list[float]] = {}
-        for r in groups[key]:
-            by_mu.setdefault(r["mu"], []).append(r[value_key])
-        points = []
-        for mu in sorted(by_mu):
-            mean, sem = mean_sem(np.array(by_mu[mu]))
-            points.append((mu, mean, sem))
+        points = [(mu, *groups[key][mu]) for mu in sorted(groups[key])]
         if per_kind:
             label = f"{model}/{kind} n={n_train}"
             color = _COLORS.get((model, kind), "#555555")
@@ -172,18 +170,20 @@ def _collect_series(rows: list[dict], value_key: str, per_kind: bool) -> list[_S
     return series
 
 
-def render_figure(rows: list[dict], d: int) -> str:
+def render_figure(summaries: list[dict], d: int) -> str:
     """SVG text for one dimensionality column of the sweep figure."""
-    rows = [r for r in rows if r["d"] == d]
+    rows = [s for s in summaries if s["d"] == d]
     if not rows:
         raise ValidationError(f"no result rows for d={d}")
-    mus = sorted({r["mu"] for r in rows})
+    for axis in _SETTING_AXES:
+        values = sorted({s[axis] for s in rows})
+        if len(values) > 1:
+            raise ValidationError(
+                f"d={d}: results mix {axis} values {values}; plot one setting per figure")
+    mus = sorted({s["mu"] for s in rows})
     x_range = (min(mus), max(mus))
 
-    acc_rows = {}
-    for r in rows:  # accuracy is per (model, cell, seed); dedupe across kinds
-        acc_rows[(r["model"], r["n_train"], r["mu"], r["seed"])] = r
-    acc_series = _collect_series(list(acc_rows.values()), "accuracy", per_kind=False)
+    acc_series = _collect_series(rows, "accuracy", per_kind=False)
     adv_series = _collect_series(rows, "advantage", per_kind=True)
 
     def span(series_list):
@@ -234,17 +234,20 @@ def render_figure(rows: list[dict], d: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_sweep_figures(rows: list[dict], out_dir: str, prefix: str = "mu_trends") -> list[str]:
-    """Write one SVG per dimensionality present in the rows; returns the paths."""
+def render_sweep_figures(summaries: list[dict], out_dir: str,
+                         prefix: str = "mu_trends") -> list[str]:
+    """Write one SVG per dimensionality of ``harness.summarize`` rows; returns the paths."""
     import os
 
-    if not rows:
+    if not summaries:
         raise ValidationError("no result rows to plot")
+    # every figure is rendered, and so checked, before any file is written
+    figures = {d: render_figure(summaries, d) for d in sorted({s["d"] for s in summaries})}
     os.makedirs(out_dir, exist_ok=True)
     paths = []
-    for d in sorted({r["d"] for r in rows}):
+    for d, text in figures.items():
         path = os.path.join(out_dir, f"{prefix}_d{d}.svg")
         with open(path, "w", newline="\n") as fh:
-            fh.write(render_figure(rows, d))
+            fh.write(text)
         paths.append(path)
     return paths

@@ -1,6 +1,6 @@
-"""Boosting oracles used only by the tests; kept free of imports from mialab.gbm.
+"""Boosting oracles and probes used only by the tests.
 
-Two references live here:
+Two references live here, kept free of imports from mialab.gbm:
 
 * a brute-force booster with the package's split rule and leaf formula,
   coded the slow way: every (feature, midpoint) candidate is scored by
@@ -9,12 +9,19 @@ Two references live here:
 * the per-feature engine (one stable sort of each feature at every node,
   features scanned in order), whose trees the presorted package engine must
   reproduce bit for bit: same features, same thresholds, same leaf values.
+
+Two probes of the package engine close the module: ``_best_split`` runs
+the production split kernel on one feature, so the exhaustive enumeration
+above can check it, and ``staged_train_deviance`` replays a fitted model's
+stages.
 """
 
 import math
 
 import numpy as np
 from scipy.special import expit
+
+from mialab.gbm import GbmModel, _eval_tree, _node_splits
 
 
 def enumerate_best_split(x, residuals):
@@ -197,3 +204,30 @@ def per_row_predict(base, trees, learning_rate, X):
             raw += learning_rate * node[1]
         out[i] = expit(raw)
     return out
+
+
+def _best_split(x, residuals):
+    """Best (threshold, children-score) of one feature by the package's split kernel, or None."""
+    if x.shape[0] < 2:
+        return None
+    order = np.argsort(x, kind="mergesort")
+    thresholds, scores = _node_splits(x[order][None, :], residuals[order][None, :])
+    if scores[0] == -np.inf:
+        return None
+    return float(thresholds[0]), float(scores[0])
+
+
+def staged_train_deviance(model: GbmModel, features, labels):
+    """Mean binomial deviance after 0, 1, ..., n_estimators stages.
+
+    Computed from raw scores as ``log(1 + e^z) - y*z``, which needs no
+    probability clamping.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    raw = np.full(X.shape[0], model.base_score)
+    out = [float(np.mean(np.logaddexp(0.0, raw) - y * raw))]
+    for tree in model.trees:
+        raw += model.learning_rate * _eval_tree(tree, X)
+        out.append(float(np.mean(np.logaddexp(0.0, raw) - y * raw)))
+    return np.asarray(out)

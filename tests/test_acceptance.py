@@ -25,18 +25,18 @@ from mialab.divergence import (
     decompose,
     dominance_probe,
     log_joint_vector_channel,
-    matched_normalizer_pair,
     pushforward,
     sample_dirichlet_joint,
     softmax_channel,
     tv,
 )
-from mialab.gbm import _best_split, fit_gbm, staged_train_deviance
+from mialab.gbm import fit_gbm
 from mialab.harness import SweepGrid, run_sweep
 from mialab.linear_models import fit_logistic, logistic_posteriors
 from mialab.metrics import auroc, write_results_csv
 
-from _reference_gbm import enumerate_best_split
+from _divergence_fixtures import matched_normalizer_pair
+from _reference_gbm import _best_split, enumerate_best_split, staged_train_deviance
 
 TOL = 1e-12
 

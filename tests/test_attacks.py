@@ -161,7 +161,7 @@ def test_feature_construction_injective(p1, p2, l1, l2):
 def test_model_outputs_interfaces():
     model = LogisticModel(weights=np.array([2.0]), bias=-1.0, converged=True, iterations=0)
     data = Dataset(features=np.array([[0.5], [2.0]]), labels=np.array([-1, 1]),
-                   contaminated_mask=np.zeros(2, dtype=bool), params=None)
+                   contaminated_mask=np.zeros(2, dtype=bool))
     out = model_outputs(model, data)
     np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(out.logits[:, 0], 0.0)

@@ -236,6 +236,19 @@ def test_bounds_certification(tmp_path, capsys):
     assert len(lines) == 201
 
 
+@pytest.mark.parametrize("command", ["bounds", "attack"])
+def test_negative_seed_exit_2(tmp_path, capsys, command):
+    argv = ["bounds", "--trials", "5"]
+    if command == "attack":
+        data, model_path = _trained_model(tmp_path)
+        argv = ["attack", "--model-file", str(model_path), "--member", str(data),
+                "--nonmember", str(data), "--scores", "gbm_probs"]
+    capsys.readouterr()
+    code = main([*argv, "--seed", "-1", "--out", str(tmp_path / "out.csv")])
+    assert code == 2
+    assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
+
+
 def test_bounds_zero_trials_and_bad_sizes(tmp_path, capsys):
     out = tmp_path / "bounds.csv"
     assert main(["bounds", "--trials", "0", "--out", str(out)]) == 0
@@ -290,6 +303,24 @@ def test_plot_single_cell(tmp_path, capsys):
     assert main(["plot", "--results", str(results), "--out", str(out_dir)]) == 0
     capsys.readouterr()
     assert (out_dir / "mu_trends_d16.svg").exists()
+
+
+@pytest.mark.parametrize("axis, column, value", [("epsilon", 6, "0.05"), ("w", 5, "0.3")])
+def test_plot_rejects_mixed_settings_exit_2(tmp_path, capsys, axis, column, value):
+    # a criterion-8-style sweep puts clean and contaminated cells in one file
+    results = tmp_path / "results.csv"
+    _tiny_results_csv(results)
+    lines = results.read_text().splitlines()
+    for line in lines[1:]:
+        parts = line.split(",")
+        parts[column] = value
+        lines.append(",".join(parts))
+    results.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "plots"
+    code = main(["plot", "--results", str(results), "--out", str(out_dir)])
+    assert code == 2
+    assert f"error: d=16: results mix {axis} values" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_plot_schema_mismatch(tmp_path, capsys):

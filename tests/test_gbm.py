@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from mialab.errors import DataError, DegenerateDataError, ValidationError
-from mialab.gbm import (
-    GbmModel,
-    TreeNode,
-    _best_split,
-    fit_gbm,
-    gbm_predict_matrix,
-    staged_train_deviance,
-)
+from mialab.gbm import GbmModel, TreeNode, fit_gbm, gbm_predict_matrix
 
 from _gbm_text import deserialize_gbm, serialize_gbm, tree_depth
-from _reference_gbm import enumerate_best_split, per_feature_boost, reference_boost
+from _reference_gbm import (
+    _best_split,
+    enumerate_best_split,
+    per_feature_boost,
+    reference_boost,
+    staged_train_deviance,
+)
 
 
 def _random_problem(rng, n, m):

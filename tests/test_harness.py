@@ -82,7 +82,15 @@ def test_run_cell_is_deterministic_and_complete():
     assert kinds == set(DEFAULT_SCORE_KINDS)
 
 
-def test_run_cell_gbm_kinds():
+def test_run_cell_gbm_kinds(monkeypatch):
+    sizes = []
+    real_attack_result = harness.attack_result
+
+    def attack_result(scores):
+        sizes.append((scores.member_scores.size, scores.nonmember_scores.size))
+        return real_attack_result(scores)
+
+    monkeypatch.setattr(harness, "attack_result", attack_result)
     params = GenParams(d=4, n_train=60, n_test=200, mu=0.3, seed=5)
     result = run_cell(params, kinds=(ScoreKind.GBM_PROBS, ScoreKind.GBM_LOGITS))
     assert set(result.attacks) == {
@@ -91,8 +99,8 @@ def test_run_cell_gbm_kinds():
         ("lda", ScoreKind.GBM_PROBS),
         ("lda", ScoreKind.GBM_LOGITS),
     }
-    for att in result.attacks.values():
-        assert att.n_member >= 15  # half of the downsampled pool
+    # each side scores the eval half of its pool, downsampled to n_train = 60
+    assert sizes == [(30, 30)] * 4
 
 
 def test_run_cell_computes_lda_outputs_once_per_dataset(lda_log_joints_calls):
@@ -130,7 +138,7 @@ def test_run_sweep_single_cell_sem_zero():
                      n_test=200, seeds=(7,))
     table = run_sweep(grid, kinds=(ScoreKind.MAX_PROB,))
     assert len(table.rows) == 2  # one per model
-    summaries = summarize(table)
+    summaries = summarize(table.rows)
     assert all(s["auroc_sem"] == 0.0 for s in summaries)
     assert all(s["n_seeds"] == 1 for s in summaries)
 
@@ -156,6 +164,34 @@ def test_run_sweep_worker_count_invariant():
     a = run_sweep(SMALL_GRID, kinds=(ScoreKind.MAX_PROB,), workers=1)
     b = run_sweep(SMALL_GRID, kinds=(ScoreKind.MAX_PROB,), workers=2)
     assert _rows_key(a) == _rows_key(b)
+
+
+def test_sweep_pool_never_outnumbers_cells(monkeypatch):
+    pools = []
+
+    class RecordingPool:
+        """Records the pool size asked for and runs the cells in this process."""
+
+        def __init__(self, max_workers, initializer):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize):
+            return map(fn, items)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    table = run_sweep(SMALL_GRID, kinds=(ScoreKind.MAX_PROB,), workers=64)
+    assert pools == [4]  # SMALL_GRID has 4 cells
+    assert len(table.rows) == 8
+    one_cell = SweepGrid(mu_values=(0.2,), d_values=(4,), n_train_values=(40,),
+                         n_test=200, seeds=(7,))
+    assert len(run_sweep(one_cell, kinds=(ScoreKind.MAX_PROB,), workers=8).rows) == 2
+    assert pools == [4]  # one cell runs serially
 
 
 @needs_openblas
@@ -246,9 +282,9 @@ def test_summary_and_report_shapes(tmp_path):
     table = run_sweep(SMALL_GRID, kinds=(ScoreKind.MAX_PROB, ScoreKind.LDA_LOG_JOINT))
     # rows: 2 cells x 2 seeds x (logistic max_prob + lda max_prob + lda log-joint)
     assert len(table.rows) == 2 * 2 * 3
-    summaries = summarize(table)
+    summaries = summarize(table.rows)
     assert len(summaries) == 2 * 3
-    report = privacy_utility_report(table)
+    report = privacy_utility_report(table.rows)
     assert len(report) == len(summaries)
     assert all(set(("utility", "advantage")) <= set(r) for r in report)
 
@@ -266,14 +302,12 @@ def test_summarize_sorts_cells_numerically():
          "model": "lda", "score_kind": "max_prob"}
         for d in (16, 4) for n in (200, 50)
     ]
-    summaries = summarize(harness.SweepTable(rows=rows))
+    summaries = summarize(rows)
     assert [(s["d"], s["n_train"]) for s in summaries] == [(4, 50), (4, 200), (16, 50), (16, 200)]
 
 
 def test_privacy_utility_report_empty():
-    from mialab.harness import SweepTable
-
-    assert privacy_utility_report(SweepTable()) == []
+    assert privacy_utility_report([]) == []
 
 
 CONFIG_TEXT = """\

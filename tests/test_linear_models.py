@@ -29,7 +29,6 @@ def _dataset(features, labels):
         features=features,
         labels=np.asarray(labels, dtype=np.int64),
         contaminated_mask=np.zeros(len(labels), dtype=bool),
-        params=None,
     )
 
 

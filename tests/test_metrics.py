@@ -2,28 +2,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mp, mpf
 
 from mialab.attacks import AttackScores, Orientation, ScoreKind
 from mialab.errors import InsufficientDataError, MialabError, ValidationError
 from mialab.metrics import (
     RESULT_COLUMNS,
-    Histogram,
     advantage,
     auroc,
-    equal_width_edges,
-    histogram,
-    jsd,
     mean_sem,
     read_results_csv,
-    score_jsd,
     write_results_csv,
     write_table,
 )
 
 from _payloads import table_payloads
-
-mp.dps = 50
 
 
 def _scores(member, nonmember, orientation=Orientation.HIGHER_IS_MEMBER):
@@ -97,71 +89,6 @@ def test_advantage():
     assert advantage(1.0) == 1.0
     with pytest.raises(ValidationError):
         advantage(1.2)
-
-
-def test_jsd_cases():
-    edges = np.array([0.0, 1.0, 2.0])
-    p = Histogram(bin_edges=edges, masses=np.array([0.75, 0.25]))
-    q = Histogram(bin_edges=edges, masses=np.array([0.25, 0.75]))
-    same = jsd(p, p)
-    assert same == 0.0
-
-    disjoint_p = Histogram(bin_edges=edges, masses=np.array([1.0, 0.0]))
-    disjoint_q = Histogram(bin_edges=edges, masses=np.array([0.0, 1.0]))
-    assert jsd(disjoint_p, disjoint_q) == pytest.approx(np.log(2), abs=1e-12)
-
-    # exact-arithmetic oracle at 50 digits
-    def kl_exact(a, b):
-        return sum(x * mp.log(x / y) for x, y in zip(a, b) if x > 0)
-
-    pm = [mpf(3) / 4, mpf(1) / 4]
-    qm = [mpf(1) / 4, mpf(3) / 4]
-    mm = [(x + y) / 2 for x, y in zip(pm, qm)]
-    expected = float(kl_exact(pm, mm) / 2 + kl_exact(qm, mm) / 2)
-    assert jsd(p, q) == pytest.approx(expected, abs=1e-12)
-    assert jsd(p, q) == pytest.approx(0.13081, abs=5e-6)
-
-
-def test_jsd_symmetry_and_range():
-    rng = np.random.default_rng(3)
-    edges = np.linspace(0, 1, 9)
-    for _ in range(50):
-        p = Histogram(bin_edges=edges, masses=rng.dirichlet(np.ones(8)))
-        q = Histogram(bin_edges=edges, masses=rng.dirichlet(np.ones(8)))
-        a, b = jsd(p, q), jsd(q, p)
-        assert a == pytest.approx(b, abs=1e-12)
-        assert -1e-12 <= a <= np.log(2) + 1e-12
-
-
-def test_jsd_requires_matching_edges():
-    p = Histogram(bin_edges=np.array([0.0, 1.0, 2.0]), masses=np.array([0.5, 0.5]))
-    q = Histogram(bin_edges=np.array([0.0, 1.5, 2.0]), masses=np.array([0.5, 0.5]))
-    with pytest.raises(ValidationError):
-        jsd(p, q)
-
-
-def test_histogram_validation():
-    with pytest.raises(ValidationError):
-        Histogram(bin_edges=np.array([0.0, 0.0, 1.0]), masses=np.array([0.5, 0.5]))
-    with pytest.raises(ValidationError):
-        Histogram(bin_edges=np.array([0.0, 1.0]), masses=np.array([0.9]))
-
-
-def test_score_jsd_separated_vs_identical():
-    rng = np.random.default_rng(4)
-    same = _scores(rng.normal(size=400), rng.normal(size=400))
-    apart = _scores(rng.normal(size=400) + 5.0, rng.normal(size=400))
-    assert score_jsd(apart) > score_jsd(same)
-    edges = equal_width_edges(np.concatenate([same.member_scores, same.nonmember_scores]))
-    assert edges.size == 33
-
-
-def test_histogram_builder_covers_range():
-    values = np.array([1.0, 1.0, 2.0, 3.0])
-    h = histogram(values, equal_width_edges(values, n_bins=4))
-    assert h.masses.sum() == pytest.approx(1.0)
-    with pytest.raises(ValidationError):
-        histogram(np.array([5.0]), np.array([0.0, 1.0]))
 
 
 @settings(max_examples=40, deadline=None)

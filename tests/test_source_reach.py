@@ -1,0 +1,42 @@
+"""Every top-level function and class of ``src/mialab`` is reached from the program.
+
+A definition is reached when another top-level statement of a mialab module
+names it (an ``ast.Name`` or ``ast.Attribute``), or when a file under
+``perfbench/`` names it in code or in a string.  ``__init__.py`` only
+re-exports, so it neither defines nor reaches anything.  Code that only the
+tests call belongs in ``tests/``.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+_DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _names(tree) -> set[str]:
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+
+
+def test_every_src_definition_is_reached_outside_the_tests():
+    perfbench: set[str] = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        perfbench |= _names(tree)
+        perfbench |= {node.value for node in ast.walk(tree)
+                      if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+    # (module, name the statement defines or None, names the statement uses)
+    statements = [
+        (path.stem, stmt.name if isinstance(stmt, _DEFINITIONS) else None, _names(stmt))
+        for path in sorted((ROOT / "src" / "mialab").glob("*.py")) if path.name != "__init__.py"
+        for stmt in ast.parse(path.read_text()).body
+    ]
+    unreached = [
+        f"{module}.{name}" for module, name, _ in statements
+        if name is not None and name not in perfbench
+        and not any(name in used for other, other_name, used in statements
+                    if (other, other_name) != (module, name))
+    ]
+    assert not unreached, f"reached by no mialab module and no perfbench file: {unreached}"
