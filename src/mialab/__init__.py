@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .gbm import GbmModel, fit_gbm
-from .harness import CellResult, SweepGrid, SweepTable, run_cell, run_sweep
+from .harness import SweepGrid, SweepTable, run_cell, run_sweep
 from .linear_models import (
     LdaModel,
     LogisticModel,
@@ -48,7 +48,6 @@ __all__ = [
     "AttackResult",
     "AttackScores",
     "BoundsReport",
-    "CellResult",
     "DataError",
     "Dataset",
     "DegenerateDataError",

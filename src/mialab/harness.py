@@ -25,7 +25,7 @@ import ctypes
 import os
 import struct
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .attacks import ScoreKind, accuracy, membership_scores, model_outputs
 from .datagen import GenParams, generate_dataset
 from .errors import MialabError, ValidationError, open_text
 from .linear_models import fit_lda, fit_logistic
-from .metrics import AttackResult, attack_result, mean_sem, sort_key
+from .metrics import CELL_COLUMNS, attack_result, mean_sem, sort_key
 
 WORKERS_ENV_VAR = "MIALAB_WORKERS"
 CONFIG_HEADER = "# mialab sweep config v1"
@@ -57,17 +57,15 @@ _OPENBLAS_THREAD_FUNCS = (
     "openblas_{}_num_threads",
 )
 
+_GROUP_COLUMNS = (*CELL_COLUMNS, "model", "score_kind")
+
 SUMMARY_COLUMNS = (
-    "d", "n_train", "mu", "sigma", "sigma_noise", "w", "epsilon",
-    "model", "score_kind",
+    *_GROUP_COLUMNS,
     "auroc_mean", "auroc_sem", "advantage_mean", "advantage_sem",
     "accuracy_mean", "accuracy_sem", "n_seeds",
 )
 
-REPORT_COLUMNS = (
-    "d", "n_train", "mu", "sigma", "sigma_noise", "w", "epsilon",
-    "model", "score_kind", "utility", "advantage",
-)
+REPORT_COLUMNS = (*_GROUP_COLUMNS, "utility", "advantage")
 
 
 @dataclass(frozen=True)
@@ -86,10 +84,15 @@ class SweepGrid:
     tau_mult: float = 10.0
 
     def __post_init__(self) -> None:
-        for name in ("mu_values", "d_values", "n_train_values", "w_values",
-                     "epsilon_values", "seeds"):
-            if len(getattr(self, name)) == 0:
-                raise ValidationError(f"{name} must be nonempty")
+        # A repeated value would run one cell twice under the same derived seed.
+        for f in fields(self):
+            if isinstance(f.default, tuple):
+                values = getattr(self, f.name)
+                if len(values) == 0:
+                    raise ValidationError(f"{f.name} must be nonempty")
+                for i, v in enumerate(values):
+                    if v in values[:i]:
+                        raise ValidationError(f"{f.name} repeats the value {v!r}")
 
     def cells(self) -> list[GenParams]:
         """All (cell, seed) combinations as fully seeded parameter sets."""
@@ -107,13 +110,6 @@ class SweepGrid:
                                     epsilon=eps, tau_mult=self.tau_mult,
                                 ))
         return out
-
-
-@dataclass
-class CellResult:
-    params: GenParams
-    accuracies: dict[str, float]
-    attacks: dict[tuple[str, ScoreKind], AttackResult]
 
 
 @dataclass
@@ -146,34 +142,34 @@ def cell_seed(base_seed: int, grid_seed: int, params: GenParams) -> int:
     return state
 
 
-def run_cell(params: GenParams, kinds=DEFAULT_SCORE_KINDS) -> CellResult:
-    """Run one configuration end to end; deterministic given ``params``."""
+def run_cell(params: GenParams, kinds=DEFAULT_SCORE_KINDS) -> list[dict]:
+    """Run one configuration end to end; deterministic given ``params``.
+
+    Returns a row per (model, score kind) with every ``RESULT_COLUMNS`` entry but ``seed``.
+    """
     kinds = tuple(kinds)
+    cell = {c: getattr(params, c) for c in CELL_COLUMNS}
     try:
         train = generate_dataset(params, "train")
         test = generate_dataset(params, "test")
         split_seed = _splitmix64(params.seed ^ 0xA77ACC)
 
-        accuracies: dict[str, float] = {}
-        attacks: dict[tuple[str, ScoreKind], AttackResult] = {}
+        rows = []
         for name, fit in (("logistic", fit_logistic), ("lda", fit_lda)):
             model = fit(train)
             # Outputs are computed once per dataset and shared by every kind.
             member, nonmember = model_outputs(model, train), model_outputs(model, test)
-            accuracies[name] = accuracy(nonmember)
+            acc = accuracy(nonmember)
             for kind in kinds:
                 if kind is ScoreKind.LDA_LOG_JOINT and not member.log_joints:
                     continue
-                scores = membership_scores(kind, member, nonmember, split_seed)
-                attacks[(name, kind)] = attack_result(scores)
+                result = attack_result(membership_scores(kind, member, nonmember, split_seed))
+                rows.append({**cell, "model": name, "score_kind": kind.value,
+                             "auroc": result.auroc, "advantage": result.advantage,
+                             "accuracy": acc})
     except MialabError as exc:
         raise type(exc)(f"cell {params}: {exc}") from exc
-
-    return CellResult(
-        params=params,
-        accuracies=accuracies,
-        attacks=attacks,
-    )
+    return rows
 
 
 def _worker(item):
@@ -182,20 +178,6 @@ def _worker(item):
         return run_cell(params, kinds), None
     except Exception as exc:  # a failing cell must not abort the sweep
         return None, f"{type(exc).__name__}: {exc}"
-
-
-def _result_rows(grid_seed: int, result: CellResult) -> list[dict]:
-    p = result.params
-    rows = []
-    for (model_name, kind), att in result.attacks.items():
-        rows.append({
-            "d": p.d, "n_train": p.n_train, "mu": p.mu, "sigma": p.sigma,
-            "sigma_noise": p.sigma_noise, "w": p.w, "epsilon": p.epsilon,
-            "seed": grid_seed, "model": model_name, "score_kind": kind.value,
-            "auroc": att.auroc, "advantage": att.advantage,
-            "accuracy": result.accuracies[model_name],
-        })
-    return rows
 
 
 def openblas_thread_controls() -> list[tuple]:
@@ -281,14 +263,12 @@ def run_sweep(
     # Both maps yield in submission order, so rows follow the deterministic
     # cell order whatever order the cells finished in.
     table = SweepTable()
-    for (grid_seed, p, _), (result, error) in zip(items, results):
+    for (grid_seed, p, _), (rows, error) in zip(items, results):
         if error is None:
-            table.rows.extend(_result_rows(grid_seed, result))
+            table.rows.extend({**row, "seed": grid_seed} for row in rows)
         else:
-            table.failures.append({
-                "d": p.d, "n_train": p.n_train, "mu": p.mu, "w": p.w,
-                "epsilon": p.epsilon, "seed": grid_seed, "error": error,
-            })
+            cell = {c: getattr(p, c) for c in CELL_COLUMNS}
+            table.failures.append({**cell, "seed": grid_seed, "error": error})
     return table
 
 
@@ -297,54 +277,45 @@ def summarize(rows: list[dict]) -> list[dict]:
     sorted on the cell columns."""
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
-        key = tuple(row[c] for c in SUMMARY_COLUMNS[:9])
+        key = tuple(row[c] for c in _GROUP_COLUMNS)
         groups.setdefault(key, []).append(row)
     out = []
     for key, rows in groups.items():
-        summary = dict(zip(SUMMARY_COLUMNS[:9], key))
+        summary = dict(zip(_GROUP_COLUMNS, key))
         for metric in ("auroc", "advantage", "accuracy"):
             mean, sem = mean_sem(np.array([r[metric] for r in rows]))
             summary[f"{metric}_mean"] = mean
             summary[f"{metric}_sem"] = sem
         summary["n_seeds"] = len(rows)
         out.append(summary)
-    return sorted(out, key=lambda s: sort_key(s, SUMMARY_COLUMNS[:9]))
+    return sorted(out, key=lambda s: sort_key(s, _GROUP_COLUMNS))
 
 
 def privacy_utility_report(rows: list[dict]) -> list[dict]:
     """Scatter-ready (utility, advantage) pairs per configuration and score."""
     out = []
     for summary in summarize(rows):
-        row = {c: summary[c] for c in REPORT_COLUMNS[:9]}
+        row = {c: summary[c] for c in _GROUP_COLUMNS}
         row["utility"] = summary["accuracy_mean"]
         row["advantage"] = summary["advantage_mean"]
         out.append(row)
     return out
 
 
-_LIST_KEYS = {
-    "mu_values": float,
-    "d_values": int,
-    "n_train_values": int,
-    "w_values": float,
-    "epsilon_values": float,
-    "seeds": int,
-}
-_SCALAR_KEYS = {"n_test": int, "sigma": float, "sigma_noise": float, "tau_mult": float}
-
-
 def parse_sweep_config(text: str) -> SweepGrid:
     """Parse the flat key-value sweep configuration format.
 
     The first non-blank line must be the versioned header
-    ``# mialab sweep config v1``.  List values are whitespace- or
-    comma-separated; keys not present fall back to the grid defaults.
+    ``# mialab sweep config v1``.  Keys are ``SweepGrid`` fields: a tuple default
+    takes whitespace- or comma-separated values typed like its entries, any other
+    default one value of its type.  Keys not present fall back to the defaults.
     """
+    defaults = {f.name: f.default for f in fields(SweepGrid)}
     lines = [ln.strip() for ln in text.splitlines()]
     body = [ln for ln in lines if ln]
     if not body or body[0] != CONFIG_HEADER:
         raise ValidationError(f"config must start with {CONFIG_HEADER!r}")
-    fields: dict = {}
+    values: dict = {}
     for ln in body[1:]:
         if ln.startswith("#"):
             continue
@@ -353,20 +324,21 @@ def parse_sweep_config(text: str) -> SweepGrid:
         key, _, raw = ln.partition("=")
         key = key.strip()
         tokens = raw.replace(",", " ").split()
+        if key not in defaults:
+            raise ValidationError(f"unknown config key {key!r}")
+        default = defaults[key]
         try:
-            if key in _LIST_KEYS:
+            if isinstance(default, tuple):
                 if not tokens:
                     raise ValidationError(f"{key} needs at least one value")
-                fields[key] = tuple(_LIST_KEYS[key](t) for t in tokens)
-            elif key in _SCALAR_KEYS:
+                values[key] = tuple(type(default[0])(t) for t in tokens)
+            else:
                 if len(tokens) != 1:
                     raise ValidationError(f"{key} takes exactly one value")
-                fields[key] = _SCALAR_KEYS[key](tokens[0])
-            else:
-                raise ValidationError(f"unknown config key {key!r}")
+                values[key] = type(default)(tokens[0])
         except ValueError as exc:
             raise ValidationError(f"bad value for {key}: {exc}") from exc
-    return SweepGrid(**fields)
+    return SweepGrid(**values)
 
 
 def load_sweep_config(path: str) -> SweepGrid:

@@ -10,6 +10,7 @@ uniformly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,21 +18,9 @@ import numpy as np
 from .attacks import AttackScores, Orientation
 from .errors import InsufficientDataError, ValidationError, open_text
 
-RESULT_COLUMNS = (
-    "d",
-    "n_train",
-    "mu",
-    "sigma",
-    "sigma_noise",
-    "w",
-    "epsilon",
-    "seed",
-    "model",
-    "score_kind",
-    "auroc",
-    "advantage",
-    "accuracy",
-)
+# The columns that name one sweep cell; every sweep record and table starts with them.
+CELL_COLUMNS = ("d", "n_train", "mu", "sigma", "sigma_noise", "w", "epsilon")
+RESULT_COLUMNS = (*CELL_COLUMNS, "seed", "model", "score_kind", "auroc", "advantage", "accuracy")
 
 # The column schema of every table the CLI writes: int columns and string
 # columns are written verbatim, every other column is a float.
@@ -104,15 +93,12 @@ def sort_key(row: dict, columns) -> tuple:
     return tuple(str(row[c]) if c in _STR_COLUMNS else float(row[c]) for c in columns)
 
 
-def write_table(path: str, columns, rows, sort_by: int = 0, float_format: str = ".6f") -> None:
-    """Write dict ``rows`` as a CSV table under the shared column schema.
+def write_table(path: str, columns, rows, float_format: str = ".6f") -> None:
+    """Write dict ``rows``, in the order given, as a CSV table under the shared column schema.
 
     Int columns are written verbatim, string columns verbatim, and every
-    other column as a float with ``float_format``.  The first ``sort_by``
-    columns order the rows: numbers numerically, strings lexically.
+    other column as a float with ``float_format``.
     """
-    if sort_by:
-        rows = sorted(rows, key=lambda r: sort_key(r, columns[:sort_by]))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -124,8 +110,17 @@ def write_table(path: str, columns, rows, sort_by: int = 0, float_format: str = 
 
 
 def write_results_csv(rows, path: str) -> None:
-    """Write the per-(cell, seed, model, score) results table, sorted."""
-    write_table(path, RESULT_COLUMNS, rows, sort_by=10)
+    """Write the per-(cell, seed, model, score) results table, sorted on those columns."""
+    order = (*CELL_COLUMNS, "seed", "model", "score_kind")
+    write_table(path, RESULT_COLUMNS, sorted(rows, key=lambda r: sort_key(r, order)))
+
+
+def _finite_float(raw: str) -> float:
+    """``float(raw)`` that rejects nan and inf, which mialab never writes."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError(raw)
+    return value
 
 
 def read_results_csv(path: str) -> list[dict]:
@@ -147,7 +142,7 @@ def read_results_csv(path: str) -> list[dict]:
                 raw = parts[pos[c]]
                 try:
                     row[c] = raw if c in _STR_COLUMNS else (
-                        int(raw) if c in _INT_COLUMNS else float(raw))
+                        int(raw) if c in _INT_COLUMNS else _finite_float(raw))
                 except ValueError:
                     raise ValidationError(f"row {line_no}: bad {c} value {raw!r}") from None
             rows.append(row)

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ValidationError
+from .metrics import CELL_COLUMNS
 
 _COLORS = {
     ("logistic", "max_prob"): "#1f77b4",
@@ -38,7 +39,7 @@ _MARKERS = ("circle", "square", "triangle", "diamond")
 
 _W, _PANEL_H, _LEFT, _RIGHT, _TOP, _GAP, _BOTTOM = 760, 250, 70, 160, 34, 46, 46
 _BAND_Z = 1.96
-_SETTING_AXES = ("sigma", "sigma_noise", "w", "epsilon")
+_SETTING_AXES = tuple(c for c in CELL_COLUMNS if c not in ("d", "n_train", "mu"))
 
 
 def _fmt(v: float) -> str:

@@ -221,7 +221,21 @@ def test_sweep_partial_failure_exit_3(tmp_path, capsys):
                  "--out", str(tmp_path / "r.csv"),
                  "--summary-out", str(tmp_path / "s.csv")])
     assert code == 3
-    assert "failed cells" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "failed cells" in err
+    assert "cell failed: {'d': 2, 'n_train': 4, 'mu': 0.1, 'sigma': 0.15, 'sigma_noise': 1.0, " \
+        "'w': 0.01, 'epsilon': 0.0, 'seed': " in err
+
+
+def test_sweep_rejects_repeated_axis_value_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(CONFIG.replace("seeds = 0 1", "seeds = 3 3"))
+    results = tmp_path / "r.csv"
+    code = main(["sweep", "--config", str(cfg), "--scores", "max_prob",
+                 "--out", str(results), "--summary-out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert "error: seeds repeats the value 3" in capsys.readouterr().err
+    assert not results.exists()
 
 
 def test_bounds_certification(tmp_path, capsys):
@@ -356,11 +370,13 @@ def test_results_row_with_wrong_field_count_exit_2(tmp_path, capsys, command):
 @pytest.mark.parametrize("command", ["plot", "report"])
 def test_results_row_with_non_numeric_field_exit_2(tmp_path, capsys, command):
     results = tmp_path / "results.csv"
-    _tiny_results_csv(results)
-    _corrupt_results_row(results, 10, "abc")  # auroc
-    code = main([command, "--results", str(results), "--out", str(tmp_path / "out")])
-    assert code == 2
-    assert "error: row 3: bad auroc value 'abc'" in capsys.readouterr().err
+    # mialab never writes nan or inf, so a non-finite float is malformed too
+    for value in ("abc", "nan", "inf"):
+        _tiny_results_csv(results)
+        _corrupt_results_row(results, 10, value)  # auroc
+        code = main([command, "--results", str(results), "--out", str(tmp_path / "out")])
+        assert code == 2, value
+        assert f"error: row 3: bad auroc value '{value}'" in capsys.readouterr().err
 
 
 def test_train_rejects_non_numeric_dataset_field_exit_2(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +21,7 @@ from mialab.harness import (
     run_sweep,
     summarize,
 )
-from mialab.metrics import RESULT_COLUMNS, write_results_csv, write_table
+from mialab.metrics import CELL_COLUMNS, RESULT_COLUMNS, write_results_csv, write_table
 
 from _payloads import config_payloads
 
@@ -36,6 +38,11 @@ def _rows_key(table):
     return sorted(tuple(sorted(r.items())) for r in table.rows)
 
 
+def _attacks(rows):
+    """``run_cell`` rows keyed by (model, score kind)."""
+    return {(r["model"], ScoreKind(r["score_kind"])): r for r in rows}
+
+
 def _openblas_threads():
     return [get() for get, _ in harness.openblas_thread_controls()]
 
@@ -49,11 +56,10 @@ def test_run_cell_no_signal_cell_is_null():
     # depend on any single sample, so the attack is null too.  (At small n/d
     # the mu=0 attack is NOT null: memorization alone leaks membership.)
     params = GenParams(d=4, n_train=1000, mu=0.0, seed=0)
-    result = run_cell(params)
-    for acc in result.accuracies.values():
-        assert abs(acc - 0.5) <= 0.03
-    for att in result.attacks.values():
-        assert abs(att.advantage - 0.5) <= 0.07
+    rows = run_cell(params)
+    for row in rows:
+        assert abs(row["accuracy"] - 0.5) <= 0.03
+        assert abs(row["advantage"] - 0.5) <= 0.07
 
 
 def test_null_calibration_at_scale_well_conditioned():
@@ -62,23 +68,24 @@ def test_null_calibration_at_scale_well_conditioned():
     advantages = []
     for d, n in ((16, 200), (16, 2000), (64, 2000)):
         for seed in range(3):
-            result = run_cell(GenParams(d=d, n_train=n, mu=0.0, seed=seed))
-            advantages.extend(att.advantage for att in result.attacks.values())
+            rows = run_cell(GenParams(d=d, n_train=n, mu=0.0, seed=seed))
+            advantages.extend(row["advantage"] for row in rows)
     assert np.mean(advantages) <= 0.55
 
 
 def test_run_cell_is_deterministic_and_complete():
     params = GenParams(d=6, n_train=60, mu=0.3, seed=3)
-    a = run_cell(params)
-    b = run_cell(params)
-    assert a.accuracies == b.accuracies
-    assert set(a.attacks) == set(b.attacks)
-    for key, att in a.attacks.items():
-        assert att.auroc == b.attacks[key].auroc
-        assert att.advantage == max(att.auroc, 1 - att.auroc)
-    assert ("logistic", ScoreKind.LDA_LOG_JOINT) not in a.attacks
-    assert ("lda", ScoreKind.LDA_LOG_JOINT) in a.attacks
-    kinds = {k for (_, k) in a.attacks}
+    a = _attacks(run_cell(params))
+    b = _attacks(run_cell(params))
+    assert {m: r["accuracy"] for (m, _), r in a.items()} == \
+        {m: r["accuracy"] for (m, _), r in b.items()}
+    assert set(a) == set(b)
+    for key, row in a.items():
+        assert row["auroc"] == b[key]["auroc"]
+        assert row["advantage"] == max(row["auroc"], 1 - row["auroc"])
+    assert ("logistic", ScoreKind.LDA_LOG_JOINT) not in a
+    assert ("lda", ScoreKind.LDA_LOG_JOINT) in a
+    kinds = {k for (_, k) in a}
     assert kinds == set(DEFAULT_SCORE_KINDS)
 
 
@@ -92,8 +99,8 @@ def test_run_cell_gbm_kinds(monkeypatch):
 
     monkeypatch.setattr(harness, "attack_result", attack_result)
     params = GenParams(d=4, n_train=60, n_test=200, mu=0.3, seed=5)
-    result = run_cell(params, kinds=(ScoreKind.GBM_PROBS, ScoreKind.GBM_LOGITS))
-    assert set(result.attacks) == {
+    rows = run_cell(params, kinds=(ScoreKind.GBM_PROBS, ScoreKind.GBM_LOGITS))
+    assert set(_attacks(rows)) == {
         ("logistic", ScoreKind.GBM_PROBS),
         ("logistic", ScoreKind.GBM_LOGITS),
         ("lda", ScoreKind.GBM_PROBS),
@@ -106,9 +113,9 @@ def test_run_cell_gbm_kinds(monkeypatch):
 def test_run_cell_computes_lda_outputs_once_per_dataset(lda_log_joints_calls):
     # every score kind, the boosted ones included, reads the shared outputs
     params = GenParams(d=4, n_train=60, n_test=200, mu=0.3, seed=5)
-    result = run_cell(params, kinds=tuple(ScoreKind))
+    rows = run_cell(params, kinds=tuple(ScoreKind))
     assert lda_log_joints_calls == [60, 200]
-    assert len(result.attacks) == 2 * len(ScoreKind) - 1  # no lda_log_joint on logistic
+    assert len(_attacks(rows)) == 2 * len(ScoreKind) - 1  # no lda_log_joint on logistic
 
 
 def test_run_cell_attaches_cell_context_to_errors():
@@ -288,12 +295,26 @@ def test_summary_and_report_shapes(tmp_path):
     assert len(report) == len(summaries)
     assert all(set(("utility", "advantage")) <= set(r) for r in report)
 
-    write_table(str(tmp_path / "summary.csv"), SUMMARY_COLUMNS, summaries, sort_by=9)
-    write_table(str(tmp_path / "report.csv"), REPORT_COLUMNS, report, sort_by=9)
+    write_table(str(tmp_path / "summary.csv"), SUMMARY_COLUMNS, summaries)
+    write_table(str(tmp_path / "report.csv"), REPORT_COLUMNS, report)
     header = (tmp_path / "summary.csv").read_text().splitlines()[0]
     assert header.startswith("d,n_train,mu,") and "auroc_mean" in header
     header = (tmp_path / "report.csv").read_text().splitlines()[0]
     assert header.endswith("utility,advantage")
+
+
+def test_sweep_records_follow_the_cell_schema():
+    # a cell at n_train = 2 leaves LDA too few samples, so it fails alone
+    grid = SweepGrid(mu_values=(0.3,), d_values=(2,), n_train_values=(2, 40),
+                     n_test=100, seeds=(0,))
+    table = run_sweep(grid, kinds=(ScoreKind.MAX_PROB,), workers=1)
+    assert len(table.rows) == 2
+    assert all(set(r) == set(RESULT_COLUMNS) for r in table.rows)
+    assert len(table.failures) == 1
+    assert list(table.failures[0]) == [*CELL_COLUMNS, "seed", "error"]
+    assert table.failures[0]["n_train"] == 2
+    for columns in (RESULT_COLUMNS, SUMMARY_COLUMNS, REPORT_COLUMNS):
+        assert columns[:len(CELL_COLUMNS)] == CELL_COLUMNS
 
 
 def test_summarize_sorts_cells_numerically():
@@ -357,6 +378,11 @@ def test_config_rejects_bad_input():
 def test_grid_validation():
     with pytest.raises(ValidationError):
         SweepGrid(mu_values=())
+    # a repeated value would run one cell twice under the same derived seed
+    with pytest.raises(ValidationError, match="seeds repeats the value 3"):
+        SweepGrid(seeds=(3, 1, 3))
+    with pytest.raises(ValidationError, match="mu_values repeats the value 0.2"):
+        parse_sweep_config("# mialab sweep config v1\nmu_values = 0.2 0.1 0.20\n")
 
 
 def test_worker_env_var_default(monkeypatch):
@@ -375,8 +401,8 @@ def test_worker_env_var_default(monkeypatch):
 
 
 @settings(max_examples=300, deadline=None)
-@given(config_payloads(harness.CONFIG_HEADER, sorted(harness._LIST_KEYS)
-                       + sorted(harness._SCALAR_KEYS) + ["", "bogus", "# note"]))
+@given(config_payloads(harness.CONFIG_HEADER, sorted(f.name for f in fields(SweepGrid))
+                       + ["", "bogus", "# note"]))
 def test_parse_sweep_config_raises_only_typed_errors(text):
     try:
         parse_sweep_config(text)

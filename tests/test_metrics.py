@@ -11,6 +11,7 @@ from mialab.metrics import (
     auroc,
     mean_sem,
     read_results_csv,
+    sort_key,
     write_results_csv,
     write_table,
 )
@@ -141,12 +142,12 @@ def test_write_table_formats_and_sorts(tmp_path):
     columns = ("d", "model", "auroc", "n_seeds")
     path = tmp_path / "table.csv"
     # d sorts numerically (4 before 16, unlike a string sort), then model lexically
-    write_table(str(path), columns, rows, sort_by=2)
+    write_table(str(path), columns, sorted(rows, key=lambda r: sort_key(r, columns[:2])))
     assert path.read_bytes() == (b"d,model,auroc,n_seeds\n"
                                  b"4,lda,0.666667,5\n"
                                  b"4,logistic,0.500000,3\n"
                                  b"16,lda,0.100000,5\n")
-    # sort_by=0 keeps the input order
+    # rows are written in the order given
     write_table(str(path), columns, rows, float_format=".9g")
     assert path.read_bytes() == (b"d,model,auroc,n_seeds\n"
                                  b"16,lda,0.1,5\n"

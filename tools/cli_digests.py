@@ -1,0 +1,94 @@
+"""Run a fixed list of ``mialab`` CLI commands and write a SHA-256 manifest of what they produce.
+
+Usage: python tools/cli_digests.py OUTDIR
+
+Every command runs as ``python -m mialab.cli`` with ``PYTHONPATH`` set to this
+checkout's ``src``, in OUTDIR, which must be new or empty.  The manifest,
+``OUTDIR/MANIFEST``, holds one ``sha256  path`` line per file under OUTDIR,
+sorted by path: every output file, and each command's stdout, stderr and exit
+code.  Run it on two checkouts and diff the two manifests to see which CLI
+output bytes a change alters.  It takes about 20 s on two cores.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ALL_KINDS = ["max_prob", "entropy", "log_loss", "lda_log_joint", "gbm_probs", "gbm_logits"]
+LOGISTIC_KINDS = [k for k in ALL_KINDS if k != "lda_log_joint"]
+
+CONFIGS = {
+    "grid.cfg": "mu_values = 0.1 0.3\nd_values = 4 16\nn_train_values = 40\n"
+                "seeds = 0 1\nn_test = 200\n",
+    "eps.cfg": "mu_values = 0.1 0.3\nd_values = 4\nn_train_values = 40\n"
+               "epsilon_values = 0 0.05\nseeds = 0 1\nn_test = 200\n",
+    # n_train = 2 leaves LDA too few samples, so that cell fails alone
+    "fail.cfg": "mu_values = 0.3\nd_values = 2\nn_train_values = 2 40\n"
+                "seeds = 0\nn_test = 100\n",
+}
+
+COMMANDS = [
+    ("generate_train", ["generate", "--d", "8", "--n", "200", "--mu", "0.4", "--seed", "3",
+                        "--out", "train.csv"]),
+    ("generate_test", ["generate", "--d", "8", "--n", "400", "--mu", "0.4", "--seed", "3",
+                       "--split", "test", "--out", "test.csv"]),
+    ("train_lda", ["train", "--model", "lda", "--data", "train.csv", "--out", "lda.json"]),
+    ("train_logistic", ["train", "--model", "logistic", "--data", "train.csv",
+                        "--out", "logistic.json"]),
+    ("attack_lda", ["attack", "--model-file", "lda.json", "--member", "train.csv",
+                    "--nonmember", "test.csv", "--scores", *ALL_KINDS,
+                    "--out", "scores_lda.csv"]),
+    ("attack_logistic", ["attack", "--model-file", "logistic.json", "--member", "train.csv",
+                         "--nonmember", "test.csv", "--scores", *LOGISTIC_KINDS,
+                         "--out", "scores_logistic.csv"]),
+    ("sweep_w1", ["sweep", "--config", "grid.cfg", "--scores", *ALL_KINDS, "--workers", "1",
+                  "--out", "results_w1.csv", "--summary-out", "summary_w1.csv"]),
+    ("sweep_w2", ["sweep", "--config", "grid.cfg", "--scores", *ALL_KINDS, "--workers", "2",
+                  "--out", "results_w2.csv", "--summary-out", "summary_w2.csv"]),
+    ("sweep_eps", ["sweep", "--config", "eps.cfg", "--workers", "1",
+                   "--out", "results_eps.csv", "--summary-out", "summary_eps.csv"]),
+    ("sweep_fail", ["sweep", "--config", "fail.cfg", "--workers", "1",
+                    "--out", "results_fail.csv", "--summary-out", "summary_fail.csv"]),
+    ("report", ["report", "--results", "results_w1.csv", "--out", "privacy_utility.csv"]),
+    ("plot", ["plot", "--results", "results_w1.csv", "--out", "plots"]),
+    ("plot_eps", ["plot", "--results", "results_eps.csv", "--out", "plots_eps"]),
+    ("bounds", ["bounds", "--out", "bounds.csv"]),
+    ("bounds_2x2", ["bounds", "--x", "2", "--y", "2", "--out", "bounds_2x2.csv"]),
+]
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 1
+    out = Path(argv[0]).resolve()
+    out.mkdir(parents=True, exist_ok=True)
+    if any(out.iterdir()):
+        print(f"{out} is not empty", file=sys.stderr)
+        return 1
+    for name, body in CONFIGS.items():
+        (out / name).write_text("# mialab sweep config v1\n" + body)
+    env = {k: v for k, v in os.environ.items() if k != "MIALAB_WORKERS"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    logs = out / "logs"
+    logs.mkdir()
+    for name, args in COMMANDS:
+        proc = subprocess.run([sys.executable, "-m", "mialab.cli", *args],
+                              cwd=out, env=env, capture_output=True)
+        (logs / f"{name}.stdout").write_bytes(proc.stdout)
+        (logs / f"{name}.stderr").write_bytes(proc.stderr)
+        (logs / f"{name}.exit").write_text(f"{proc.returncode}\n")
+    lines = sorted(
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(out).as_posix()}"
+        for path in out.rglob("*") if path.is_file())
+    (out / "MANIFEST").write_text("\n".join(lines) + "\n")
+    print(f"wrote {len(lines)} digests to {out / 'MANIFEST'}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main(sys.argv[1:]))
