@@ -29,6 +29,7 @@ stream: datasets generated with the same seed at ``epsilon = 0`` and
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -181,10 +182,13 @@ def read_csv(path: str) -> Dataset:
                 raise ValidationError(f"row {line_no}: expected {d + 2} fields")
             try:
                 labels.append(int(parts[0]))
-                rows.append([float(v) for v in parts[1:-1]])
+                features = [float(v) for v in parts[1:-1]]
                 contam = int(parts[-1])
             except ValueError:
                 raise ValidationError(f"row {line_no}: non-numeric field") from None
+            if not all(map(math.isfinite, features)):
+                raise ValidationError(f"row {line_no}: non-finite feature")
+            rows.append(features)
             if contam not in (0, 1):
                 raise ValidationError(f"row {line_no}: contam must be 0 or 1")
             mask.append(bool(contam))

@@ -257,8 +257,10 @@ def run_sweep(
                 set_(count)
     else:
         # Workers are forked, so they inherit the parent's mapped libraries.
+        # Cells go out one at a time: the grid is d-major, so batches would
+        # leave the largest cells to one worker at the end.
         with ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_threads) as pool:
-            results = list(pool.map(_worker, items, chunksize=8))
+            results = list(pool.map(_worker, items))
 
     # Both maps yield in submission order, so rows follow the deterministic
     # cell order whatever order the cells finished in.

@@ -193,16 +193,26 @@ def lda_log_joints(model: LdaModel, X: np.ndarray) -> np.ndarray:
     """Per-class ``log prior + log density`` rows, shape (n, 2).
 
     Column order follows the class index convention (0 -> label -1).
+
+    With ``L`` the Cholesky factor and ``c = (mu_- + mu_+)/2`` the midpoint
+    of the class means, the Mahalanobis term of class ``k`` is
+    ``|L^-1 (x - c) - L^-1 (mu_k - c)|^2``, so the rows are whitened by one
+    triangular solve per call, and the two class shifts by one d x 2 solve.
+    Centring at ``c`` is what keeps this exact: whitening raw ``x`` and
+    subtracting ``L^-1 mu_k`` cancels two large vectors when every feature
+    carries a common offset, and loses the quadratic form to rounding.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     d = X.shape[1]
     const = -0.5 * (d * _LOG_2PI + model.log_det)
+    means = np.column_stack([model.mean_neg, model.mean_pos])
+    center = 0.5 * (model.mean_neg + model.mean_pos)
+    z = solve_triangular(model.chol_lower, (X - center).T, lower=True)
+    shifts = solve_triangular(model.chol_lower, means - center[:, None], lower=True)
     out = np.empty((X.shape[0], 2))
     priors = (1.0 - model.prior_pos, model.prior_pos)
-    means = (model.mean_neg, model.mean_pos)
-    for idx, (prior, mean) in enumerate(zip(priors, means)):
-        z = solve_triangular(model.chol_lower, (X - mean).T, lower=True)
-        quad = np.sum(z**2, axis=0)
+    for idx, prior in enumerate(priors):
+        quad = np.sum((z - shifts[:, idx, None]) ** 2, axis=0)
         out[:, idx] = np.log(max(prior, LOG_FLOOR)) + const - 0.5 * quad
     return out
 

@@ -389,6 +389,23 @@ def test_train_rejects_non_numeric_dataset_field_exit_2(tmp_path, capsys):
         assert "error: row 2: non-numeric field" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", ["lda", "logistic"])
+def test_attack_rejects_non_finite_feature_exit_2(tmp_path, capsys, model):
+    data, model_path = _trained_model(tmp_path, model)
+    lines = data.read_text().splitlines()
+    nonmember = tmp_path / "nonmember.csv"
+    for value in ("nan", "inf", "-inf"):
+        fields = lines[2].split(",")
+        fields[2] = value  # x1 of row 3
+        nonmember.write_text("\n".join([*lines[:2], ",".join(fields), *lines[3:]]) + "\n")
+        capsys.readouterr()
+        code = main(["attack", "--model-file", str(model_path), "--member", str(data),
+                     "--nonmember", str(nonmember), "--scores", "max_prob",
+                     "--out", str(tmp_path / "s.csv")])
+        assert code == 2, value
+        assert "error: row 3: non-finite feature" in capsys.readouterr().err
+
+
 def test_train_rejects_contam_flag_other_than_0_or_1_exit_2(tmp_path, capsys):
     data = tmp_path / "data.csv"
     for flag in ("7", "2", "-1"):

@@ -188,7 +188,7 @@ def test_sweep_pool_never_outnumbers_cells(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize):
+        def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
 from mialab.attacks import accuracy, model_outputs
@@ -21,6 +22,8 @@ from mialab.linear_models import (
     serialize_model,
     softmax_pairs,
 )
+
+from _reference_lda import lda_log_joints as reference_lda_log_joints
 
 
 def _dataset(features, labels):
@@ -268,6 +271,37 @@ def test_lda_log_joint_matches_quadratic_form_oracle():
             - 0.5 * diff @ inv @ diff
         )
         assert lj[idx] == pytest.approx(oracle, abs=1e-10)
+
+
+def _lda_and_rows(d, n, offset=0.0):
+    """An LDA fit on 50 training rows and n test rows of one cell, every feature shifted by offset."""
+    params = GenParams(d=d, n_train=50, mu=0.3, seed=d + n, n_test=max(n, 2))
+    train = generate_dataset(params, "train")
+    model = fit_lda(_dataset(train.features + offset, train.labels))
+    return model, generate_dataset(params, "test").features[:n] + offset
+
+
+# At offset 1e6, whitening uncentred rows would cancel two ~1e6-scale whitened vectors.
+@pytest.mark.parametrize("offset", [0.0, 1e6])
+@pytest.mark.parametrize("n", [1, 50, 4000])
+@pytest.mark.parametrize("d", [1, 16, 256])
+def test_lda_log_joints_match_per_class_solves(d, n, offset):
+    model, X = _lda_and_rows(d, n, offset)
+    np.testing.assert_allclose(lda_log_joints(model, X), reference_lda_log_joints(model, X),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_lda_log_joints_whitens_the_rows_once(monkeypatch):
+    model, X = _lda_and_rows(16, 50)
+    shapes = []
+
+    def recording(a, b, **kwargs):
+        shapes.append(np.shape(b))
+        return solve_triangular(a, b, **kwargs)
+
+    monkeypatch.setattr("mialab.linear_models.solve_triangular", recording)
+    lda_log_joints(model, X)
+    assert [s for s in shapes if np.prod(s) >= X.size] == [(16, 50)]
 
 
 def test_softmax_shift_invariance():

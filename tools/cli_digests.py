@@ -7,7 +7,7 @@ checkout's ``src``, in OUTDIR, which must be new or empty.  The manifest,
 ``OUTDIR/MANIFEST``, holds one ``sha256  path`` line per file under OUTDIR,
 sorted by path: every output file, and each command's stdout, stderr and exit
 code.  Run it on two checkouts and diff the two manifests to see which CLI
-output bytes a change alters.  It takes about 20 s on two cores.
+output bytes a change alters.  It takes about 28 s on two cores.
 """
 
 from __future__ import annotations
@@ -58,6 +58,16 @@ COMMANDS = [
     ("plot_eps", ["plot", "--results", "results_eps.csv", "--out", "plots_eps"]),
     ("bounds", ["bounds", "--out", "bounds.csv"]),
     ("bounds_2x2", ["bounds", "--x", "2", "--y", "2", "--out", "bounds_2x2.csv"]),
+    # d = 256 puts lda_log_joints' whitening solve at the sweep's largest shape
+    ("generate_train_d256", ["generate", "--d", "256", "--n", "1000", "--mu", "0.3",
+                             "--seed", "5", "--out", "train_d256.csv"]),
+    ("generate_test_d256", ["generate", "--d", "256", "--n", "2000", "--mu", "0.3",
+                            "--seed", "5", "--split", "test", "--out", "test_d256.csv"]),
+    ("train_lda_d256", ["train", "--model", "lda", "--data", "train_d256.csv",
+                        "--out", "lda_d256.json"]),
+    ("attack_lda_d256", ["attack", "--model-file", "lda_d256.json", "--member", "train_d256.csv",
+                         "--nonmember", "test_d256.csv", "--scores", *ALL_KINDS,
+                         "--out", "scores_lda_d256.csv"]),
 ]
 
 
