@@ -32,10 +32,14 @@ def _score_kinds(names: list[str]) -> tuple[attacks.ScoreKind, ...]:
     out = []
     for name in names:
         try:
-            out.append(attacks.ScoreKind(name))
+            kind = attacks.ScoreKind(name)
         except ValueError:
             valid = ", ".join(k.value for k in attacks.ScoreKind)
             raise ValidationError(f"unknown score kind {name!r} (choose from {valid})")
+        # A repeated kind would write every score or result row twice.
+        if kind in out:
+            raise ValidationError(f"--scores repeats the kind {name!r}")
+        out.append(kind)
     return tuple(out)
 
 
@@ -147,14 +151,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True, help="total dimensionality")
     p.add_argument("--n", type=int, required=True, help="number of rows")
     p.add_argument("--mu", type=float, required=True, help="core mean shift")
-    p.add_argument("--sigma", type=float, default=0.15, help="core std (default 0.15)")
-    p.add_argument("--sigma-noise", type=float, default=1.0,
-                   help="noise std (default 1.0)")
-    p.add_argument("--w", type=float, default=0.5, help="P(y=+1) (default 0.5)")
-    p.add_argument("--epsilon", type=float, default=0.0,
-                   help="contamination probability (default 0)")
-    p.add_argument("--tau-mult", type=float, default=10.0,
-                   help="contamination scale multiplier (default 10)")
+    defaults = datagen.GenParams
+    p.add_argument("--sigma", type=float, default=defaults.sigma,
+                   help="core std (default %(default)s)")
+    p.add_argument("--sigma-noise", type=float, default=defaults.sigma_noise,
+                   help="noise std (default %(default)s)")
+    p.add_argument("--w", type=float, default=defaults.w, help="P(y=+1) (default %(default)s)")
+    p.add_argument("--epsilon", type=float, default=defaults.epsilon,
+                   help="contamination probability (default %(default)s)")
+    p.add_argument("--tau-mult", type=float, default=defaults.tau_mult,
+                   help="contamination scale multiplier (default %(default)s)")
     p.add_argument("--split", choices=("train", "test"), default="train")
     add_common(p)
     p.set_defaults(func=_cmd_generate)

@@ -75,13 +75,13 @@ class SweepGrid:
     mu_values: tuple[float, ...] = tuple(round(0.05 * k, 2) for k in range(1, 11))
     d_values: tuple[int, ...] = (16, 64, 256)
     n_train_values: tuple[int, ...] = (50, 200, 2000)
-    w_values: tuple[float, ...] = (0.5,)
-    epsilon_values: tuple[float, ...] = (0.0,)
+    w_values: tuple[float, ...] = (GenParams.w,)
+    epsilon_values: tuple[float, ...] = (GenParams.epsilon,)
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
-    n_test: int = 4000
-    sigma: float = 0.15
-    sigma_noise: float = 1.0
-    tau_mult: float = 10.0
+    n_test: int = GenParams.n_test
+    sigma: float = GenParams.sigma
+    sigma_noise: float = GenParams.sigma_noise
+    tau_mult: float = GenParams.tau_mult
 
     def __post_init__(self) -> None:
         # A repeated value would run one cell twice under the same derived seed.
@@ -310,7 +310,8 @@ def parse_sweep_config(text: str) -> SweepGrid:
     The first non-blank line must be the versioned header
     ``# mialab sweep config v1``.  Keys are ``SweepGrid`` fields: a tuple default
     takes whitespace- or comma-separated values typed like its entries, any other
-    default one value of its type.  Keys not present fall back to the defaults.
+    default one value of its type.  Keys not present fall back to the defaults;
+    a key given twice is rejected.
     """
     defaults = {f.name: f.default for f in fields(SweepGrid)}
     lines = [ln.strip() for ln in text.splitlines()]
@@ -328,6 +329,8 @@ def parse_sweep_config(text: str) -> SweepGrid:
         tokens = raw.replace(",", " ").split()
         if key not in defaults:
             raise ValidationError(f"unknown config key {key!r}")
+        if key in values:
+            raise ValidationError(f"config key {key!r} appears twice")
         default = defaults[key]
         try:
             if isinstance(default, tuple):

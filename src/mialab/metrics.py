@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .attacks import AttackScores, Orientation
+from .attacks import AttackScores, Orientation, ScoreKind
 from .errors import InsufficientDataError, ValidationError, open_text
 
 # The columns that name one sweep cell; every sweep record and table starts with them.
@@ -26,6 +26,8 @@ RESULT_COLUMNS = (*CELL_COLUMNS, "seed", "model", "score_kind", "auroc", "advant
 # columns are written verbatim, every other column is a float.
 _INT_COLUMNS = frozenset({"d", "n_train", "seed", "n_seeds"})
 _STR_COLUMNS = frozenset({"model", "score_kind", "side", "kind"})
+_RESULT_STR_VALUES = {"model": frozenset({"logistic", "lda"}),
+                      "score_kind": frozenset(k.value for k in ScoreKind)}
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,14 @@ def write_results_csv(rows, path: str) -> None:
     write_table(path, RESULT_COLUMNS, sorted(rows, key=lambda r: sort_key(r, order)))
 
 
-def _finite_float(raw: str) -> float:
-    """``float(raw)`` that rejects nan and inf, which mialab never writes."""
+def _result_field(column: str, raw: str):
+    """Typed results-CSV field; ``ValueError`` on nan, inf, or an unknown model or kind."""
+    if column in _INT_COLUMNS:
+        return int(raw)
+    if column in _RESULT_STR_VALUES:
+        if raw not in _RESULT_STR_VALUES[column]:
+            raise ValueError(raw)
+        return raw
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError(raw)
@@ -141,8 +149,7 @@ def read_results_csv(path: str) -> list[dict]:
             for c in RESULT_COLUMNS:
                 raw = parts[pos[c]]
                 try:
-                    row[c] = raw if c in _STR_COLUMNS else (
-                        int(raw) if c in _INT_COLUMNS else _finite_float(raw))
+                    row[c] = _result_field(c, raw)
                 except ValueError:
                     raise ValidationError(f"row {line_no}: bad {c} value {raw!r}") from None
             rows.append(row)

@@ -23,10 +23,10 @@ def _record_calls(monkeypatch, real, calls, entry):
 @pytest.fixture
 def lda_log_joints_calls(monkeypatch):
     """Row counts of every ``lda_log_joints`` call, through any mialab module's binding."""
-    import mialab
+    from mialab import linear_models
 
     calls = []
-    _record_calls(monkeypatch, mialab.linear_models.lda_log_joints, calls,
+    _record_calls(monkeypatch, linear_models.lda_log_joints, calls,
                   lambda model, X: X.shape[0])
     return calls
 

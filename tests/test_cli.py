@@ -99,6 +99,25 @@ def test_attack_rejects_unknown_kind(tmp_path, capsys):
     assert "unknown score kind" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["attack", "sweep"])
+def test_repeated_score_kind_exit_2(tmp_path, capsys, command):
+    # a repeated kind would write every score or result row twice and count each seed twice
+    out = tmp_path / "out.csv"
+    if command == "attack":
+        data, model_path = _trained_model(tmp_path)
+        argv = ["attack", "--model-file", str(model_path), "--member", str(data),
+                "--nonmember", str(data)]
+    else:
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text(CONFIG)
+        argv = ["sweep", "--config", str(cfg), "--summary-out", str(tmp_path / "s.csv")]
+    capsys.readouterr()
+    code = main([*argv, "--scores", "max_prob", "entropy", "max_prob", "--out", str(out)])
+    assert code == 2
+    assert "error: --scores repeats the kind 'max_prob'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("model", ["lda", "logistic"])
 def test_attack_rejects_model_data_dimension_mismatch(tmp_path, capsys, model):
     wide, narrow = tmp_path / "d8.csv", tmp_path / "d4.csv"
@@ -377,6 +396,21 @@ def test_results_row_with_non_numeric_field_exit_2(tmp_path, capsys, command):
         code = main([command, "--results", str(results), "--out", str(tmp_path / "out")])
         assert code == 2, value
         assert f"error: row 3: bad auroc value '{value}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["plot", "report"])
+def test_results_row_with_unknown_model_or_score_kind_exit_2(tmp_path, capsys, command):
+    results = tmp_path / "results.csv"
+    # l<da&x would land unescaped in an SVG legend; max_pr0b in a report row
+    for field, column, value in ((8, "model", "l<da&x"), (8, "model", "gbm"),
+                                 (9, "score_kind", "max_pr0b"), (9, "score_kind", "")):
+        _tiny_results_csv(results)
+        _corrupt_results_row(results, field, value)
+        out = tmp_path / f"out_{field}_{len(value)}"
+        code = main([command, "--results", str(results), "--out", str(out)])
+        assert code == 2, value
+        assert f"error: row 3: bad {column} value '{value}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_train_rejects_non_numeric_dataset_field_exit_2(tmp_path, capsys):

@@ -383,6 +383,9 @@ def test_grid_validation():
         SweepGrid(seeds=(3, 1, 3))
     with pytest.raises(ValidationError, match="mu_values repeats the value 0.2"):
         parse_sweep_config("# mialab sweep config v1\nmu_values = 0.2 0.1 0.20\n")
+    # the later line would silently replace the earlier one
+    with pytest.raises(ValidationError, match="config key 'mu_values' appears twice"):
+        parse_sweep_config("# mialab sweep config v1\nmu_values = 0.1\nmu_values = 0.3\n")
 
 
 def test_worker_env_var_default(monkeypatch):

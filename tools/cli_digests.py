@@ -29,7 +29,15 @@ CONFIGS = {
     # n_train = 2 leaves LDA too few samples, so that cell fails alone
     "fail.cfg": "mu_values = 0.3\nd_values = 2\nn_train_values = 2 40\n"
                 "seeds = 0\nn_test = 100\n",
+    "repeated_key.cfg": "mu_values = 0.1\nmu_values = 0.3\nd_values = 4\nn_train_values = 40\n"
+                        "seeds = 0\nn_test = 200\n",
 }
+
+# A results CSV whose model is none of mialab's; plot must reject it.
+BAD_MODEL_RESULTS = (
+    "d,n_train,mu,sigma,sigma_noise,w,epsilon,seed,model,score_kind,auroc,advantage,accuracy\n"
+    "4,40,0.1,0.15,1.0,0.5,0.0,0,l<da&x,max_prob,0.600000,0.600000,0.700000\n"
+)
 
 COMMANDS = [
     ("generate_train", ["generate", "--d", "8", "--n", "200", "--mu", "0.4", "--seed", "3",
@@ -68,6 +76,14 @@ COMMANDS = [
     ("attack_lda_d256", ["attack", "--model-file", "lda_d256.json", "--member", "train_d256.csv",
                          "--nonmember", "test_d256.csv", "--scores", *ALL_KINDS,
                          "--out", "scores_lda_d256.csv"]),
+    # three inputs mialab rejects with exit 2
+    ("sweep_repeated_kind", ["sweep", "--config", "grid.cfg", "--scores", "max_prob", "max_prob",
+                             "--out", "results_repeated_kind.csv",
+                             "--summary-out", "summary_repeated_kind.csv"]),
+    ("sweep_repeated_key", ["sweep", "--config", "repeated_key.cfg", "--workers", "1",
+                            "--out", "results_repeated_key.csv",
+                            "--summary-out", "summary_repeated_key.csv"]),
+    ("plot_bad_model", ["plot", "--results", "results_bad_model.csv", "--out", "plots_bad_model"]),
 ]
 
 
@@ -82,6 +98,7 @@ def main(argv: list[str]) -> int:
         return 1
     for name, body in CONFIGS.items():
         (out / name).write_text("# mialab sweep config v1\n" + body)
+    (out / "results_bad_model.csv").write_text(BAD_MODEL_RESULTS)
     env = {k: v for k, v in os.environ.items() if k != "MIALAB_WORKERS"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     logs = out / "logs"
