@@ -15,11 +15,14 @@ Posterior pairs are ``(P(-1|x), P(+1|x))``.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
+from scipy.linalg.blas import dtrmm
 from scipy.optimize import minimize
 from scipy.special import expit
 
@@ -55,6 +58,11 @@ class LdaModel:
     @property
     def d(self) -> int:
         return self.mean_pos.size
+
+    @functools.cached_property
+    def whitener(self) -> np.ndarray:
+        """``L^-1``, lower-triangular: one d x d solve per model, shared by every scoring call."""
+        return solve_triangular(self.chol_lower, np.eye(self.d), lower=True)
 
 
 def _check_train(data: Dataset, min_per_class: int = 1) -> None:
@@ -96,6 +104,8 @@ def fit_logistic(data: Dataset, tol: float = 1e-8, max_iter: int = 10_000) -> Lo
     """
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
     _check_train(data)
     X = np.asarray(data.features, dtype=np.float64)
     y = data.labels.astype(np.float64)
@@ -153,23 +163,30 @@ def fit_lda(data: Dataset) -> LdaModel:
 
     pos, neg = X[y == 1], X[y == -1]
     prior_pos = pos.shape[0] / n
-    mean_pos = pos.mean(axis=0)
-    mean_neg = neg.mean(axis=0)
+    # Finite features near the float limit overflow these sums; the checks
+    # below turn that into a DataError rather than a model full of inf/nan.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean_pos = pos.mean(axis=0)
+        mean_neg = neg.mean(axis=0)
+        if not np.isfinite(np.concatenate([mean_pos, mean_neg])).all():
+            raise DataError("class means are not finite (features too large to average)")
 
-    centered = np.empty_like(X)
-    centered[y == 1] = pos - mean_pos
-    centered[y == -1] = neg - mean_neg
-    pooled = (centered.T @ centered) / n
+        centered = np.empty_like(X)
+        centered[y == 1] = pos - mean_pos
+        centered[y == -1] = neg - mean_neg
+        pooled = (centered.T @ centered) / n
 
-    scale = np.sqrt(np.diag(pooled))
-    scale[scale == 0.0] = 1.0  # constant features: leave their axis alone
-    standardized = centered / scale
-    pooled_std = pooled / np.outer(scale, scale)
+        scale = np.sqrt(np.diag(pooled))
+        scale[scale == 0.0] = 1.0  # constant features: leave their axis alone
+        standardized = centered / scale
+        pooled_std = pooled / np.outer(scale, scale)
 
-    intensity = _ledoit_wolf_shrinkage(standardized, pooled_std)
-    target_std = (float(np.trace(pooled_std)) / d) * np.eye(d)
-    cov_std = (1.0 - intensity) * pooled_std + intensity * target_std
-    cov = cov_std * np.outer(scale, scale)
+        intensity = _ledoit_wolf_shrinkage(standardized, pooled_std)
+        target_std = (float(np.trace(pooled_std)) / d) * np.eye(d)
+        cov_std = (1.0 - intensity) * pooled_std + intensity * target_std
+        cov = cov_std * np.outer(scale, scale)
+    if not np.isfinite(cov).all():
+        raise DataError("shrunk covariance is not finite (features too large to square)")
 
     try:
         chol = np.linalg.cholesky(cov)
@@ -196,19 +213,29 @@ def lda_log_joints(model: LdaModel, X: np.ndarray) -> np.ndarray:
 
     With ``L`` the Cholesky factor and ``c = (mu_- + mu_+)/2`` the midpoint
     of the class means, the Mahalanobis term of class ``k`` is
-    ``|L^-1 (x - c) - L^-1 (mu_k - c)|^2``, so the rows are whitened by one
-    triangular solve per call, and the two class shifts by one d x 2 solve.
-    Centring at ``c`` is what keeps this exact: whitening raw ``x`` and
-    subtracting ``L^-1 mu_k`` cancels two large vectors when every feature
-    carries a common offset, and loses the quadratic form to rounding.
+    ``|W (x - c) - W (mu_k - c)|^2`` with ``W = L^-1``, the model's cached
+    :attr:`LdaModel.whitener`.  The rows are whitened by one triangular
+    multiply (BLAS ``trmm``), which does half the flops of a dense GEMM
+    with ``W`` and runs several times faster than a triangular solve with
+    ``L``; the class shifts take one d x 2 product.  Centring at ``c`` is
+    what keeps this exact: whitening raw ``x`` and subtracting ``W mu_k``
+    cancels two large vectors when every feature carries a common offset,
+    and loses the quadratic form to rounding.  For the same reason the
+    quadratic stays ``(z - shift)^2`` rather than ``|z|^2 - 2 z.shift +
+    |shift|^2``.
+
+    Rows that are not finite once centred raise ``DataError``.
     """
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     d = X.shape[1]
     const = -0.5 * (d * _LOG_2PI + model.log_det)
     means = np.column_stack([model.mean_neg, model.mean_pos])
     center = 0.5 * (model.mean_neg + model.mean_pos)
-    z = solve_triangular(model.chol_lower, (X - center).T, lower=True)
-    shifts = solve_triangular(model.chol_lower, means - center[:, None], lower=True)
+    centered = (X - center).T  # F-contiguous d x n, a fresh array trmm may overwrite
+    if not np.isfinite(centered).all():
+        raise DataError("rows are not finite once centred at the class-mean midpoint")
+    z = dtrmm(1.0, model.whitener, centered, lower=1, overwrite_b=1)
+    shifts = model.whitener @ (means - center[:, None])
     out = np.empty((X.shape[0], 2))
     priors = (1.0 - model.prior_pos, model.prior_pos)
     for idx, prior in enumerate(priors):
@@ -294,5 +321,5 @@ def deserialize_model(text: str):
                                       "are not finite (chol_lower is too small)")
             return model
         raise ValidationError(f"unknown model kind: {kind!r}")
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
         raise ValidationError(f"malformed model file: {exc}") from exc

@@ -20,7 +20,8 @@ from .errors import InsufficientDataError, ValidationError, open_text
 
 # The columns that name one sweep cell; every sweep record and table starts with them.
 CELL_COLUMNS = ("d", "n_train", "mu", "sigma", "sigma_noise", "w", "epsilon")
-RESULT_COLUMNS = (*CELL_COLUMNS, "seed", "model", "score_kind", "auroc", "advantage", "accuracy")
+RESULT_KEY = (*CELL_COLUMNS, "seed", "model", "score_kind")  # one results row per key
+RESULT_COLUMNS = (*RESULT_KEY, "auroc", "advantage", "accuracy")
 
 # The column schema of every table the CLI writes: int columns and string
 # columns are written verbatim, every other column is a float.
@@ -113,8 +114,7 @@ def write_table(path: str, columns, rows, float_format: str = ".6f") -> None:
 
 def write_results_csv(rows, path: str) -> None:
     """Write the per-(cell, seed, model, score) results table, sorted on those columns."""
-    order = (*CELL_COLUMNS, "seed", "model", "score_kind")
-    write_table(path, RESULT_COLUMNS, sorted(rows, key=lambda r: sort_key(r, order)))
+    write_table(path, RESULT_COLUMNS, sorted(rows, key=lambda r: sort_key(r, RESULT_KEY)))
 
 
 def _result_field(column: str, raw: str):
@@ -132,7 +132,12 @@ def _result_field(column: str, raw: str):
 
 
 def read_results_csv(path: str) -> list[dict]:
-    """Read a results CSV; a missing column or a malformed row raises ``ValidationError``."""
+    """Read a results CSV; a missing column, a malformed row or a repeated key raises
+    ``ValidationError``.
+
+    A repeated (cell, seed, model, score_kind) row would count as one more
+    seed in every summary, so it is rejected rather than read twice.
+    """
     with open_text(path) as fh:
         header = fh.readline().strip().split(",")
         missing = [c for c in RESULT_COLUMNS if c not in header]
@@ -140,6 +145,7 @@ def read_results_csv(path: str) -> list[dict]:
             raise ValidationError(f"results CSV missing columns: {', '.join(missing)}")
         pos = {c: header.index(c) for c in RESULT_COLUMNS}
         rows = []
+        first_row: dict[tuple, int] = {}
         for line_no, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) != len(header):
@@ -152,5 +158,9 @@ def read_results_csv(path: str) -> list[dict]:
                     row[c] = _result_field(c, raw)
                 except ValueError:
                     raise ValidationError(f"row {line_no}: bad {c} value {raw!r}") from None
+            first = first_row.setdefault(tuple(row[c] for c in RESULT_KEY), line_no)
+            if first != line_no:
+                raise ValidationError(f"row {line_no}: repeats the cell, seed, model and "
+                                      f"score_kind of row {first}")
             rows.append(row)
     return rows

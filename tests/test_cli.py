@@ -175,6 +175,10 @@ _MALFORMED_MODELS = {
                       "malformed model file: log-joints"),
     "chol_1e-160_I": ("lda", _set("chol_lower", (1e-160 * np.eye(4)).tolist()),
                       "malformed model file: log-joints"),
+    # finite means whose midpoint overflows
+    "means_near_float_max": ("lda", lambda payload: payload.update(
+        mean_pos=[1.7e308] * 4, mean_neg=[1.7e308] * 4),
+        "malformed model file: rows are not finite once centred"),
     "prior_above_1": ("lda", _set("prior_pos", 1.5), "prior_pos must lie in (0, 1)"),
     "prior_0": ("lda", _set("prior_pos", 0.0), "prior_pos must lie in (0, 1)"),
     "mean_length": ("lda", _set("mean_neg", [0.0, 1.0]), "means of one length d"),
@@ -244,6 +248,21 @@ def test_sweep_partial_failure_exit_3(tmp_path, capsys):
     assert "failed cells" in err
     assert "cell failed: {'d': 2, 'n_train': 4, 'mu': 0.1, 'sigma': 0.15, 'sigma_noise': 1.0, " \
         "'w': 0.01, 'epsilon': 0.0, 'seed': " in err
+
+
+def test_sweep_cell_whose_class_means_overflow_fails_alone(tmp_path, capsys):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(CONFIG.replace("mu_values = 0.1 0.3", "mu_values = 0.3 1e308")
+                   .replace("seeds = 0 1", "seeds = 0"))
+    results = tmp_path / "r.csv"
+    code = main(["sweep", "--config", str(cfg), "--scores", "max_prob", "--workers", "1",
+                 "--out", str(results), "--summary-out", str(tmp_path / "s.csv")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "'mu': 1e+308" in err and "'error': 'DataError: cell " in err
+    assert "class means are not finite" in err and "failed cells: 1" in err
+    rows = results.read_text().splitlines()[1:]
+    assert len(rows) == 2 and all(row.split(",")[2] == "0.300000" for row in rows)
 
 
 def test_sweep_rejects_repeated_axis_value_exit_2(tmp_path, capsys):
@@ -413,6 +432,25 @@ def test_results_row_with_unknown_model_or_score_kind_exit_2(tmp_path, capsys, c
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["plot", "report"])
+def test_results_with_repeated_row_exit_2(tmp_path, capsys, command):
+    header = "d,n_train,mu,sigma,sigma_noise,w,epsilon,seed,model,score_kind,auroc,advantage,accuracy"
+    seeds = ["4,40,0.1,0.15,1.0,0.5,0.0,0,lda,max_prob,0.600000,0.600000,0.700000",
+             "4,40,0.1,0.15,1.0,0.5,0.0,1,lda,max_prob,0.500000,0.500000,0.700000"]
+    results = tmp_path / "results.csv"
+    results.write_text("\n".join([header, *seeds]) + "\n")
+    assert main([command, "--results", str(results), "--out", str(tmp_path / "ok")]) == 0
+    capsys.readouterr()
+    # the copy would count as a third seed: n_seeds 3, mean 0.5333 instead of 0.55
+    results.write_text("\n".join([header, *seeds, seeds[1]]) + "\n")
+    out = tmp_path / "out"
+    code = main([command, "--results", str(results), "--out", str(out)])
+    assert code == 2
+    assert ("error: row 4: repeats the cell, seed, model and score_kind of row 3"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_train_rejects_non_numeric_dataset_field_exit_2(tmp_path, capsys):
     data = tmp_path / "data.csv"
     for row in ("x,0.5,0", "1,abc,0", "1,0.5,abc"):
@@ -421,6 +459,31 @@ def test_train_rejects_non_numeric_dataset_field_exit_2(tmp_path, capsys):
                      "--out", str(tmp_path / "model.json")])
         assert code == 2
         assert "error: row 2: non-numeric field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+def test_train_rejects_tol_that_is_not_finite_and_positive_exit_2(tmp_path, capsys, tol):
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    main(["generate", "--d", "4", "--n", "40", "--mu", "0.3", "--out", str(data)])
+    capsys.readouterr()
+    code = main(["train", "--model", "logistic", "--data", str(data), "--tol", tol,
+                 "--out", str(model)])
+    assert code == 2
+    assert f"error: tol must be finite and > 0, got {float(tol)!r}" in capsys.readouterr().err
+    assert not model.exists()
+
+
+def test_train_lda_on_features_whose_covariance_overflows_exit_2(tmp_path, capsys, recwarn):
+    # contamination at tau_mult 1e308 writes finite features near the float limit
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    assert main(["generate", "--d", "3", "--n", "5", "--mu", "0.1", "--epsilon", "0.5",
+                 "--tau-mult", "1e308", "--out", str(data)]) == 0
+    capsys.readouterr()
+    code = main(["train", "--model", "lda", "--data", str(data), "--out", str(model)])
+    assert code == 2
+    assert "error: shrunk covariance is not finite" in capsys.readouterr().err
+    assert not model.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 @pytest.mark.parametrize("model", ["lda", "logistic"])

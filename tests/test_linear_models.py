@@ -1,3 +1,4 @@
+import functools
 import json
 
 import numpy as np
@@ -98,6 +99,9 @@ def test_logistic_errors():
         fit_logistic(bad)
     with pytest.raises(ValidationError):
         fit_logistic(_random_dataset(10, 2, seed=0), max_iter=0)
+    for tol in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValidationError, match="tol must be finite and > 0"):
+            fit_logistic(_random_dataset(10, 2, seed=0), tol=tol)
 
 
 def test_logistic_posterior_values():
@@ -182,10 +186,24 @@ def test_lda_shrinkage_matches_brute_force_ledoit_wolf():
     assert model.shrinkage_intensity == pytest.approx(expected, abs=1e-10)
 
 
-def test_lda_errors():
+def test_lda_errors(recwarn):
     data = _dataset([[0.0], [1.0], [2.0]], [1, 1, -1])
     with pytest.raises(DegenerateDataError):
         fit_lda(data)  # negative class has a single sample
+
+    # finite features whose class sums, or whose squares, overflow
+    huge = _dataset([[1.5e308], [1.7e308], [-1.0], [1.0]], [1, 1, -1, -1])
+    with pytest.raises(DataError, match="class means are not finite"):
+        fit_lda(huge)
+    spread = _dataset([[1e200], [-1e200], [-1.0], [1.0]], [1, 1, -1, -1])
+    with pytest.raises(DataError, match="shrunk covariance is not finite"):
+        fit_lda(spread)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+    model = fit_lda(_random_dataset(20, 2, seed=0))
+    for bad in ([np.nan, 0.0], [0.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(DataError, match="rows are not finite once centred"):
+            lda_log_joints(model, np.array([[0.0, 0.0], bad]))
 
 
 def test_lda_posterior_symmetry_and_prior_only_cases():
@@ -281,18 +299,47 @@ def _lda_and_rows(d, n, offset=0.0):
     return model, generate_dataset(params, "test").features[:n] + offset
 
 
+def _badly_scaled_lda_and_rows(d):
+    """An LDA fit with near-zero shrinkage on 4000 rows, and 4000 test rows.
+
+    Every feature shares one common factor (correlation 0.99), and the
+    feature scales run from 1e-4 to 1e4, so ``chol_lower`` is badly
+    conditioned and the whitener ``L^-1`` has entries spread over 8 decades.
+    """
+    rng = np.random.default_rng(d)
+    scales = np.logspace(-4.0, 4.0, d)
+
+    def draw(n):
+        labels = np.where(rng.random(n) < 0.5, 1, -1)
+        rows = (np.sqrt(0.99) * rng.normal(size=(n, 1)) + np.sqrt(0.01) * rng.normal(size=(n, d))
+                + 0.1 * labels[:, None])
+        return rows * scales, labels
+
+    model = fit_lda(_dataset(*draw(4000)))
+    assert model.shrinkage_intensity < 1e-3
+    assert np.linalg.cond(model.chol_lower) > 1e8
+    return model, draw(4000)[0]
+
+
 # At offset 1e6, whitening uncentred rows would cancel two ~1e6-scale whitened vectors.
-@pytest.mark.parametrize("offset", [0.0, 1e6])
-@pytest.mark.parametrize("n", [1, 50, 4000])
-@pytest.mark.parametrize("d", [1, 16, 256])
-def test_lda_log_joints_match_per_class_solves(d, n, offset):
-    model, X = _lda_and_rows(d, n, offset)
+_LOG_JOINT_CASES = [
+    *(pytest.param(functools.partial(_lda_and_rows, d, n, offset), id=f"{d}-{n}-{offset}")
+      for d in (1, 16, 256) for n in (1, 50, 4000) for offset in (0.0, 1e6)),
+    *(pytest.param(functools.partial(_badly_scaled_lda_and_rows, d), id=f"badly_scaled-{d}")
+      for d in (64, 256)),
+]
+
+
+@pytest.mark.parametrize("case", _LOG_JOINT_CASES)
+def test_lda_log_joints_match_per_class_solves(case):
+    model, X = case()
     np.testing.assert_allclose(lda_log_joints(model, X), reference_lda_log_joints(model, X),
                                rtol=1e-12, atol=0.0)
 
 
-def test_lda_log_joints_whitens_the_rows_once(monkeypatch):
+def test_lda_log_joints_solve_only_for_the_whitener_once_per_model(monkeypatch):
     model, X = _lda_and_rows(16, 50)
+    other, _ = _lda_and_rows(16, 1)
     shapes = []
 
     def recording(a, b, **kwargs):
@@ -300,8 +347,12 @@ def test_lda_log_joints_whitens_the_rows_once(monkeypatch):
         return solve_triangular(a, b, **kwargs)
 
     monkeypatch.setattr("mialab.linear_models.solve_triangular", recording)
-    lda_log_joints(model, X)
-    assert [s for s in shapes if np.prod(s) >= X.size] == [(16, 50)]
+    first = lda_log_joints(model, X)
+    for _ in range(2):
+        assert lda_log_joints(model, X).tobytes() == first.tobytes()
+    lda_log_joints(other, X)
+    # one d x d solve per model for its whitener, and none the size of the data
+    assert shapes == [(16, 16), (16, 16)]
 
 
 def test_softmax_shift_invariance():

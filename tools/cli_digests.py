@@ -33,10 +33,17 @@ CONFIGS = {
                         "seeds = 0\nn_test = 200\n",
 }
 
+RESULTS_HEADER = (
+    "d,n_train,mu,sigma,sigma_noise,w,epsilon,seed,model,score_kind,auroc,advantage,accuracy\n")
 # A results CSV whose model is none of mialab's; plot must reject it.
-BAD_MODEL_RESULTS = (
-    "d,n_train,mu,sigma,sigma_noise,w,epsilon,seed,model,score_kind,auroc,advantage,accuracy\n"
+BAD_MODEL_RESULTS = RESULTS_HEADER + (
     "4,40,0.1,0.15,1.0,0.5,0.0,0,l<da&x,max_prob,0.600000,0.600000,0.700000\n"
+)
+# Two seeds of one cell with the second row repeated; report must reject it.
+REPEATED_ROW_RESULTS = RESULTS_HEADER + (
+    "4,40,0.1,0.15,1.0,0.5,0.0,0,lda,max_prob,0.600000,0.600000,0.700000\n"
+    "4,40,0.1,0.15,1.0,0.5,0.0,1,lda,max_prob,0.500000,0.500000,0.700000\n"
+    "4,40,0.1,0.15,1.0,0.5,0.0,1,lda,max_prob,0.500000,0.500000,0.700000\n"
 )
 
 COMMANDS = [
@@ -76,7 +83,7 @@ COMMANDS = [
     ("attack_lda_d256", ["attack", "--model-file", "lda_d256.json", "--member", "train_d256.csv",
                          "--nonmember", "test_d256.csv", "--scores", *ALL_KINDS,
                          "--out", "scores_lda_d256.csv"]),
-    # three inputs mialab rejects with exit 2
+    # inputs mialab rejects with exit 2
     ("sweep_repeated_kind", ["sweep", "--config", "grid.cfg", "--scores", "max_prob", "max_prob",
                              "--out", "results_repeated_kind.csv",
                              "--summary-out", "summary_repeated_kind.csv"]),
@@ -84,6 +91,17 @@ COMMANDS = [
                             "--out", "results_repeated_key.csv",
                             "--summary-out", "summary_repeated_key.csv"]),
     ("plot_bad_model", ["plot", "--results", "results_bad_model.csv", "--out", "plots_bad_model"]),
+    ("report_repeated_row", ["report", "--results", "results_repeated_row.csv",
+                             "--out", "privacy_utility_repeated_row.csv"]),
+    ("train_tol_nan", ["train", "--model", "logistic", "--data", "train.csv", "--tol", "nan",
+                       "--out", "logistic_tol_nan.json"]),
+    ("train_tol_negative", ["train", "--model", "logistic", "--data", "train.csv", "--tol", "-1",
+                            "--out", "logistic_tol_negative.json"]),
+    # finite features near the float limit, whose LDA covariance overflows
+    ("generate_overflow", ["generate", "--d", "3", "--n", "5", "--mu", "0.1", "--epsilon", "0.5",
+                           "--tau-mult", "1e308", "--out", "overflow.csv"]),
+    ("train_lda_overflow", ["train", "--model", "lda", "--data", "overflow.csv",
+                            "--out", "lda_overflow.json"]),
 ]
 
 
@@ -99,6 +117,7 @@ def main(argv: list[str]) -> int:
     for name, body in CONFIGS.items():
         (out / name).write_text("# mialab sweep config v1\n" + body)
     (out / "results_bad_model.csv").write_text(BAD_MODEL_RESULTS)
+    (out / "results_repeated_row.csv").write_text(REPEATED_ROW_RESULTS)
     env = {k: v for k, v in os.environ.items() if k != "MIALAB_WORKERS"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     logs = out / "logs"
