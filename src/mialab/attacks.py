@@ -17,7 +17,7 @@ score kind         score of one row                                 member if
 
 The boosted attack trains a gradient-boosted classifier on rows of members
 (attack label 1) and nonmembers (attack label 0) and scores a held-out half
-of each pool.  "member if" is the kind's orientation, used by AUROC.
+of each pool.  "member if" is the kind's orientation, which AUROC reads.
 """
 
 from __future__ import annotations
@@ -59,15 +59,18 @@ class ScoreKind(enum.Enum):
             return Orientation.LOWER_IS_MEMBER
         return Orientation.HIGHER_IS_MEMBER
 
+    def applies_to(self, model) -> bool:
+        """Whether this kind can score ``model``: ``lda_log_joint`` needs an LDA target."""
+        return self is not ScoreKind.LDA_LOG_JOINT or isinstance(model, LdaModel)
+
 
 @dataclass(frozen=True)
 class AttackScores:
-    """Member/nonmember score samples for one score kind."""
+    """Member/nonmember score samples for one score kind, oriented as the kind is."""
 
     member_scores: np.ndarray
     nonmember_scores: np.ndarray
     kind: ScoreKind
-    orientation: Orientation
 
     def __post_init__(self) -> None:
         for name, arr in (
@@ -82,12 +85,11 @@ class AttackScores:
 
 @dataclass(frozen=True)
 class TargetOutputs:
-    """One target's per-row posterior and pre-softmax pairs; ``log_joints`` marks LDA's."""
+    """One target's per-row posterior and pre-softmax pairs, and the true label indices."""
 
     probs: np.ndarray
     logits: np.ndarray
     label_idx: np.ndarray
-    log_joints: bool
 
 
 def label_indices(labels: np.ndarray) -> np.ndarray:
@@ -119,22 +121,16 @@ def threshold_scores(
 def model_outputs(model, data: Dataset) -> TargetOutputs:
     """The target's outputs on ``data``, computed once for every score kind.
 
-    LDA logits are its log-joints and logistic logits ``(0, w.x + b)``.  A
-    target may instead provide ``output_matrix(X, "probs" | "logits")``.
+    LDA logits are its log-joints and logistic logits ``(0, w.x + b)``.
     """
     X, label_idx = data.features, label_indices(data.labels)
-    if hasattr(model, "output_matrix"):
-        probs, logits = (np.asarray(model.output_matrix(X, interface), dtype=np.float64)
-                         for interface in ("probs", "logits"))
-        return TargetOutputs(probs, logits, label_idx, log_joints=False)
     if isinstance(model, LdaModel):
         logits = lda_log_joints(model, X)
-        return TargetOutputs(softmax_pairs(logits), logits, label_idx, log_joints=True)
+        return TargetOutputs(softmax_pairs(logits), logits, label_idx)
     if isinstance(model, LogisticModel):
         z = np.asarray(X, dtype=np.float64) @ model.weights + model.bias
         return TargetOutputs(logistic_posteriors(model, X),
-                             np.column_stack([np.zeros_like(z), z]),
-                             label_idx, log_joints=False)
+                             np.column_stack([np.zeros_like(z), z]), label_idx)
     raise ValidationError(f"unsupported target model: {type(model).__name__}")
 
 
@@ -146,18 +142,15 @@ def accuracy(outputs: TargetOutputs) -> float:
 def membership_scores(
     kind: ScoreKind, member: TargetOutputs, nonmember: TargetOutputs, seed: int = 0
 ) -> AttackScores:
-    """Scores of one kind for one target; ``seed`` seeds the boosted attack's split."""
+    """Scores of one kind that applies to the target; ``seed`` seeds the boosted split."""
     if kind in (ScoreKind.GBM_PROBS, ScoreKind.GBM_LOGITS):
         return _gbm_scores(member, nonmember, kind, seed)
     if kind is ScoreKind.LDA_LOG_JOINT:
-        if not (member.log_joints and nonmember.log_joints):
-            raise ValidationError("lda_log_joint requires an lda model")
         sides = [out.logits.max(axis=1) for out in (member, nonmember)]
     else:
         sides = [threshold_scores(kind, out.probs, out.label_idx)
                  for out in (member, nonmember)]
-    return AttackScores(member_scores=sides[0], nonmember_scores=sides[1],
-                        kind=kind, orientation=kind.orientation)
+    return AttackScores(member_scores=sides[0], nonmember_scores=sides[1], kind=kind)
 
 
 def _attack_matrix(outputs: TargetOutputs, kind: ScoreKind) -> np.ndarray:
@@ -199,12 +192,8 @@ def _gbm_scores(
     # prediction is per row, so one call on both eval halves scores each as two calls would
     probs = gbm_predict_matrix(attack_model, np.vstack([eval_m, eval_n]))
 
-    return AttackScores(
-        member_scores=probs[: eval_m.shape[0]],
-        nonmember_scores=probs[eval_m.shape[0] :],
-        kind=kind,
-        orientation=Orientation.HIGHER_IS_MEMBER,
-    )
+    return AttackScores(member_scores=probs[: eval_m.shape[0]],
+                        nonmember_scores=probs[eval_m.shape[0] :], kind=kind)
 
 
 def run_gbm_attack(

@@ -78,16 +78,15 @@ def _cmd_attack(args) -> int:
     for side, data in (("member", member), ("nonmember", nonmember)):
         if data.d != model.d:
             raise ValidationError(f"model has d={model.d} but {side} data has d={data.d}")
-    kinds = _score_kinds(args.scores)
-    outputs = [attacks.model_outputs(model, data) for data in (member, nonmember)]
+    _, pairs = harness.attack_target(model, member, nonmember, _score_kinds(args.scores),
+                                     args.seed)
     all_rows = []
-    for kind in kinds:
-        scores = attacks.membership_scores(kind, *outputs, seed=args.seed)
-        result = metrics.attack_result(scores)
-        print(f"{kind.value}: auroc={result.auroc:.6f} advantage={result.advantage:.6f}")
+    for scores, result in pairs:
+        kind = scores.kind.value
+        print(f"{kind}: auroc={result.auroc:.6f} advantage={result.advantage:.6f}")
         for side, arr in (("member", scores.member_scores),
                           ("nonmember", scores.nonmember_scores)):
-            all_rows.extend({"side": side, "score": v, "kind": kind.value} for v in arr)
+            all_rows.extend({"side": side, "score": v, "kind": kind} for v in arr)
     metrics.write_table(args.out, ("side", "score", "kind"), all_rows, float_format=".9g")
     print(f"wrote scores to {args.out}")
     return EXIT_OK

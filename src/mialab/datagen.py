@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, open_text
+from .errors import DataError, ValidationError, open_text
 
 _TAG_TRAIN = 0
 _TAG_TEST = 1
@@ -158,7 +158,14 @@ def _contaminate(
 
 
 def write_csv(data: Dataset, path: str) -> None:
-    """Write ``y,x0,...,x{d-1},contam`` rows with 9-significant-digit floats."""
+    """Write ``y,x0,...,x{d-1},contam`` rows with 9-significant-digit floats.
+
+    Features that overflowed (a contamination scale near the float limit)
+    raise ``DataError`` before the file is opened: :func:`read_csv` rejects them.
+    """
+    bad = int(np.count_nonzero(~np.isfinite(data.features)))
+    if bad:
+        raise DataError(f"{bad} features are not finite (drawn beyond the float range)")
     cols = ",".join(f"x{j}" for j in range(data.d))
     with open(path, "w", newline="\n") as fh:
         fh.write(f"y,{cols},contam\n")

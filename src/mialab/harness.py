@@ -142,10 +142,26 @@ def cell_seed(base_seed: int, grid_seed: int, params: GenParams) -> int:
     return state
 
 
+def attack_target(model, member, nonmember, kinds, seed: int):
+    """Attack ``model``, trained on ``member``, with each of ``kinds`` from one output pass.
+
+    Returns the accuracy on ``nonmember`` and a ``(scores, result)`` pair per kind;
+    ``seed`` seeds the boosted attack's split.  A kind that does not apply to
+    ``model`` raises ``ValidationError`` before anything is computed.
+    """
+    for kind in kinds:
+        if not kind.applies_to(model):
+            raise ValidationError(f"{kind.value} requires an lda model")
+    outputs = model_outputs(model, member), model_outputs(model, nonmember)
+    scores = [membership_scores(kind, *outputs, seed) for kind in kinds]
+    return accuracy(outputs[1]), [(s, attack_result(s)) for s in scores]
+
+
 def run_cell(params: GenParams, kinds=DEFAULT_SCORE_KINDS) -> list[dict]:
     """Run one configuration end to end; deterministic given ``params``.
 
-    Returns a row per (model, score kind) with every ``RESULT_COLUMNS`` entry but ``seed``.
+    Returns a row per (model, score kind) with every ``RESULT_COLUMNS`` entry but
+    ``seed``; a kind that does not apply to a model gives that model no row.
     """
     kinds = tuple(kinds)
     cell = {c: getattr(params, c) for c in CELL_COLUMNS}
@@ -157,16 +173,11 @@ def run_cell(params: GenParams, kinds=DEFAULT_SCORE_KINDS) -> list[dict]:
         rows = []
         for name, fit in (("logistic", fit_logistic), ("lda", fit_lda)):
             model = fit(train)
-            # Outputs are computed once per dataset and shared by every kind.
-            member, nonmember = model_outputs(model, train), model_outputs(model, test)
-            acc = accuracy(nonmember)
-            for kind in kinds:
-                if kind is ScoreKind.LDA_LOG_JOINT and not member.log_joints:
-                    continue
-                result = attack_result(membership_scores(kind, member, nonmember, split_seed))
-                rows.append({**cell, "model": name, "score_kind": kind.value,
-                             "auroc": result.auroc, "advantage": result.advantage,
-                             "accuracy": acc})
+            acc, pairs = attack_target(model, train, test,
+                                       [k for k in kinds if k.applies_to(model)], split_seed)
+            rows.extend({**cell, "model": name, "score_kind": scores.kind.value,
+                         "auroc": result.auroc, "advantage": result.advantage,
+                         "accuracy": acc} for scores, result in pairs)
     except MialabError as exc:
         raise type(exc)(f"cell {params}: {exc}") from exc
     return rows

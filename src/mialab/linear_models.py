@@ -83,6 +83,8 @@ def _logistic_objective(theta, X, y):
     Margins are clipped at +/-690 so saturated samples cannot push exp()
     into the subnormal range (exact to ~1e-300, but orders of magnitude
     faster: denormal operands stall both the ufuncs and the optimizer).
+    Finite features near the float limit overflow the margins or the
+    gradient; that raises ``DataError`` instead of steering the optimizer.
     """
     n, d = X.shape
     w, b = theta[:d], theta[d]
@@ -92,6 +94,8 @@ def _logistic_objective(theta, X, y):
     grad = np.empty(d + 1)
     grad[:d] = X.T @ coef
     grad[d] = coef.sum()
+    if not (math.isfinite(loss) and np.isfinite(grad).all()):
+        raise DataError("logistic loss or gradient is not finite (features too large to fit)")
     return loss, grad
 
 
@@ -100,7 +104,8 @@ def fit_logistic(data: Dataset, tol: float = 1e-8, max_iter: int = 10_000) -> Lo
 
     ``converged`` records whether the gradient infinity-norm at the returned
     point is <= ``tol``.  Separable data may exhaust ``max_iter`` instead;
-    that is recorded, not raised.
+    that is recorded, not raised.  Features so large that the loss or its
+    gradient overflows raise ``DataError``.
     """
     if max_iter < 1:
         raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
@@ -111,15 +116,17 @@ def fit_logistic(data: Dataset, tol: float = 1e-8, max_iter: int = 10_000) -> Lo
     y = data.labels.astype(np.float64)
     d = X.shape[1]
 
-    res = minimize(
-        _logistic_objective,
-        np.zeros(d + 1),
-        args=(X, y),
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": max_iter, "maxfun": 50 * max_iter, "ftol": 1e-16, "gtol": tol},
-    )
-    _, grad = _logistic_objective(res.x, X, y)
+    # The objective raises DataError where it overflows, so numpy's warnings are moot.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = minimize(
+            _logistic_objective,
+            np.zeros(d + 1),
+            args=(X, y),
+            jac=True,
+            method="L-BFGS-B",
+            options={"maxiter": max_iter, "maxfun": 50 * max_iter, "ftol": 1e-16, "gtol": tol},
+        )
+        _, grad = _logistic_objective(res.x, X, y)
     return LogisticModel(
         weights=res.x[:d].copy(),
         bias=float(res.x[d]),
@@ -282,11 +289,19 @@ def deserialize_model(text: str):
         payload = json.loads(text)
         kind = payload["kind"]
         if kind == "logistic":
+            converged, iterations = payload["converged"], payload["iterations"]
+            # bool("false") is True and int(3.7) is 3, so neither is converted
+            if not isinstance(converged, bool):
+                raise ValidationError(f"malformed model file: converged must be a JSON "
+                                      f"boolean, got {converged!r}")
+            if type(iterations) is not int or iterations < 0:
+                raise ValidationError(f"malformed model file: iterations must be a "
+                                      f"nonnegative JSON integer, got {iterations!r}")
             model = LogisticModel(
                 weights=np.asarray(payload["weights"], dtype=np.float64),
                 bias=float(payload["bias"]),
-                converged=bool(payload["converged"]),
-                iterations=int(payload["iterations"]),
+                converged=converged,
+                iterations=iterations,
             )
             if model.weights.ndim != 1 or not model.weights.size \
                     or not np.isfinite(np.append(model.weights, model.bias)).all():

@@ -3,8 +3,8 @@
 AUROC is computed as the Mann-Whitney rank statistic: the fraction of
 (member, nonmember) pairs where the member scores more member-like, with
 ties counted 1/2.  That equals the trapezoidal area under the ROC curve
-obtained by sweeping a decision threshold.  The score's orientation is
-applied first, so kinds where lower means "more member-like" are handled
+obtained by sweeping a decision threshold.  The score kind's orientation
+is applied first, so kinds where lower means "more member-like" are handled
 uniformly.
 """
 
@@ -60,7 +60,7 @@ def auroc(scores: AttackScores) -> float:
     nonmembers = np.asarray(scores.nonmember_scores, dtype=np.float64)
     if members.size == 0 or nonmembers.size == 0:
         raise InsufficientDataError("both score sides must be nonempty")
-    if scores.orientation is Orientation.LOWER_IS_MEMBER:
+    if scores.kind.orientation is Orientation.LOWER_IS_MEMBER:
         members, nonmembers = -members, -nonmembers
     ranks = _average_ranks(np.concatenate([members, nonmembers]))
     n_m, n_n = members.size, nonmembers.size

@@ -13,7 +13,6 @@ import pytest
 
 from mialab.attacks import (
     AttackScores,
-    Orientation,
     ScoreKind,
     label_indices,
     run_gbm_attack,
@@ -180,7 +179,6 @@ def test_criterion_5_auroc_oracle_equivalence():
             member_scores=member.astype(float),
             nonmember_scores=nonmember.astype(float),
             kind=ScoreKind.MAX_PROB,
-            orientation=Orientation.HIGHER_IS_MEMBER,
         )
         wins = (member[:, None] > nonmember[None, :]).sum()
         ties = (member[:, None] == nonmember[None, :]).sum()
@@ -200,7 +198,6 @@ def test_criterion_6_null_calibration():
             member_scores=rng.normal(size=500),
             nonmember_scores=rng.normal(size=500),
             kind=ScoreKind.MAX_PROB,
-            orientation=Orientation.HIGHER_IS_MEMBER,
         )
         a = auroc(scores)
         values.append(a)
@@ -295,7 +292,6 @@ def test_criterion_9_attack_hierarchy():
                 member_scores=threshold_scores(kind, p_train, label_indices(train.labels)),
                 nonmember_scores=threshold_scores(kind, p_test, label_indices(test.labels)),
                 kind=kind,
-                orientation=kind.orientation,
             )
             store.append(auroc(scores))
         gbm_vals.append(auroc(run_gbm_attack(target, train, test,

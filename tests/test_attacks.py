@@ -41,9 +41,8 @@ def test_score_kind_orientations_documented():
 def _one_row(probs=(0.5, 0.5), label_idx=1, logits=None):
     """One-row target outputs; given logits stand for an LDA target's log-joints."""
     probs = np.array([probs], dtype=np.float64)
-    log_joints = logits is not None
-    logits = np.array([logits], dtype=np.float64) if log_joints else np.zeros_like(probs)
-    return TargetOutputs(probs, logits, np.array([label_idx]), log_joints=log_joints)
+    logits = np.zeros_like(probs) if logits is None else np.array([logits], dtype=np.float64)
+    return TargetOutputs(probs, logits, np.array([label_idx]))
 
 
 def _score(kind, **row):
@@ -82,9 +81,15 @@ def test_lda_log_joint_score():
         base + 3.0)
     with pytest.raises(ValidationError):
         _score(ScoreKind.LDA_LOG_JOINT, logits=[np.inf, 0.0])
+
+
+def test_score_kind_applies_to_targets():
     # a discriminative target's logits are not log-joints
-    with pytest.raises(ValidationError, match="requires an lda model"):
-        _score(ScoreKind.LDA_LOG_JOINT, probs=[0.3, 0.7])
+    logistic = LogisticModel(weights=np.zeros(2), bias=0.0, converged=True, iterations=0)
+    lda = fit_lda(_toy_pair(seed=0, n_train=20, n_test=2)[0])
+    for kind in ScoreKind:
+        assert kind.applies_to(lda)
+        assert kind.applies_to(logistic) is (kind is not ScoreKind.LDA_LOG_JOINT)
 
 
 @settings(max_examples=60, deadline=None)
@@ -93,7 +98,7 @@ def test_batch_threshold_scores_match_single_sample(ps):
     # every row of a batch scores as it does alone, and as its closed form
     p = np.array(ps)
     batch = TargetOutputs(np.column_stack([1 - p, p]), np.zeros((p.size, 2)),
-                          np.ones(p.size, dtype=np.intp), log_joints=False)
+                          np.ones(p.size, dtype=np.intp))
     closed_forms = {
         ScoreKind.MAX_PROB: np.maximum(p, 1 - p),
         ScoreKind.ENTROPY: -(p * np.log(p) + (1 - p) * np.log(1 - p)),
@@ -115,8 +120,7 @@ def test_entropy_and_max_prob_rank_identically_for_binary():
     def scores_for(kind):
         member = threshold_scores(kind, np.column_stack([1 - p_member, p_member]))
         nonmember = threshold_scores(kind, np.column_stack([1 - p_nonmember, p_nonmember]))
-        return AttackScores(member_scores=member, nonmember_scores=nonmember,
-                            kind=kind, orientation=kind.orientation)
+        return AttackScores(member_scores=member, nonmember_scores=nonmember, kind=kind)
 
     a = auroc(scores_for(ScoreKind.MAX_PROB))
     b = auroc(scores_for(ScoreKind.ENTROPY))
@@ -128,9 +132,10 @@ def test_orientation_flip_preserves_advantage():
     member = rng.normal(size=50)
     nonmember = rng.normal(size=60) + 0.5
     base = AttackScores(member_scores=member, nonmember_scores=nonmember,
-                        kind=ScoreKind.MAX_PROB, orientation=Orientation.HIGHER_IS_MEMBER)
+                        kind=ScoreKind.MAX_PROB)
+    # negated scores under a lower-is-member kind rank the pairs as the base does
     flipped = AttackScores(member_scores=-member, nonmember_scores=-nonmember,
-                           kind=ScoreKind.MAX_PROB, orientation=Orientation.LOWER_IS_MEMBER)
+                           kind=ScoreKind.LOG_LOSS)
     assert auroc(base) == auroc(flipped)
     assert advantage(auroc(base)) == advantage(auroc(flipped))
 
@@ -166,11 +171,10 @@ def test_model_outputs_interfaces():
     np.testing.assert_allclose(out.probs.sum(axis=1), 1.0, atol=1e-12)
     np.testing.assert_allclose(out.logits[:, 0], 0.0)
     np.testing.assert_allclose(out.logits[:, 1], [0.0, 3.0])
-    assert out.label_idx.tolist() == [0, 1] and not out.log_joints
+    assert out.label_idx.tolist() == [0, 1]
     member, nonmember = _toy_pair(seed=2, n_train=40, n_test=40, d=3)
     lda = fit_lda(member)
     out = model_outputs(lda, nonmember)
-    assert out.log_joints
     assert out.logits.tobytes() == lda_log_joints(lda, nonmember.features).tobytes()
     assert out.probs.tobytes() == softmax_pairs(out.logits).tobytes()
     with pytest.raises(ValidationError):
@@ -179,21 +183,15 @@ def test_model_outputs_interfaces():
         run_gbm_attack(model, data, data, interface="raw")
 
 
-class _MemorizingTarget:
-    """Returns one-hot posteriors for memorized rows, uniform elsewhere."""
-
-    def __init__(self, features, labels):
-        self._keys = {row.tobytes(): int(lab) for row, lab in zip(features, labels)}
-
-    def output_matrix(self, X, interface):
-        out = np.full((len(X), 2), 0.5)
-        for i, row in enumerate(np.asarray(X)):
-            label = self._keys.get(row.tobytes())
-            if label is not None:
-                out[i] = [1.0, 0.0] if label == -1 else [0.0, 1.0]
-        if interface == "logits":
-            return np.log(np.maximum(out, 1e-10))
-        return out
+def _memorizing_outputs(memorized: Dataset, data: Dataset) -> TargetOutputs:
+    """A target's outputs on ``data``: one-hot posteriors on memorized rows, uniform elsewhere."""
+    keys = {row.tobytes(): int(lab) for row, lab in zip(memorized.features, memorized.labels)}
+    probs = np.full((data.n, 2), 0.5)
+    for i, row in enumerate(data.features):
+        label = keys.get(row.tobytes())
+        if label is not None:
+            probs[i] = [1.0, 0.0] if label == -1 else [0.0, 1.0]
+    return TargetOutputs(probs, np.log(np.maximum(probs, 1e-10)), label_indices(data.labels))
 
 
 def _toy_pair(seed, n_train=200, n_test=200, d=2):
@@ -203,8 +201,8 @@ def _toy_pair(seed, n_train=200, n_test=200, d=2):
 
 def test_gbm_attack_on_memorizing_target_is_strong():
     member, nonmember = _toy_pair(seed=0)
-    target = _MemorizingTarget(member.features, member.labels)
-    scores = run_gbm_attack(target, member, nonmember, interface="probs", split_seed=0)
+    scores = membership_scores(ScoreKind.GBM_PROBS, _memorizing_outputs(member, member),
+                               _memorizing_outputs(member, nonmember), seed=0)
     assert scores.kind is ScoreKind.GBM_PROBS
     assert auroc(scores) >= 0.95
 
@@ -277,7 +275,7 @@ def test_scores_csv(tmp_path):
 def test_attack_scores_validation():
     with pytest.raises(ValidationError):
         AttackScores(member_scores=np.array([]), nonmember_scores=np.array([1.0]),
-                     kind=ScoreKind.MAX_PROB, orientation=Orientation.HIGHER_IS_MEMBER)
+                     kind=ScoreKind.MAX_PROB)
     with pytest.raises(ValidationError):
         AttackScores(member_scores=np.array([np.nan]), nonmember_scores=np.array([1.0]),
-                     kind=ScoreKind.MAX_PROB, orientation=Orientation.HIGHER_IS_MEMBER)
+                     kind=ScoreKind.MAX_PROB)

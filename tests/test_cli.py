@@ -52,6 +52,16 @@ def test_generate_validation_error_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_generate_refuses_to_write_non_finite_features_exit_2(tmp_path, capsys):
+    # contamination at tau_mult 1e308 draws some features beyond the float range
+    out = tmp_path / "x.csv"
+    code = main(["generate", "--d", "3", "--n", "200", "--mu", "0.1", "--epsilon", "0.5",
+                 "--tau-mult", "1e308", "--out", str(out)])
+    assert code == 2
+    assert "error: 13 features are not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_command_and_flag(tmp_path, capsys):
     assert main(["explode"]) == 1
     capsys.readouterr()
@@ -155,6 +165,20 @@ def test_attack_computes_lda_outputs_once_per_dataset(tmp_path, capsys, lda_log_
     assert lda_log_joints_calls == [2, 40, 40]
 
 
+def test_attack_rejects_lda_log_joint_on_logistic_before_scoring_exit_2(tmp_path, capsys):
+    data, model_path = _trained_model(tmp_path, "logistic")
+    scores = tmp_path / "s.csv"
+    capsys.readouterr()
+    code = main(["attack", "--model-file", str(model_path), "--member", str(data),
+                 "--nonmember", str(data), "--scores", "max_prob", "gbm_probs", "lda_log_joint",
+                 "--out", str(scores)])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: lda_log_joint requires an lda model" in captured.err
+    assert not scores.exists()
+
+
 def _set(field, value):
     return lambda payload: payload.__setitem__(field, value)
 
@@ -186,6 +210,13 @@ _MALFORMED_MODELS = {
                        "nonempty finite vector"),
     "weights_empty": ("logistic", _set("weights", []), "nonempty finite vector"),
     "bias_string": ("logistic", _set("bias", "x"), "malformed model file"),
+    # bool("false") is True and int(3.7) is 3: no conversion may hide a wrong JSON type
+    "converged_string": ("logistic", _set("converged", "false"),
+                         "malformed model file: converged must be a JSON boolean"),
+    "iterations_float": ("logistic", _set("iterations", 3.7),
+                         "malformed model file: iterations must be a nonnegative JSON integer"),
+    "iterations_negative": ("logistic", _set("iterations", -1),
+                            "malformed model file: iterations must be a nonnegative JSON"),
 }
 
 
@@ -260,7 +291,7 @@ def test_sweep_cell_whose_class_means_overflow_fails_alone(tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "'mu': 1e+308" in err and "'error': 'DataError: cell " in err
-    assert "class means are not finite" in err and "failed cells: 1" in err
+    assert "logistic loss or gradient is not finite" in err and "failed cells: 1" in err
     rows = results.read_text().splitlines()[1:]
     assert len(rows) == 2 and all(row.split(",")[2] == "0.300000" for row in rows)
 
@@ -482,6 +513,18 @@ def test_train_lda_on_features_whose_covariance_overflows_exit_2(tmp_path, capsy
     code = main(["train", "--model", "lda", "--data", str(data), "--out", str(model)])
     assert code == 2
     assert "error: shrunk covariance is not finite" in capsys.readouterr().err
+    assert not model.exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_train_logistic_on_features_whose_loss_overflows_exit_2(tmp_path, capsys, recwarn):
+    data, model = tmp_path / "data.csv", tmp_path / "model.json"
+    assert main(["generate", "--d", "3", "--n", "5", "--mu", "0.1", "--epsilon", "0.5",
+                 "--tau-mult", "1e308", "--out", str(data)]) == 0
+    capsys.readouterr()
+    code = main(["train", "--model", "logistic", "--data", str(data), "--out", str(model)])
+    assert code == 2
+    assert "error: logistic loss or gradient is not finite" in capsys.readouterr().err
     assert not model.exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from mialab.attacks import ScoreKind
-from mialab.datagen import GenParams
+from mialab.datagen import GenParams, generate_dataset
 from mialab.errors import MialabError, ValidationError
 from mialab import harness
 from mialab.harness import (
@@ -21,7 +21,8 @@ from mialab.harness import (
     run_sweep,
     summarize,
 )
-from mialab.metrics import CELL_COLUMNS, RESULT_COLUMNS, write_results_csv, write_table
+from mialab.linear_models import fit_lda, fit_logistic
+from mialab.metrics import CELL_COLUMNS, RESULT_COLUMNS, auroc, write_results_csv, write_table
 
 from _payloads import config_payloads
 
@@ -116,6 +117,24 @@ def test_run_cell_computes_lda_outputs_once_per_dataset(lda_log_joints_calls):
     rows = run_cell(params, kinds=tuple(ScoreKind))
     assert lda_log_joints_calls == [60, 200]
     assert len(_attacks(rows)) == 2 * len(ScoreKind) - 1  # no lda_log_joint on logistic
+
+
+def test_attack_target_rejects_a_kind_before_computing_outputs(monkeypatch):
+    params = GenParams(d=4, n_train=60, n_test=200, mu=0.3, seed=5)
+    train, test = generate_dataset(params, "train"), generate_dataset(params, "test")
+    sizes = []
+    real = harness.model_outputs
+    monkeypatch.setattr(harness, "model_outputs",
+                        lambda model, data: sizes.append(data.n) or real(model, data))
+    kinds = (ScoreKind.MAX_PROB, ScoreKind.GBM_PROBS, ScoreKind.LDA_LOG_JOINT)
+    with pytest.raises(ValidationError, match="lda_log_joint requires an lda model"):
+        harness.attack_target(fit_logistic(train), train, test, kinds, seed=0)
+    assert sizes == []
+    acc, pairs = harness.attack_target(fit_lda(train), train, test, kinds, seed=0)
+    assert sizes == [60, 200]
+    assert [scores.kind for scores, _ in pairs] == list(kinds)
+    assert all(result.auroc == auroc(scores) for scores, result in pairs)
+    assert 0.5 < acc <= 1.0
 
 
 def test_run_cell_attaches_cell_context_to_errors():

@@ -90,7 +90,7 @@ def test_logistic_gradient_matches_finite_differences():
         assert fd == pytest.approx(grad_off[j], rel=1e-4)
 
 
-def test_logistic_errors():
+def test_logistic_errors(recwarn):
     data = _dataset([[0.0], [1.0]], [1, 1])
     with pytest.raises(DegenerateDataError):
         fit_logistic(data)
@@ -102,6 +102,15 @@ def test_logistic_errors():
     for tol in (np.nan, np.inf, 0.0, -1.0):
         with pytest.raises(ValidationError, match="tol must be finite and > 0"):
             fit_logistic(_random_dataset(10, 2, seed=0), tol=tol)
+
+    # finite features near the float limit overflow the margins of the first step
+    huge = generate_dataset(GenParams(d=3, n_train=5, mu=0.1, seed=0, epsilon=0.5,
+                                      tau_mult=1e308), "train")
+    assert np.isfinite(huge.features).all() and np.abs(huge.features).max() > 1e307
+    for data in (huge, _dataset([[1e308], [-1e308], [1e308], [-1e308]], [1, -1, 1, -1])):
+        with pytest.raises(DataError, match="logistic loss or gradient is not finite"):
+            fit_logistic(data)
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_logistic_posterior_values():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mialab.attacks import AttackScores, Orientation, ScoreKind
+from mialab.attacks import AttackScores, ScoreKind
 from mialab.errors import InsufficientDataError, MialabError, ValidationError
 from mialab.metrics import (
     RESULT_COLUMNS,
@@ -19,12 +19,11 @@ from mialab.metrics import (
 from _payloads import table_payloads
 
 
-def _scores(member, nonmember, orientation=Orientation.HIGHER_IS_MEMBER):
+def _scores(member, nonmember, kind=ScoreKind.MAX_PROB):
     return AttackScores(
         member_scores=np.asarray(member, dtype=np.float64),
         nonmember_scores=np.asarray(nonmember, dtype=np.float64),
-        kind=ScoreKind.MAX_PROB,
-        orientation=orientation,
+        kind=kind,
     )
 
 
@@ -44,8 +43,10 @@ def test_auroc_basic_cases():
 
 
 def test_auroc_orientation_applied_first():
-    # losses: members lower
-    assert auroc(_scores([0.1, 0.2], [0.8, 0.9], Orientation.LOWER_IS_MEMBER)) == 1.0
+    # the orientation is the kind's: entropies and losses are lower on members
+    for kind in (ScoreKind.ENTROPY, ScoreKind.LOG_LOSS):
+        assert auroc(_scores([0.1, 0.2], [0.8, 0.9], kind)) == 1.0
+    assert auroc(_scores([0.1, 0.2], [0.8, 0.9], ScoreKind.MAX_PROB)) == 0.0
 
 
 def test_auroc_complement_for_tie_free_inputs():

@@ -7,7 +7,7 @@ checkout's ``src``, in OUTDIR, which must be new or empty.  The manifest,
 ``OUTDIR/MANIFEST``, holds one ``sha256  path`` line per file under OUTDIR,
 sorted by path: every output file, and each command's stdout, stderr and exit
 code.  Run it on two checkouts and diff the two manifests to see which CLI
-output bytes a change alters.  It takes about 28 s on two cores.
+output bytes a change alters.  It takes about 30 s on two cores.
 """
 
 from __future__ import annotations
@@ -102,6 +102,17 @@ COMMANDS = [
                            "--tau-mult", "1e308", "--out", "overflow.csv"]),
     ("train_lda_overflow", ["train", "--model", "lda", "--data", "overflow.csv",
                             "--out", "lda_overflow.json"]),
+    ("train_logistic_overflow", ["train", "--model", "logistic", "--data", "overflow.csv",
+                                 "--out", "logistic_overflow.json"]),
+    # at n = 200 some draws overflow to inf, so nothing is written
+    ("generate_overflow_n200", ["generate", "--d", "3", "--n", "200", "--mu", "0.1",
+                                "--epsilon", "0.5", "--tau-mult", "1e308",
+                                "--out", "overflow_n200.csv"]),
+    # lda_log_joint needs an LDA target; the boosted attack before it must not run
+    ("attack_logistic_lda_log_joint", ["attack", "--model-file", "logistic.json",
+                                       "--member", "train.csv", "--nonmember", "test.csv",
+                                       "--scores", "max_prob", "gbm_probs", "lda_log_joint",
+                                       "--out", "scores_logistic_lda_log_joint.csv"]),
 ]
 
 
