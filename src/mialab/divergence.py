@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -33,6 +34,8 @@ from .errors import UnboundedRatioError, ValidationError
 
 MASS_TOL = 1e-9
 _GROUP_ATOL = 1e-9
+# most entries one closeness broadcast in _row_channel holds (2 MB per float temporary)
+_CLOSE_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -70,6 +73,14 @@ class DiscreteJoint:
                          where=(px > 0.0)[:, None])
         px.flags.writeable = cond.flags.writeable = False
         return px, cond
+
+    @functools.cached_property
+    def log_table(self) -> np.ndarray:
+        """``log`` of the table, read-only; zero atoms are ``-inf``."""
+        with np.errstate(divide="ignore"):
+            logs = np.log(self.table)
+        logs.flags.writeable = False
+        return logs
 
 
 @dataclass(frozen=True)
@@ -237,16 +248,33 @@ def _chain_channel(values: np.ndarray) -> ScoreChannel:
 
 def _row_channel(rows: np.ndarray) -> ScoreChannel:
     """Each x's outcome is its row's group: the first unlabelled row opens a
-    group that takes every unlabelled row within ``_GROUP_ATOL`` of it."""
-    labels = np.full(rows.shape[0], -1, dtype=np.int64)
+    group that takes every unlabelled row close to it.
+
+    Two rows are close when every entry pair has ``|a - b| <= _GROUP_ATOL``
+    or ``a == b`` (numpy's closeness test with no relative tolerance), so
+    equal infinities are close and nan is close to nothing.  Closeness is
+    computed in one broadcast per block of opener rows, against the rows
+    from the block on; a block holds as many rows as keep that temporary
+    within ``_CLOSE_BLOCK_ELEMENTS`` entries (at least one row), so a small
+    table is one block.
+    """
+    x_size, y_size = rows.shape
+    labels = [-1] * x_size
     size = 0
-    for i in range(rows.shape[0]):
-        if labels[i] < 0:
-            close = np.isclose(rows, rows[i], rtol=0.0, atol=_GROUP_ATOL).all(axis=1)
-            labels[close & (labels < 0)] = size
-            size += 1
-    return ScoreChannel(outcomes=np.repeat(labels[:, None], rows.shape[1], axis=1),
-                        outcome_size=size)
+    step = max(1, _CLOSE_BLOCK_ELEMENTS // (x_size * y_size))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for start in range(0, x_size, step):
+            openers, rest = rows[start:start + step, None, :], rows[None, start:, :]
+            close = ((np.abs(openers - rest) <= _GROUP_ATOL) | (openers == rest)).all(axis=2)
+            later = list(range(start, x_size))
+            for i, near in enumerate(close.tolist(), start):
+                if labels[i] < 0:
+                    for k in compress(later, near):
+                        if labels[k] < 0:
+                            labels[k] = size
+                    size += 1
+    outcomes = np.repeat(np.array(labels, dtype=np.int64)[:, None], y_size, axis=1)
+    return ScoreChannel(outcomes=outcomes, outcome_size=size)
 
 
 def scalar_log_joint_channel(joint: DiscreteJoint) -> ScoreChannel:
@@ -254,8 +282,7 @@ def scalar_log_joint_channel(joint: DiscreteJoint) -> ScoreChannel:
 
     Zero-probability atoms all score ``-inf`` and share one outcome.
     """
-    with np.errstate(divide="ignore"):
-        return _chain_channel(np.log(joint.table))
+    return _chain_channel(joint.log_table)
 
 
 def log_joint_vector_channel(joint: DiscreteJoint) -> ScoreChannel:
@@ -263,8 +290,7 @@ def log_joint_vector_channel(joint: DiscreteJoint) -> ScoreChannel:
 
     Two x atoms share an outcome only when their whole log rows coincide.
     """
-    with np.errstate(divide="ignore"):
-        return _row_channel(np.log(joint.table))
+    return _row_channel(joint.log_table)
 
 
 def softmax_channel(joint: DiscreteJoint) -> ScoreChannel:

@@ -283,6 +283,22 @@ def serialize_model(model) -> str:
     return json.dumps(payload, indent=1)
 
 
+def _json_number(value, name: str) -> float:
+    # float() would take the string "0.1" and True, and neither is a JSON number
+    if type(value) not in (int, float):
+        raise ValidationError(f"malformed model file: {name} must be a JSON number, "
+                              f"got {value!r}")
+    return float(value)
+
+
+def _json_numbers(values, name: str) -> np.ndarray:
+    if not isinstance(values, list):
+        raise ValidationError(f"malformed model file: {name} must be a list of JSON numbers, "
+                              f"got {type(values).__name__}")
+    return np.array([_json_number(v, f"each entry of {name}") for v in values],
+                    dtype=np.float64)
+
+
 def deserialize_model(text: str):
     """Model from :func:`serialize_model` text, checked before any use."""
     try:
@@ -298,19 +314,25 @@ def deserialize_model(text: str):
                 raise ValidationError(f"malformed model file: iterations must be a "
                                       f"nonnegative JSON integer, got {iterations!r}")
             model = LogisticModel(
-                weights=np.asarray(payload["weights"], dtype=np.float64),
-                bias=float(payload["bias"]),
+                weights=_json_numbers(payload["weights"], "weights"),
+                bias=_json_number(payload["bias"], "bias"),
                 converged=converged,
                 iterations=iterations,
             )
-            if model.weights.ndim != 1 or not model.weights.size \
+            if not model.weights.size \
                     or not np.isfinite(np.append(model.weights, model.bias)).all():
                 raise ValidationError("weights must be a nonempty finite vector, bias finite")
             return model
         if kind == "lda":
-            prior_pos = float(payload["prior_pos"])
-            mean_pos, mean_neg, chol = (np.asarray(payload[key], dtype=np.float64)
-                                        for key in ("mean_pos", "mean_neg", "chol_lower"))
+            prior_pos = _json_number(payload["prior_pos"], "prior_pos")
+            mean_pos, mean_neg = (_json_numbers(payload[key], key)
+                                  for key in ("mean_pos", "mean_neg"))
+            chol_rows = payload["chol_lower"]
+            if not isinstance(chol_rows, list):
+                raise ValidationError("malformed model file: chol_lower must be a list of rows, "
+                                      f"got {type(chol_rows).__name__}")
+            chol = np.array([_json_numbers(row, f"row {i} of chol_lower")
+                             for i, row in enumerate(chol_rows)], dtype=np.float64)
             d = mean_pos.size
             if not 0.0 < prior_pos < 1.0:
                 raise ValidationError(f"prior_pos must lie in (0, 1), got {prior_pos!r}")
@@ -326,7 +348,8 @@ def deserialize_model(text: str):
                 mean_pos=mean_pos,
                 mean_neg=mean_neg,
                 chol_lower=chol,
-                shrinkage_intensity=float(payload["shrinkage_intensity"]),
+                shrinkage_intensity=_json_number(payload["shrinkage_intensity"],
+                                                 "shrinkage_intensity"),
                 log_det=2.0 * float(np.sum(np.log(np.diag(chol)))),
             )
             with np.errstate(over="ignore", invalid="ignore"):

@@ -44,18 +44,20 @@ def row_channel_calls(monkeypatch):
 
 @pytest.fixture
 def joint_work_calls(monkeypatch):
-    """Names of every ``decompose`` call and every conditional-table computation."""
+    """Names of every ``decompose`` call and every computation of a joint's cached
+    tables (``conditionals``, ``log_table``)."""
     from mialab import divergence
 
     calls = []
     _record_calls(monkeypatch, divergence.decompose, calls, lambda p, q: "decompose")
-    compute = divergence.DiscreteJoint._conditionals.func
+    for attr, entry in (("_conditionals", "conditionals"), ("log_table", "log_table")):
+        compute = getattr(divergence.DiscreteJoint, attr).func
 
-    def counting(joint):
-        calls.append("conditionals")
-        return compute(joint)
+        def counting(joint, compute=compute, entry=entry):
+            calls.append(entry)
+            return compute(joint)
 
-    cached = functools.cached_property(counting)
-    cached.__set_name__(divergence.DiscreteJoint, "_conditionals")
-    monkeypatch.setattr(divergence.DiscreteJoint, "_conditionals", cached)
+        cached = functools.cached_property(counting)
+        cached.__set_name__(divergence.DiscreteJoint, attr)
+        monkeypatch.setattr(divergence.DiscreteJoint, attr, cached)
     return calls

@@ -207,7 +207,7 @@ _MALFORMED_MODELS = {
     "prior_0": ("lda", _set("prior_pos", 0.0), "prior_pos must lie in (0, 1)"),
     "mean_length": ("lda", _set("mean_neg", [0.0, 1.0]), "means of one length d"),
     "weights_matrix": ("logistic", _set("weights", [[1.0, 2.0], [3.0, 4.0]]),
-                       "nonempty finite vector"),
+                       "malformed model file: each entry of weights must be a JSON number"),
     "weights_empty": ("logistic", _set("weights", []), "nonempty finite vector"),
     "bias_string": ("logistic", _set("bias", "x"), "malformed model file"),
     # bool("false") is True and int(3.7) is 3: no conversion may hide a wrong JSON type
@@ -217,6 +217,28 @@ _MALFORMED_MODELS = {
                          "malformed model file: iterations must be a nonnegative JSON integer"),
     "iterations_negative": ("logistic", _set("iterations", -1),
                             "malformed model file: iterations must be a nonnegative JSON"),
+    # float("0.1") and float(True) convert, so every number field checks its JSON type
+    "bias_numeric_string": ("logistic", _set("bias", "0.1"),
+                            "malformed model file: bias must be a JSON number, got '0.1'"),
+    "bias_true": ("logistic", _set("bias", True),
+                  "malformed model file: bias must be a JSON number, got True"),
+    "weights_string": ("logistic", _set("weights", "0.1"),
+                       "malformed model file: weights must be a list of JSON numbers, got str"),
+    "weights_numeric_strings": ("logistic", _set("weights", ["0.1", "0.2", "0.3", "0.4"]),
+                                "malformed model file: each entry of weights must be a JSON"),
+    "prior_numeric_string": ("lda", _set("prior_pos", "0.5"),
+                             "malformed model file: prior_pos must be a JSON number"),
+    "mean_pos_numeric_strings": ("lda", _set("mean_pos", ["0.1", "0.2", "0.3", "0.4"]),
+                                 "malformed model file: each entry of mean_pos must be a JSON"),
+    "mean_neg_false_entry": ("lda", lambda payload: payload["mean_neg"].__setitem__(0, False),
+                             "malformed model file: each entry of mean_neg must be a JSON"),
+    "shrinkage_true": ("lda", _set("shrinkage_intensity", True),
+                       "malformed model file: shrinkage_intensity must be a JSON number"),
+    "chol_row_numeric_strings": ("lda", lambda payload: payload["chol_lower"].__setitem__(
+        1, ["0.1", "1.0", "0.0", "0.0"]),
+        "malformed model file: each entry of row 1 of chol_lower must be a JSON number"),
+    "chol_null_entry": ("lda", _set_chol(1, 1, None),
+                        "malformed model file: each entry of row 1 of chol_lower must be a JSON number, got None"),
 }
 
 

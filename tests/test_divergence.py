@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import astuple
 
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 from mpmath import mp, mpf
 
+from mialab import divergence
 from mialab.divergence import (
     BoundsReport,
     DiscreteJoint,
     ScoreChannel,
+    _row_channel,
     c_coeff,
     certify_bounds,
     decompose,
@@ -469,3 +472,88 @@ def test_certify_bounds_decomposes_each_pair_once_per_trial(joint_work_calls):
     certify_bounds(5, 6, 4)
     assert joint_work_calls.count("decompose") == 5
     assert joint_work_calls.count("conditionals") == 10  # one table per joint
+    # the target's, which the log-joint vector and scalar channels share
+    assert joint_work_calls.count("log_table") == 5
+
+
+def test_log_table_is_cached_read_only_without_warning():
+    jp = _joint([[0.2, 0.0], [0.5, 0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        logs = jp.log_table
+    assert logs is jp.log_table
+    assert not logs.flags.writeable
+    np.testing.assert_array_equal(logs, [[math.log(0.2), -math.inf],
+                                         [math.log(0.5), math.log(0.3)]])
+
+
+# ------------------------------------------------------- row grouping
+
+_ATOL = ref.GROUP_ATOL
+_BASE_ROW = np.log([0.1, 0.2, 0.3, 0.4])
+# the default (one block for these tables), 24 entries (blocks of two or more
+# rows on tables of up to 12 entries, one row on larger ones) and 1 entry
+_BLOCK_CAPS = (divergence._CLOSE_BLOCK_ELEMENTS, 24, 1)
+
+# name -> (rows, expected group of each row)
+_GROUPING_EDGES = {
+    # closeness does not chain: the third row is 1.2 atol from the opener
+    "tolerance_chain": ([_BASE_ROW, _BASE_ROW + 0.6 * _ATOL, _BASE_ROW + 1.2 * _ATOL],
+                        [0, 0, 1]),
+    # equal -inf entries are close; -inf against a finite entry is not
+    "shared_minus_inf": ([[-np.inf, -1.0, -np.inf], [-np.inf, -1.0 + 0.5 * _ATOL, -np.inf],
+                          [-np.inf, -np.inf, -np.inf], [-1.0, -1.0, -np.inf],
+                          [-np.inf, -np.inf, -np.inf]],
+                         [0, 0, 1, 2, 1]),
+    # a row within atol of two openers joins the first of them
+    "close_to_two_openers": ([_BASE_ROW, _BASE_ROW + 1.5 * _ATOL, _BASE_ROW + 0.75 * _ATOL],
+                             [0, 1, 0]),
+    "close_to_two_openers_reversed": ([_BASE_ROW + 1.5 * _ATOL, _BASE_ROW,
+                                       _BASE_ROW + 0.75 * _ATOL],
+                                      [0, 1, 0]),
+}
+
+
+@pytest.mark.parametrize("cap", _BLOCK_CAPS)
+@pytest.mark.parametrize("case", list(_GROUPING_EDGES))
+def test_row_grouping_edges_match_oracle(monkeypatch, case, cap):
+    monkeypatch.setattr(divergence, "_CLOSE_BLOCK_ELEMENTS", cap)
+    rows, groups = _GROUPING_EDGES[case]
+    rows = np.asarray(rows, dtype=np.float64)
+    channel = _row_channel(rows)
+    outcomes, size = ref._group_rows(rows)
+    np.testing.assert_array_equal(outcomes[:, 0], groups)
+    np.testing.assert_array_equal(channel.outcomes, outcomes)
+    assert channel.outcome_size == size
+
+
+@pytest.mark.parametrize("cap", _BLOCK_CAPS)
+def test_row_grouping_across_blocks_matches_oracle(monkeypatch, cap):
+    """Rows a fraction of atol apart, some with -inf entries, so groups cross block edges."""
+    monkeypatch.setattr(divergence, "_CLOSE_BLOCK_ELEMENTS", cap)
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        y_size = int(rng.integers(1, 5))
+        bases = np.log(rng.dirichlet(np.ones(y_size), size=int(rng.integers(1, 6))))
+        bases[rng.random(bases.shape) < 0.2] = -np.inf
+        x_size = int(rng.integers(1, 25))
+        offsets = rng.choice([-1.2, -0.6, 0.0, 0.6, 1.2], size=(x_size, y_size)) * _ATOL
+        rows = bases[rng.integers(len(bases), size=x_size)] + offsets
+        channel = _row_channel(rows)
+        outcomes, size = ref._group_rows(rows)
+        np.testing.assert_array_equal(channel.outcomes, outcomes)
+        assert channel.outcome_size == size
+
+
+def test_row_grouping_holds_a_bounded_temporary():
+    # one (x, x, y) broadcast at 2000 x 4 peaks near 244 MB
+    joint = sample_dirichlet_joint(np.random.default_rng(32), 2000, 4)
+    joint.conditionals()  # cached before tracing starts
+    tracemalloc.start()
+    try:
+        channel = softmax_channel(joint)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert channel.outcome_size == 2000
+    assert peak < 16 * 2**20

@@ -13,6 +13,7 @@ output bytes a change alters.  It takes about 30 s on two cores.
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -45,6 +46,13 @@ REPEATED_ROW_RESULTS = RESULTS_HEADER + (
     "4,40,0.1,0.15,1.0,0.5,0.0,1,lda,max_prob,0.500000,0.500000,0.700000\n"
     "4,40,0.1,0.15,1.0,0.5,0.0,1,lda,max_prob,0.500000,0.500000,0.700000\n"
 )
+# d = 8 model files whose numbers are JSON strings or a boolean; attack must reject them.
+STRING_NUMBERS_MODEL = json.dumps({"kind": "logistic", "weights": ["0.1"] * 8, "bias": "0.1",
+                                   "converged": True, "iterations": 3})
+BOOL_SHRINKAGE_MODEL = json.dumps({
+    "kind": "lda", "prior_pos": 0.5, "mean_pos": [0.4] + [0.0] * 7, "mean_neg": [-0.4] + [0.0] * 7,
+    "chol_lower": [[float(i == j) for j in range(8)] for i in range(8)],
+    "shrinkage_intensity": True, "log_det": 0.0})
 
 COMMANDS = [
     ("generate_train", ["generate", "--d", "8", "--n", "200", "--mu", "0.4", "--seed", "3",
@@ -73,6 +81,11 @@ COMMANDS = [
     ("plot_eps", ["plot", "--results", "results_eps.csv", "--out", "plots_eps"]),
     ("bounds", ["bounds", "--out", "bounds.csv"]),
     ("bounds_2x2", ["bounds", "--x", "2", "--y", "2", "--out", "bounds_2x2.csv"]),
+    ("bounds_8x2", ["bounds", "--x", "8", "--y", "2", "--trials", "300", "--seed", "1",
+                    "--out", "bounds_8x2.csv"]),
+    # 600 rows are more than one block of the row channels' closeness pass
+    ("bounds_600x2", ["bounds", "--x", "600", "--y", "2", "--trials", "2",
+                      "--out", "bounds_600x2.csv"]),
     # d = 256 puts lda_log_joints' whitening solve at the sweep's largest shape
     ("generate_train_d256", ["generate", "--d", "256", "--n", "1000", "--mu", "0.3",
                              "--seed", "5", "--out", "train_d256.csv"]),
@@ -113,6 +126,15 @@ COMMANDS = [
                                        "--member", "train.csv", "--nonmember", "test.csv",
                                        "--scores", "max_prob", "gbm_probs", "lda_log_joint",
                                        "--out", "scores_logistic_lda_log_joint.csv"]),
+    # a number field that is a JSON string or a boolean, where float() would convert it
+    ("attack_string_numbers_model", ["attack", "--model-file", "string_numbers.json",
+                                     "--member", "train.csv", "--nonmember", "test.csv",
+                                     "--scores", "max_prob",
+                                     "--out", "scores_string_numbers.csv"]),
+    ("attack_bool_shrinkage_model", ["attack", "--model-file", "bool_shrinkage.json",
+                                     "--member", "train.csv", "--nonmember", "test.csv",
+                                     "--scores", "max_prob",
+                                     "--out", "scores_bool_shrinkage.csv"]),
 ]
 
 
@@ -129,6 +151,8 @@ def main(argv: list[str]) -> int:
         (out / name).write_text("# mialab sweep config v1\n" + body)
     (out / "results_bad_model.csv").write_text(BAD_MODEL_RESULTS)
     (out / "results_repeated_row.csv").write_text(REPEATED_ROW_RESULTS)
+    (out / "string_numbers.json").write_text(STRING_NUMBERS_MODEL)
+    (out / "bool_shrinkage.json").write_text(BOOL_SHRINKAGE_MODEL)
     env = {k: v for k, v in os.environ.items() if k != "MIALAB_WORKERS"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     logs = out / "logs"
