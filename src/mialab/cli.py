@@ -109,14 +109,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    reports, violations = divergence.certify_bounds(
-        args.trials, args.x, args.y, seed=args.seed)
+    result = divergence.certify(args.trials, args.x, args.y, seed=args.seed)
     columns = tuple(f.name for f in dataclasses.fields(divergence.BoundsReport))
-    metrics.write_table(args.out, columns, map(dataclasses.asdict, reports),
+    metrics.write_table(args.out, columns, map(dataclasses.asdict, result.reports),
                         float_format=".12g")
-    print(f"wrote {len(reports)} instances to {args.out}")
-    print(f"violations: {violations}")
-    return EXIT_OK if violations == 0 else EXIT_DATA
+    print(f"wrote {len(result.reports)} instances to {args.out}")
+    print(f"violations: {result.violations}")
+    for number, check in enumerate(result.checks, 1):
+        print(f"check {number} {check.name}: triggered {check.triggered}, "
+              f"violations {check.violations}, min slack {check.min_slack:.6g}")
+    return EXIT_OK if result.violations == 0 else EXIT_DATA
 
 
 def _cmd_plot(args) -> int:

@@ -13,6 +13,14 @@ marginal/conditional decomposition bounds can all be evaluated exactly
   ``c(alpha, beta) = log(beta/alpha) / (1 + log(beta/alpha))`` built from
   the conditional likelihood-ratio range, and compares the exact TV of the
   scalar log-joint channel against ``sqrt(max(0, c*KL_X - KL_cond)/2)``.
+* ``certify`` draws Dirichlet-random pairs and runs every check on a whole
+  stack of pairs at once, reporting each check's triggered count,
+  violation count and minimum slack.
+
+Each formula is coded once, on stacks of tables (leading axes index the
+pair, the last axes are the table); the single-pair functions above are
+stacks of one.  Every sum keeps the order a single-pair computation uses,
+so a pair's numbers do not depend on the stack it was certified in.
 
 Conventions: conditionals at marginal-zero points contribute 0 to
 expectations taken under the first argument's marginal.  Where the second
@@ -34,8 +42,28 @@ from .errors import UnboundedRatioError, ValidationError
 
 MASS_TOL = 1e-9
 _GROUP_ATOL = 1e-9
-# most entries one closeness broadcast in _row_channel holds (2 MB per float temporary)
+# most entries one closeness broadcast holds (2 MB per float temporary)
 _CLOSE_BLOCK_ELEMENTS = 1 << 18
+# most table entries per side in one certification stack (512 KB per table stack)
+_STACK_ELEMENTS = 1 << 16
+# slack a certified check may show from rounding
+_CHECK_TOL = 1e-12
+CHECKS = ("sandwich", "tv_joint_le_pinsker", "upper_le_pinsker", "dpi_softmax",
+          "scalar_dominance")
+
+
+def _conditional_stack(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(p(x), p(y|x))`` of each table in a stack; a zero-marginal row is -1 throughout."""
+    px = tables.sum(axis=-1)
+    cond = np.divide(tables, px[..., None], out=np.full_like(tables, -1.0),
+                     where=(px > 0.0)[..., None])
+    return px, cond
+
+
+def _log_tables(tables: np.ndarray) -> np.ndarray:
+    """``log`` of each table in a stack; zero atoms are ``-inf``."""
+    with np.errstate(divide="ignore"):
+        return np.log(tables)
 
 
 @dataclass(frozen=True)
@@ -68,17 +96,14 @@ class DiscreteJoint:
 
     @functools.cached_property
     def _conditionals(self) -> tuple[np.ndarray, np.ndarray]:
-        px = self.table.sum(axis=1)
-        cond = np.divide(self.table, px[:, None], out=np.full_like(self.table, -1.0),
-                         where=(px > 0.0)[:, None])
+        px, cond = _conditional_stack(self.table)
         px.flags.writeable = cond.flags.writeable = False
         return px, cond
 
     @functools.cached_property
     def log_table(self) -> np.ndarray:
         """``log`` of the table, read-only; zero atoms are ``-inf``."""
-        with np.errstate(divide="ignore"):
-            logs = np.log(self.table)
+        logs = _log_tables(self.table)
         logs.flags.writeable = False
         return logs
 
@@ -125,15 +150,48 @@ class DominanceReport:
     tv_scalar_joint: float
 
 
+@dataclass(frozen=True)
+class CheckTally:
+    """One certified check over a run: the pairs it applied to, the pairs that
+    failed it, and its smallest slack (``inf`` when it applied to none)."""
+
+    name: str
+    triggered: int
+    violations: int
+    min_slack: float
+
+
+@dataclass(frozen=True)
+class Certification:
+    """A certification run: one report per pair, the number of pairs failing
+    any check, and one tally per entry of ``CHECKS``."""
+
+    reports: list[BoundsReport]
+    violations: int
+    checks: tuple[CheckTally, ...]
+
+
+def _check_mass_rows(a: np.ndarray, name: str) -> np.ndarray:
+    """``a``, each of whose last-axis rows must be a probability vector."""
+    if a.size and (not np.isfinite(a).all() or a.min() < 0):
+        raise ValidationError(f"{name} entries must be finite and nonnegative")
+    sums = a.sum(axis=-1)
+    off = np.abs(sums - 1.0) > MASS_TOL
+    if off.any():
+        raise ValidationError(f"{name} mass {sums[off][0]!r} != 1")
+    return a
+
+
 def _check_mass_vector(v, name: str) -> np.ndarray:
     a = np.asarray(v, dtype=np.float64)
     if a.ndim != 1 or a.size == 0:
         raise ValidationError(f"{name} must be a nonempty vector")
-    if not np.isfinite(a).all() or a.min() < 0:
-        raise ValidationError(f"{name} entries must be finite and nonnegative")
-    if abs(float(a.sum()) - 1.0) > MASS_TOL:
-        raise ValidationError(f"{name} mass {a.sum()!r} != 1")
-    return a
+    return _check_mass_rows(a, name)
+
+
+def _half_l1(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``0.5 * sum |a - b|`` along the last axis."""
+    return 0.5 * np.abs(a - b).sum(axis=-1)
 
 
 def tv(p, q) -> float:
@@ -141,7 +199,13 @@ def tv(p, q) -> float:
     pa, qa = _check_mass_vector(p, "p"), _check_mass_vector(q, "q")
     if pa.size != qa.size:
         raise ValidationError("mass vectors must have equal length")
-    return 0.5 * float(np.abs(pa - qa).sum())
+    return float(_half_l1(pa, qa))
+
+
+def _kl_terms(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``p log(p/q)`` entrywise: 0 where p is 0, inf where q vanishes under p."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(p > 0.0, p * np.log(p / q), 0.0)
 
 
 def kl(p, q) -> float:
@@ -149,11 +213,19 @@ def kl(p, q) -> float:
     pa, qa = _check_mass_vector(p, "p"), _check_mass_vector(q, "q")
     if pa.size != qa.size:
         raise ValidationError("mass vectors must have equal length")
-    support = pa > 0.0
-    if np.any(qa[support] == 0.0):
-        return math.inf
     # KL >= 0; rounding can leave a tiny negative residue when p ~ q
-    return max(0.0, float(np.sum(pa[support] * np.log(pa[support] / qa[support]))))
+    return max(0.0, float(_kl_terms(pa, qa)[pa > 0.0].sum()))
+
+
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """:func:`kl` of each (T, n) row pair."""
+    out = np.maximum(_kl_terms(p, q).sum(axis=-1), 0.0)
+    # kl sums the support only: once a row holds 8 or more terms, the zeros
+    # would move numpy's pairwise grouping
+    if p.shape[-1] >= 8:
+        for t in np.flatnonzero((p <= 0.0).any(axis=-1)):
+            out[t] = kl(p[t], q[t])
+    return out
 
 
 def _check_same_shape(joint_p: DiscreteJoint, joint_q: DiscreteJoint) -> None:
@@ -161,48 +233,79 @@ def _check_same_shape(joint_p: DiscreteJoint, joint_q: DiscreteJoint) -> None:
         raise ValidationError("joint tables must have matching shapes")
 
 
+def _decompose_stack(P, Q, px, p, qx, q) -> np.ndarray:
+    """The :class:`BoundsReport` fields of each (T, x, y) table pair, an (8, T) array.
+
+    ``px, p`` and ``qx, q`` are the pairs' :func:`_conditional_stack`.
+    """
+    seen, q_missing = px > 0.0, qx <= 0.0
+    tv_joint = _half_l1(P.reshape(len(P), -1), Q.reshape(len(Q), -1))
+    tv_marginal = _half_l1(px, qx)
+    kl_x = _kl_rows(_check_mass_rows(px, "p"), _check_mass_rows(qx, "q"))
+
+    q_tv = np.where(q_missing[..., None], 1.0 / P.shape[-1], q)
+    tv_rows = np.abs(p - q_tv).sum(axis=-1)
+    kl_rows = np.maximum(_kl_terms(p, q).sum(axis=-1), 0.0)
+    # a running sum over x adds left to right, as a per-x loop does; numpy's
+    # pairwise sum does not
+    exp_cond_tv = np.cumsum(np.where(seen, px * 0.5 * tv_rows, 0.0), axis=-1)[:, -1]
+    unbounded = (seen & q_missing).any(axis=-1) | ((p > 0.0) & (q == 0.0)).any(axis=(1, 2))
+    exp_kl_cond = np.where(unbounded, np.inf,
+                           np.cumsum(np.where(seen, px * kl_rows, 0.0), axis=-1)[:, -1])
+
+    finite = np.isfinite(kl_x) & np.isfinite(exp_kl_cond)
+    with np.errstate(invalid="ignore"):
+        pinsker_upper = np.where(finite, np.sqrt(kl_x / 2.0) + np.sqrt(exp_kl_cond / 2.0),
+                                 np.inf)
+    return np.stack([tv_joint, tv_marginal, exp_cond_tv, kl_x, exp_kl_cond,
+                     np.abs(tv_marginal - exp_cond_tv), tv_marginal + exp_cond_tv,
+                     pinsker_upper])
+
+
 def decompose(joint_p: DiscreteJoint, joint_q: DiscreteJoint) -> BoundsReport:
     """Exact TV/KL decomposition of a joint pair into marginal and conditional parts."""
     _check_same_shape(joint_p, joint_q)
     (px, p), (qx, q) = joint_p.conditionals(), joint_q.conditionals()
-    seen, q_missing = px > 0.0, qx <= 0.0
+    fields = _decompose_stack(joint_p.table[None], joint_q.table[None],
+                              px[None], p[None], qx[None], q[None])
+    return BoundsReport(*fields[:, 0].tolist())
 
-    tv_joint = 0.5 * float(np.abs(joint_p.table - joint_q.table).sum())
-    tv_marginal = 0.5 * float(np.abs(px - qx).sum())
-    kl_x = kl(px, qx)
 
-    q_tv = np.where(q_missing[:, None], 1.0 / joint_p.y_size, q)
-    tv_rows = np.abs(p - q_tv).sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kl_rows = np.maximum(np.where(p > 0.0, p * np.log(p / q), 0.0).sum(axis=1), 0.0)
-    # the builtin sum adds left to right as a per-x loop does; numpy's pairwise sum does not
-    exp_cond_tv = float(sum(px[seen] * 0.5 * tv_rows[seen]))
-    unbounded = np.any(seen & q_missing) or np.any((p > 0.0) & (q == 0.0))
-    exp_kl_cond = math.inf if unbounded else float(sum(px[seen] * kl_rows[seen]))
+def _pushforward_stack(tables: np.ndarray, outcomes: np.ndarray,
+                       sizes: np.ndarray) -> np.ndarray:
+    """Law of each (T, x, y) table through its channel, a (T, max size) array.
 
-    pinsker_upper = math.sqrt(kl_x / 2.0) + math.sqrt(exp_kl_cond / 2.0) \
-        if math.isfinite(kl_x) and math.isfinite(exp_kl_cond) else math.inf
-    return BoundsReport(
-        tv_joint=tv_joint,
-        tv_marginal=tv_marginal,
-        exp_cond_tv=exp_cond_tv,
-        kl_x=kl_x,
-        exp_kl_cond=exp_kl_cond,
-        lower=abs(tv_marginal - exp_cond_tv),
-        upper=tv_marginal + exp_cond_tv,
-        pinsker_upper=pinsker_upper,
-    )
+    ``outcomes[t]`` maps the flattened atoms of ``tables[t]`` into its first
+    ``sizes[t]`` outcomes; a row is normalised by the sum of those alone.
+    """
+    count, width = len(tables), int(sizes.max())
+    flat = (outcomes + width * np.arange(count)[:, None]).ravel()
+    out = np.bincount(flat, weights=tables.reshape(-1),
+                      minlength=count * width).reshape(count, width)
+    totals = out.sum(axis=-1)
+    # padding zeros would move numpy's pairwise grouping of a merged channel's sum
+    for t in np.flatnonzero(sizes < width):
+        totals[t] = out[t, :sizes[t]].sum()
+    return out / totals[:, None]
 
 
 def pushforward(joint: DiscreteJoint, channel: ScoreChannel) -> np.ndarray:
     """Outcome law induced by mapping every (x, y) atom through the channel."""
     if channel.outcomes.shape != joint.table.shape:
         raise ValidationError("channel does not cover the joint's index set")
-    out = np.bincount(
-        channel.outcomes.ravel(), weights=joint.table.ravel(), minlength=channel.outcome_size
-    )
-    total = float(out.sum())
-    return out / total
+    return _pushforward_stack(joint.table[None], channel.outcomes.reshape(1, -1),
+                              np.array([channel.outcome_size]))[0]
+
+
+def _channel_tv_stack(P: np.ndarray, Q: np.ndarray, outcomes: np.ndarray,
+                      sizes: np.ndarray) -> np.ndarray:
+    """TV between the laws of each (T, x, y) pair through the target's channel."""
+    law_p = _check_mass_rows(_pushforward_stack(P, outcomes, sizes), "p")
+    law_q = _check_mass_rows(_pushforward_stack(Q, outcomes, sizes), "q")
+    out = _half_l1(law_p, law_q)
+    for t in np.flatnonzero(sizes < law_p.shape[-1]):
+        out[t] = tv(law_p[t, :sizes[t]], law_q[t, :sizes[t]])
+    return out
 
 
 def c_coeff(alpha: float, beta: float) -> float:
@@ -215,35 +318,76 @@ def c_coeff(alpha: float, beta: float) -> float:
     return gap / (1.0 + gap)
 
 
+def _lr_range_stack(px, p, qx, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(alpha, beta, unbounded)`` of each (T, x, y) pair's conditional ratio.
+
+    Where ``unbounded[t]`` the range is not finite and ``alpha, beta`` are
+    meaningless; :func:`_unbounded_ratio` says why.
+    """
+    seen = px > 0.0
+    bad = (seen & (qx <= 0.0)).any(axis=-1) | ((p > 0.0) & (q == 0.0)).any(axis=(1, 2))
+    defined = seen[..., None] & (q > 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = p / q
+    alpha = np.where(defined, ratios, np.inf).min(axis=(1, 2))
+    beta = np.where(defined, ratios, -np.inf).max(axis=(1, 2))
+    return alpha, beta, bad
+
+
+def _unbounded_ratio(px, p, qx, q) -> UnboundedRatioError:
+    """Why one pair's conditional ratio has no finite range: the first bad x."""
+    no_q, unbounded = (px > 0.0) & (qx <= 0.0), (p > 0.0) & (q == 0.0)
+    x = int(np.argmax(no_q | unbounded.any(axis=1)))
+    if no_q[x]:
+        return UnboundedRatioError(f"Q has no mass at supported x={x}")
+    y = int(np.argmax(unbounded[x]))
+    return UnboundedRatioError(f"conditional ratio unbounded at (x={x}, y={y})")
+
+
 def lr_constants(joint_p: DiscreteJoint, joint_q: DiscreteJoint) -> tuple[float, float]:
     """(min, max) of the conditional ratio ``P(y|x)/Q(y|x)`` over supported x; 0/0 is free."""
     _check_same_shape(joint_p, joint_q)
     (px, p), (qx, q) = joint_p.conditionals(), joint_q.conditionals()
-    seen = px > 0.0
-    no_q, unbounded = seen & (qx <= 0.0), (p > 0.0) & (q == 0.0)
-    bad = no_q | unbounded.any(axis=1)
-    if bad.any():
-        x = int(np.argmax(bad))
-        if no_q[x]:
-            raise UnboundedRatioError(f"Q has no mass at supported x={x}")
-        y = int(np.argmax(unbounded[x]))
-        raise UnboundedRatioError(f"conditional ratio unbounded at (x={x}, y={y})")
-    defined = seen[:, None] & (q > 0.0)
-    ratios = p[defined] / q[defined]
-    return float(ratios.min()), float(ratios.max())
+    alpha, beta, bad = _lr_range_stack(px[None], p[None], qx[None], q[None])
+    if bad[0]:
+        raise _unbounded_ratio(px, p, qx, q)
+    return float(alpha[0]), float(beta[0])
+
+
+def _scalar_joint_bound(c, kl_x, exp_kl_cond):
+    """``(condition_holds, adv_scalar_joint_lb)`` of :func:`dominance_probe`, elementwise."""
+    gap = c * kl_x - exp_kl_cond
+    with np.errstate(invalid="ignore"):
+        bound = np.where(np.isfinite(gap), np.sqrt(np.maximum(gap, 0.0) / 2.0), np.inf)
+    return gap > 0.0, bound
+
+
+def _chain_stack(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Outcomes and outcome counts of the chain channel of each (T, n) row.
+
+    A row's values in sorted order open a new outcome wherever the gap to the
+    previous value exceeds ``_GROUP_ATOL``; ``-inf`` values share one (their
+    gap is nan).
+    """
+    order = np.argsort(values, axis=-1, kind="mergesort")
+    with np.errstate(invalid="ignore"):
+        opens = np.diff(np.take_along_axis(values, order, axis=-1), axis=-1) > _GROUP_ATOL
+    ids = np.zeros(values.shape, dtype=np.int64)
+    np.cumsum(opens, axis=-1, out=ids[:, 1:])
+    outcomes = np.empty_like(ids)
+    np.put_along_axis(outcomes, order, ids, axis=-1)
+    return outcomes, ids[:, -1] + 1
 
 
 def _chain_channel(values: np.ndarray) -> ScoreChannel:
-    """Atoms in sorted order open a new outcome wherever the gap to the
-    previous value exceeds ``_GROUP_ATOL``; ``-inf`` atoms share one (their
-    gap is nan)."""
-    flat = values.ravel()
-    order = np.argsort(flat, kind="mergesort")
-    with np.errstate(invalid="ignore"):
-        opens = np.diff(flat[order]) > _GROUP_ATOL
-    ids = np.concatenate(([0], np.cumsum(opens, dtype=np.int64)))
-    outcomes = ids[np.argsort(order)].reshape(values.shape)
-    return ScoreChannel(outcomes=outcomes, outcome_size=int(ids[-1]) + 1)
+    """The chain channel of :func:`_chain_stack` over every entry of ``values``."""
+    outcomes, sizes = _chain_stack(values.reshape(1, -1))
+    return ScoreChannel(outcomes=outcomes.reshape(values.shape), outcome_size=int(sizes[0]))
+
+
+def _close(openers: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """Rows close entry for entry (broadcast over all but the last axis)."""
+    return ((np.abs(openers - rest) <= _GROUP_ATOL) | (openers == rest)).all(axis=-1)
 
 
 def _row_channel(rows: np.ndarray) -> ScoreChannel:
@@ -264,8 +408,7 @@ def _row_channel(rows: np.ndarray) -> ScoreChannel:
     step = max(1, _CLOSE_BLOCK_ELEMENTS // (x_size * y_size))
     with np.errstate(invalid="ignore"):  # inf - inf
         for start in range(0, x_size, step):
-            openers, rest = rows[start:start + step, None, :], rows[None, start:, :]
-            close = ((np.abs(openers - rest) <= _GROUP_ATOL) | (openers == rest)).all(axis=2)
+            close = _close(rows[start:start + step, None, :], rows[None, start:, :])
             later = list(range(start, x_size))
             for i, near in enumerate(close.tolist(), start):
                 if labels[i] < 0:
@@ -275,6 +418,43 @@ def _row_channel(rows: np.ndarray) -> ScoreChannel:
                     size += 1
     outcomes = np.repeat(np.array(labels, dtype=np.int64)[:, None], y_size, axis=1)
     return ScoreChannel(outcomes=outcomes, outcome_size=size)
+
+
+def _any_close_rows(rows: np.ndarray) -> np.ndarray:
+    """Whether each (T, x, y) table has two distinct rows that are close.
+
+    Blocks of tables, or of one table's opener rows, are compared against
+    the rows from the block on, each in one broadcast within
+    ``_CLOSE_BLOCK_ELEMENTS`` entries.
+    """
+    count, x_size, y_size = rows.shape
+    found = np.zeros(count, dtype=bool)
+    tables = max(1, _CLOSE_BLOCK_ELEMENTS // (x_size * x_size * y_size))
+    step = max(1, _CLOSE_BLOCK_ELEMENTS // (tables * x_size * y_size))
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for first in range(0, count, tables):
+            block = rows[first:first + tables]
+            for start in range(0, x_size, step):
+                close = _close(block[:, start:start + step, None, :], block[:, None, start:, :])
+                own = np.arange(close.shape[1])
+                close[:, own, own] = False
+                found[first:first + tables] |= close.any(axis=(1, 2))
+    return found
+
+
+def _row_channel_stack(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-atom outcomes and outcome counts of each (T, x, y) table's row channel.
+
+    With no two rows close, :func:`_row_channel` labels the rows 0 to x-1 in
+    order, so only tables with a close pair run it.
+    """
+    count, x_size, y_size = rows.shape
+    labels = np.tile(np.arange(x_size, dtype=np.int64), (count, 1))
+    sizes = np.full(count, x_size, dtype=np.int64)
+    for t in np.flatnonzero(_any_close_rows(rows)):
+        channel = _row_channel(rows[t])
+        labels[t], sizes[t] = channel.outcomes[:, 0], channel.outcome_size
+    return np.repeat(labels, y_size, axis=1), sizes
 
 
 def scalar_log_joint_channel(joint: DiscreteJoint) -> ScoreChannel:
@@ -313,7 +493,7 @@ def dominance_probe(
     alpha, beta = lr_constants(joint_p, joint_q)
     report = decompose(joint_p, joint_q) if report is None else report
     c = c_coeff(alpha, beta)
-    gap = c * report.kl_x - report.exp_kl_cond
+    holds, bound = _scalar_joint_bound(c, report.kl_x, report.exp_kl_cond)
     channel = scalar_log_joint_channel(joint_p)
     tv_scalar = tv(pushforward(joint_p, channel), pushforward(joint_q, channel))
     return DominanceReport(
@@ -322,8 +502,8 @@ def dominance_probe(
         alpha=alpha,
         beta=beta,
         c=c,
-        condition_holds=bool(gap > 0.0),
-        adv_scalar_joint_lb=math.sqrt(max(0.0, gap) / 2.0) if math.isfinite(gap) else math.inf,
+        condition_holds=bool(holds),
+        adv_scalar_joint_lb=float(bound),
         adv_cond_ub=report.pinsker_upper,
         tv_scalar_joint=tv_scalar,
     )
@@ -335,17 +515,86 @@ def sample_dirichlet_joint(rng: np.random.Generator, x_size: int, y_size: int) -
     return DiscreteJoint.from_array(flat.reshape(x_size, y_size))
 
 
-def certify_bounds(
-    trials: int, x_size: int, y_size: int, seed: int = 0
-) -> tuple[list[BoundsReport], int]:
-    """Run the randomized certification and count the pairs that violate a check.
+def _certify_stack(tables: np.ndarray):
+    """Run every check on a (T, 2, x, y) stack of ``(p, q)`` table pairs.
+
+    Returns the (8, T) :class:`BoundsReport` fields and three (5, T) arrays
+    over ``CHECKS``: whether each check applied to each pair, whether it
+    failed, and its slack.  Raises the error the first failing pair raises
+    in :func:`dominance_probe`.
+    """
+    count = len(tables)
+    P, Q = tables[:, 0], tables[:, 1]
+    px, cond = _conditional_stack(tables)
+    pair = (px[:, 0], cond[:, 0], px[:, 1], cond[:, 1])
+    fields = _decompose_stack(P, Q, *pair)
+    tv_joint, _, _, kl_x, exp_kl_cond, lower, upper, pinsker = fields
+
+    alpha, beta, unbounded = _lr_range_stack(*pair)
+    c = np.empty(count)
+    for t, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist())):
+        if unbounded[t]:
+            raise _unbounded_ratio(*(part[t] for part in pair))
+        c[t] = c_coeff(a, b)
+    holds, bound = _scalar_joint_bound(c, kl_x, exp_kl_cond)
+
+    logs = _log_tables(P)
+    tv_scalar = _channel_tv_stack(P, Q, *_chain_stack(logs.reshape(count, -1)))
+    tv_vec = _channel_tv_stack(P, Q, *_row_channel_stack(logs))
+    tv_soft = _channel_tv_stack(P, Q, *_row_channel_stack(cond[:, 0]))
+
+    tol = _CHECK_TOL
+    finite = np.isfinite(pinsker)
+    always = np.ones(count, dtype=bool)
+    triggered = np.stack([always, finite, finite, always, holds])
+    with np.errstate(invalid="ignore"):  # inf - inf where a check does not apply
+        slack = np.stack([np.minimum(tv_joint - lower, upper - tv_joint), pinsker - tv_joint,
+                          pinsker - upper, tv_vec - tv_soft, tv_scalar - bound])
+    passed = np.stack([(lower <= tv_joint + tol) & (tv_joint <= upper + tol),
+                       tv_joint <= pinsker + tol, upper <= pinsker + tol,
+                       tv_soft <= tv_vec + tol, tv_scalar >= bound - tol])
+    return fields, triggered, triggered & ~passed, slack
+
+
+def _certify_chunks(chunks) -> Certification:
+    """Certify each (T, 2, x, y) stack of ``chunks`` in turn and tally the checks."""
+    reports: list[BoundsReport] = []
+    violations = 0
+    triggered = np.zeros(len(CHECKS), dtype=np.int64)
+    failed = np.zeros(len(CHECKS), dtype=np.int64)
+    min_slack = np.full(len(CHECKS), np.inf)
+    for tables in chunks:
+        fields, fired, violated, slack = _certify_stack(tables)
+        reports.extend(BoundsReport(*row) for row in fields.T.tolist())
+        violations += int(violated.any(axis=0).sum())
+        triggered += fired.sum(axis=1)
+        failed += violated.sum(axis=1)
+        min_slack = np.minimum(min_slack, np.where(fired, slack, np.inf).min(axis=1))
+    checks = tuple(CheckTally(name, int(n), int(v), float(s))
+                   for name, n, v, s in zip(CHECKS, triggered, failed, min_slack))
+    return Certification(reports=reports, violations=violations, checks=checks)
+
+
+def _dirichlet_chunks(rng: np.random.Generator, trials: int, x_size: int, y_size: int):
+    """Stacks of ``trials`` Dirichlet pairs, drawn p, q, p, q, ... one table at a time."""
+    per_chunk = max(1, _STACK_ELEMENTS // (x_size * y_size))
+    for start in range(0, trials, per_chunk):
+        count = min(per_chunk, trials - start)
+        tables = [sample_dirichlet_joint(rng, x_size, y_size).table for _ in range(2 * count)]
+        yield np.stack(tables).reshape(count, 2, x_size, y_size)
+
+
+def certify(trials: int, x_size: int, y_size: int, seed: int = 0) -> Certification:
+    """Run the randomized certification and tally each check over the pairs.
 
     Each Dirichlet-random pair must satisfy five checks: (1) the sandwich
     ``lower <= TV_joint <= upper``; where ``pinsker_upper`` is finite, (2)
     ``TV_joint <= pinsker_upper`` and (3) ``upper <= pinsker_upper``; (4) the
     data-processing check, softmax channel TV <= log-joint vector channel TV;
     and, where ``dominance_probe``'s condition holds, (5) scalar log-joint
-    channel TV >= ``adv_scalar_joint_lb``.  The expected violation count is 0.
+    channel TV >= ``adv_scalar_joint_lb``.  A check fails when it misses by
+    more than 1e-12; its slack is the margin by which it holds (negative
+    when it misses).  The expected violation count is 0.
     """
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
@@ -354,25 +603,12 @@ def certify_bounds(
     if x_size < 2 or y_size < 2:
         raise ValidationError("need at least 2 atoms on each axis")
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
-    tol = 1e-12
-    reports: list[BoundsReport] = []
-    violations = 0
-    for _ in range(trials):
-        jp = sample_dirichlet_joint(rng, x_size, y_size)
-        jq = sample_dirichlet_joint(rng, x_size, y_size)
-        rep = decompose(jp, jq)
-        reports.append(rep)
-        ok = rep.lower <= rep.tv_joint + tol and rep.tv_joint <= rep.upper + tol
-        if math.isfinite(rep.pinsker_upper):
-            ok = ok and rep.tv_joint <= rep.pinsker_upper + tol
-            ok = ok and rep.upper <= rep.pinsker_upper + tol
-        vec, soft = log_joint_vector_channel(jp), softmax_channel(jp)
-        tv_vec = tv(pushforward(jp, vec), pushforward(jq, vec))
-        tv_soft = tv(pushforward(jp, soft), pushforward(jq, soft))
-        ok = ok and tv_soft <= tv_vec + tol
-        probe = dominance_probe(jp, jq, rep)
-        if probe.condition_holds:
-            ok = ok and probe.tv_scalar_joint >= probe.adv_scalar_joint_lb - tol
-        if not ok:
-            violations += 1
-    return reports, violations
+    return _certify_chunks(_dirichlet_chunks(rng, trials, x_size, y_size))
+
+
+def certify_bounds(
+    trials: int, x_size: int, y_size: int, seed: int = 0
+) -> tuple[list[BoundsReport], int]:
+    """:func:`certify`'s reports and the number of pairs that violate any check."""
+    result = certify(trials, x_size, y_size, seed=seed)
+    return result.reports, result.violations

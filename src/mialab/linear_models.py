@@ -299,12 +299,28 @@ def _json_numbers(values, name: str) -> np.ndarray:
                     dtype=np.float64)
 
 
+# every key serialize_model writes, by model kind
+_MODEL_KEYS = {
+    "logistic": {"kind", "weights", "bias", "converged", "iterations"},
+    "lda": {"kind", "prior_pos", "mean_pos", "mean_neg", "chol_lower", "shrinkage_intensity",
+            "log_det"},
+}
+
+
+def _reject_unknown_keys(payload: dict, kind: str) -> None:
+    unknown = sorted(set(payload) - _MODEL_KEYS[kind])
+    if unknown:
+        raise ValidationError(f"malformed model file: keys {unknown} are not defined "
+                              f"for kind {kind!r}")
+
+
 def deserialize_model(text: str):
     """Model from :func:`serialize_model` text, checked before any use."""
     try:
         payload = json.loads(text)
         kind = payload["kind"]
         if kind == "logistic":
+            _reject_unknown_keys(payload, kind)
             converged, iterations = payload["converged"], payload["iterations"]
             # bool("false") is True and int(3.7) is 3, so neither is converted
             if not isinstance(converged, bool):
@@ -324,7 +340,9 @@ def deserialize_model(text: str):
                 raise ValidationError("weights must be a nonempty finite vector, bias finite")
             return model
         if kind == "lda":
+            _reject_unknown_keys(payload, kind)
             prior_pos = _json_number(payload["prior_pos"], "prior_pos")
+            log_det = _json_number(payload["log_det"], "log_det")
             mean_pos, mean_neg = (_json_numbers(payload[key], key)
                                   for key in ("mean_pos", "mean_neg"))
             chol_rows = payload["chol_lower"]
@@ -357,6 +375,9 @@ def deserialize_model(text: str):
             if not np.isfinite(log_joints).all():
                 raise ValidationError("malformed model file: log-joints at the model's means "
                                       "are not finite (chol_lower is too small)")
+            if not math.isclose(log_det, model.log_det, rel_tol=1e-9):
+                raise ValidationError(f"malformed model file: log_det {log_det!r} disagrees "
+                                      f"with chol_lower's {model.log_det!r}")
             return model
         raise ValidationError(f"unknown model kind: {kind!r}")
     except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:

@@ -5,7 +5,8 @@ time: each conditional is divided out where it is used, the expectations
 are accumulated left to right, row channels compare every row against the
 representatives found so far, and scalar channels scan the sorted values.
 Kept free of any code sharing with mialab.divergence on purpose; every
-function takes plain 2-D probability tables.
+function takes plain 2-D probability tables, and ``certify`` runs the
+certification checks one pair at a time.
 """
 
 import math
@@ -84,16 +85,16 @@ def lr_constants(P, Q):
 
 
 def _group_rows(rows):
-    reps = []
+    reps = np.empty((0, rows.shape[1]))
     labels = np.empty(rows.shape[0], dtype=np.int64)
     for i, row in enumerate(rows):
-        for j, rep in enumerate(reps):
-            if np.allclose(row, rep, rtol=0.0, atol=GROUP_ATOL):
-                labels[i] = j
-                break
+        # np.allclose of the row against each representative found so far
+        near = np.flatnonzero(np.isclose(reps, row, rtol=0.0, atol=GROUP_ATOL).all(axis=1))
+        if near.size:
+            labels[i] = near[0]
         else:
             labels[i] = len(reps)
-            reps.append(row)
+            reps = np.vstack([reps, row])
     return np.repeat(labels[:, None], rows.shape[1], axis=1), len(reps)
 
 
@@ -144,3 +145,75 @@ def scalar_conditional_channel(P):
     """(outcomes, outcome_size): atoms group by their conditional ``p(y|x)``."""
     outcomes, size = _scan_sorted(_conditional_rows(P).ravel(), 0)
     return outcomes.reshape(P.shape), size
+
+
+def _pushforward(P, outcomes, size):
+    law = np.zeros(size)
+    for o, w in zip(outcomes.ravel(), P.ravel()):
+        law[o] += w
+    return law / law.sum()
+
+
+def _tv(p, q):
+    return 0.5 * float(np.abs(p - q).sum())
+
+
+def _channel_tv(P, Q, channel):
+    outcomes, size = channel
+    return _tv(_pushforward(P, outcomes, size), _pushforward(Q, outcomes, size))
+
+
+def _c_coeff(alpha, beta):
+    if not 0.0 < alpha <= beta:
+        raise ValueError(f"need 0 < alpha <= beta, got ({alpha!r}, {beta!r})")
+    gap = math.log(beta) - math.log(alpha)
+    return gap / (1.0 + gap)
+
+
+def dirichlet_pairs(trials, x_size, y_size, seed):
+    """The (P, Q) tables ``certify_bounds`` draws: flat Dirichlet, p then q per trial."""
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
+    for _ in range(trials):
+        P, Q = (rng.dirichlet(np.ones(x_size * y_size)).reshape(x_size, y_size)
+                for _ in range(2))
+        yield P, Q
+
+
+def certify(pairs, tol=1e-12):
+    """Reports (tuples), the number of pairs failing any check, and per check
+    ``(triggered, violations, min slack)``.
+
+    The checks, in order: sandwich, TV <= Pinsker, upper <= Pinsker, softmax
+    TV <= log-joint vector TV, and the scalar log-joint dominance bound where
+    its condition holds.  Raises ``Unbounded`` or ``ValueError`` where the
+    first such pair has no finite ratio range or a zero ratio.
+    """
+    reports = []
+    violations = 0
+    counts = [[0, 0, math.inf] for _ in range(5)]
+    for P, Q in pairs:
+        rep = decompose(P, Q)
+        reports.append(rep)
+        tv_joint, _, _, kl_x, exp_kl_cond, lower, upper, pinsker = rep
+        alpha, beta = map(float, lr_constants(P, Q))
+        gap = _c_coeff(alpha, beta) * kl_x - exp_kl_cond
+        bound = math.sqrt(max(0.0, gap) / 2.0) if math.isfinite(gap) else math.inf
+        tv_vec = _channel_tv(P, Q, log_joint_vector_channel(P))
+        tv_soft = _channel_tv(P, Q, softmax_channel(P))
+        tv_scalar = _channel_tv(P, Q, scalar_log_joint_channel(P))
+        finite = math.isfinite(pinsker)
+        checks = (
+            (True, min(tv_joint - lower, upper - tv_joint),
+             lower <= tv_joint + tol and tv_joint <= upper + tol),
+            (finite, pinsker - tv_joint, tv_joint <= pinsker + tol),
+            (finite, pinsker - upper, upper <= pinsker + tol),
+            (True, tv_vec - tv_soft, tv_soft <= tv_vec + tol),
+            (gap > 0.0, tv_scalar - bound, tv_scalar >= bound - tol),
+        )
+        for count, (applies, slack, holds) in zip(counts, checks):
+            if applies:
+                count[0] += 1
+                count[1] += not holds
+                count[2] = min(count[2], slack)
+        violations += any(applies and not holds for applies, _, holds in checks)
+    return reports, violations, [tuple(c) for c in counts]

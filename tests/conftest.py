@@ -1,4 +1,3 @@
-import functools
 import sys
 from pathlib import Path
 
@@ -32,32 +31,13 @@ def lda_log_joints_calls(monkeypatch):
 
 
 @pytest.fixture
-def row_channel_calls(monkeypatch):
-    """Names of every ``log_joint_vector_channel`` and ``softmax_channel`` call."""
+def stack_work_calls(monkeypatch):
+    """Names of every certification kernel pass and of the stack work inside it."""
     from mialab import divergence
 
     calls = []
-    for real in (divergence.log_joint_vector_channel, divergence.softmax_channel):
-        _record_calls(monkeypatch, real, calls, lambda joint, name=real.__name__: name)
-    return calls
-
-
-@pytest.fixture
-def joint_work_calls(monkeypatch):
-    """Names of every ``decompose`` call and every computation of a joint's cached
-    tables (``conditionals``, ``log_table``)."""
-    from mialab import divergence
-
-    calls = []
-    _record_calls(monkeypatch, divergence.decompose, calls, lambda p, q: "decompose")
-    for attr, entry in (("_conditionals", "conditionals"), ("log_table", "log_table")):
-        compute = getattr(divergence.DiscreteJoint, attr).func
-
-        def counting(joint, compute=compute, entry=entry):
-            calls.append(entry)
-            return compute(joint)
-
-        cached = functools.cached_property(counting)
-        cached.__set_name__(divergence.DiscreteJoint, attr)
-        monkeypatch.setattr(divergence.DiscreteJoint, attr, cached)
+    for real in (divergence._certify_stack, divergence._conditional_stack,
+                 divergence._decompose_stack, divergence._log_tables,
+                 divergence._row_channel_stack):
+        _record_calls(monkeypatch, real, calls, lambda *args, name=real.__name__: name)
     return calls

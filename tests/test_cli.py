@@ -239,6 +239,20 @@ _MALFORMED_MODELS = {
         "malformed model file: each entry of row 1 of chol_lower must be a JSON number"),
     "chol_null_entry": ("lda", _set_chol(1, 1, None),
                         "malformed model file: each entry of row 1 of chol_lower must be a JSON number, got None"),
+    # log_det must be a JSON number that agrees with the value chol_lower gives
+    "log_det_string": ("lda", _set("log_det", "abc"),
+                       "malformed model file: log_det must be a JSON number, got 'abc'"),
+    "log_det_missing": ("lda", lambda payload: payload.pop("log_det"),
+                        "malformed model file: 'log_det'"),
+    "log_det_mismatch": ("lda", lambda payload: payload.update(
+        log_det=payload["log_det"] * (1.0 + 1e-8) + 1e-8),
+        "malformed model file: log_det "),
+    # a key the model kind does not define
+    "lda_unknown_key": ("lda", _set("weights", [0.1] * 4),
+                        "malformed model file: keys ['weights'] are not defined for kind 'lda'"),
+    "logistic_unknown_key": ("logistic", _set("log_det", 0.0),
+                             "malformed model file: keys ['log_det'] are not defined for "
+                             "kind 'logistic'"),
 }
 
 
@@ -352,6 +366,22 @@ def test_negative_seed_exit_2(tmp_path, capsys, command):
     code = main([*argv, "--seed", "-1", "--out", str(tmp_path / "out.csv")])
     assert code == 2
     assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
+
+
+def test_bounds_prints_each_check_after_the_violation_total(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    code = main(["bounds", "--trials", "1000", "--x", "2", "--y", "2", "--out", str(out)])
+    assert code == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == [
+        "violations: 6",
+        "check 1 sandwich: triggered 1000, violations 0, min slack 0.000391089",
+        "check 2 tv_joint_le_pinsker: triggered 1000, violations 0, min slack 0.0181294",
+        "check 3 upper_le_pinsker: triggered 1000, violations 0, min slack 0.00259734",
+        "check 4 dpi_softmax: triggered 1000, violations 0, min slack 0",
+        "check 5 scalar_dominance: triggered 257, violations 6, min slack -0.0353435",
+    ]
+    assert len(out.read_text().splitlines()) == 1001
 
 
 def test_bounds_zero_trials_and_bad_sizes(tmp_path, capsys):

@@ -462,18 +462,19 @@ def test_conditionals_mark_zero_marginal_rows_without_warning():
     np.testing.assert_array_equal(cond, [[0.5, 0.5], [-1.0, -1.0], [0.5 / 0.6, 0.1 / 0.6]])
 
 
-def test_certify_bounds_builds_each_row_channel_once_per_trial(row_channel_calls):
+@pytest.mark.parametrize("cap, chunks", [(divergence._STACK_ELEMENTS, 1), (48, 3)],
+                         ids=["one_chunk", "three_chunks"])
+def test_certify_bounds_does_each_stack_step_once_per_chunk(monkeypatch, stack_work_calls,
+                                                           cap, chunks):
+    # 48 entries hold two 6 x 4 pairs, so five trials take three chunks
+    monkeypatch.setattr(divergence, "_STACK_ELEMENTS", cap)
     certify_bounds(5, 6, 4)
-    assert row_channel_calls.count("log_joint_vector_channel") == 5
-    assert row_channel_calls.count("softmax_channel") == 5
-
-
-def test_certify_bounds_decomposes_each_pair_once_per_trial(joint_work_calls):
-    certify_bounds(5, 6, 4)
-    assert joint_work_calls.count("decompose") == 5
-    assert joint_work_calls.count("conditionals") == 10  # one table per joint
-    # the target's, which the log-joint vector and scalar channels share
-    assert joint_work_calls.count("log_table") == 5
+    # per chunk: one kernel pass, one conditional table for all its tables,
+    # one decomposition, one log of the target stack that the scalar and
+    # vector log-joint channels share, and one pass per row channel
+    assert stack_work_calls == ["_certify_stack", "_conditional_stack", "_decompose_stack",
+                                "_log_tables", "_row_channel_stack",
+                                "_row_channel_stack"] * chunks
 
 
 def test_log_table_is_cached_read_only_without_warning():
@@ -556,4 +557,149 @@ def test_row_grouping_holds_a_bounded_temporary():
     finally:
         tracemalloc.stop()
     assert channel.outcome_size == 2000
+    assert peak < 16 * 2**20
+
+
+# ------------------------------------------------------- stacked certification
+
+def _assert_matches_reference(result, pairs):
+    reports, violations, counts = ref.certify(pairs)
+    assert [astuple(r) for r in result.reports] == reports
+    assert result.violations == violations
+    assert [(c.triggered, c.violations, c.min_slack) for c in result.checks] == counts
+    assert [check.name for check in result.checks] == list(divergence.CHECKS)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 12345])
+@pytest.mark.parametrize("shape, trials", [((2, 2), 200), ((3, 2), 200), ((8, 2), 200),
+                                           ((2, 3), 200), ((3, 3), 200), ((4, 4), 200),
+                                           ((6, 4), 100)])
+def test_certify_matches_per_pair_reference(shape, trials, seed):
+    result = divergence.certify(trials, *shape, seed=seed)
+    _assert_matches_reference(result, ref.dirichlet_pairs(trials, *shape, seed))
+
+
+def test_certify_matches_per_pair_reference_on_many_rows():
+    # 600 rows take more than one block of the row channels' closeness pass
+    result = divergence.certify(2, 600, 2, seed=0)
+    _assert_matches_reference(result, ref.dirichlet_pairs(2, 600, 2, 0))
+
+
+def _normalised(*tables):
+    return [np.asarray(t, dtype=np.float64) / np.sum(t) for t in tables]
+
+
+def _hand_built_pairs():
+    rng = np.random.default_rng(41)
+    full = rng.dirichlet(np.ones(12)).reshape(4, 3)
+    other = rng.dirichlet(np.ones(12)).reshape(4, 3)
+    shared_zeros = rng.random((4, 3)) < 0.3
+    shared_zeros[0, 0] = False
+    zero_atoms = _normalised(np.where(shared_zeros, 0.0, full), np.where(shared_zeros, 0.0, other))
+    # rows equal (log-joint vector channel) or proportional (softmax channel)
+    # within _GROUP_ATOL, so the greedy grouping runs
+    near = full.copy()
+    near[2] = near[0] * (1.0 + 1e-12)
+    near[3] = 0.5 * near[1]
+    close_rows = _normalised(near, other)
+    # equal atoms tie in log value and merge in the scalar channel (4 x 3 >= 8 atoms)
+    ties = _normalised(np.full((4, 3), 1.0) + np.eye(4, 3), other)
+    # a zero marginal row shared by both tables, at x >= 8
+    wide_p, wide_q = rng.dirichlet(np.ones(18)).reshape(9, 2), rng.dirichlet(np.ones(18)).reshape(9, 2)
+    wide_p[4] = wide_q[4] = 0.0
+    wide = _normalised(wide_p, wide_q)
+    # a zero marginal row in p alone: p's row is unseen, every ratio stays bounded
+    p_zero_row = full.copy()
+    p_zero_row[1] = 0.0
+    return {"zero_atoms": zero_atoms, "close_rows": close_rows, "tied_logs": ties,
+            "zero_row_x9": wide, "p_zero_row": _normalised(p_zero_row, other)}
+
+
+@pytest.mark.parametrize("cap", [divergence._CLOSE_BLOCK_ELEMENTS, 24])
+def test_certify_stack_matches_reference_on_hand_built_pairs(monkeypatch, cap):
+    monkeypatch.setattr(divergence, "_CLOSE_BLOCK_ELEMENTS", cap)
+    pairs = _hand_built_pairs()
+    # the greedy grouping really is exercised, and the scalar channel merges
+    assert ref.softmax_channel(pairs["close_rows"][0])[1] < 4
+    assert ref.log_joint_vector_channel(pairs["close_rows"][0])[1] < 4
+    assert ref.scalar_log_joint_channel(pairs["tied_logs"][0])[1] < 12
+    for pair in pairs.values():
+        result = divergence._certify_chunks([np.stack(pair)[None]])
+        _assert_matches_reference(result, [pair])
+    same_shape = [pair for pair in pairs.values() if pair[0].shape == (4, 3)]
+    result = divergence._certify_chunks([np.stack([np.stack(pair) for pair in same_shape])])
+    _assert_matches_reference(result, same_shape)
+
+
+def test_certify_stack_raises_the_first_failing_pairs_error():
+    pairs = _hand_built_pairs()
+    full_p, other = pairs["close_rows"]
+    q_zero_row = other.copy()
+    q_zero_row[2] = 0.0
+    q_zero_atom = other.copy()
+    q_zero_atom[3, 1] = 0.0
+    p_zero_atom = full_p.copy()
+    p_zero_atom[1, 2] = 0.0
+    failing = {
+        "no_q_mass": _normalised(full_p, q_zero_row),
+        "q_zero_atom": _normalised(full_p, q_zero_atom),
+        "p_zero_atom": _normalised(p_zero_atom, other),  # a zero ratio: c is undefined
+    }
+    for order in (("no_q_mass", "q_zero_atom", "p_zero_atom"),
+                  ("q_zero_atom", "no_q_mass"), ("p_zero_atom", "no_q_mass")):
+        stack = [pairs["zero_atoms"], pairs["p_zero_row"], *(failing[name] for name in order)]
+        with pytest.raises((ref.Unbounded, ValueError)) as want:
+            ref.certify(stack)
+        error = UnboundedRatioError if isinstance(want.value, ref.Unbounded) else ValidationError
+        with pytest.raises(error, match=re.escape(str(want.value))):
+            divergence._certify_chunks([np.stack([np.stack(pair) for pair in stack])])
+    # the pair that fails holds infinite KL terms, which the decomposition reports
+    P, Q = failing["no_q_mass"]
+    px, p = divergence._conditional_stack(P[None])
+    qx, q = divergence._conditional_stack(Q[None])
+    fields = divergence._decompose_stack(P[None], Q[None], px, p, qx, q)[:, 0]
+    assert tuple(fields.tolist()) == ref.decompose(P, Q)
+    assert fields[3] == fields[4] == math.inf
+
+
+def test_certify_bounds_draws_consecutive_pairs_from_one_stream():
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(7,)))
+    want = []
+    for _ in range(30):
+        jp = sample_dirichlet_joint(rng, 3, 4)
+        want.append(decompose(jp, sample_dirichlet_joint(rng, 3, 4)))
+    assert certify_bounds(30, 3, 4, seed=5)[0] == want
+
+
+def test_certify_bounds_with_no_trials():
+    assert certify_bounds(0, 6, 4) == ([], 0)
+    result = divergence.certify(0, 6, 4)
+    assert [(c.triggered, c.violations, c.min_slack) for c in result.checks] == \
+        [(0, 0, math.inf)] * 5
+
+
+def test_certify_tallies_each_check():
+    # every violation at 2 x 2 and 3 x 3 comes from the scalar dominance check (5)
+    for shape, seed, triggered, violations in (((2, 2), 0, 257, 6), ((3, 3), 1, 100, 2)):
+        result = divergence.certify(1000, *shape, seed=seed)
+        assert result.violations == violations
+        assert [(c.triggered, c.violations) for c in result.checks] == \
+            [(1000, 0)] * 4 + [(triggered, violations)]
+        assert result.checks[4].min_slack < 0.0 < min(c.min_slack for c in result.checks[:3])
+
+
+def test_certify_across_chunks_matches_one_chunk(monkeypatch):
+    whole = divergence.certify(50, 2, 2, seed=0)
+    monkeypatch.setattr(divergence, "_STACK_ELEMENTS", 12)  # three pairs per chunk
+    assert divergence.certify(50, 2, 2, seed=0) == whole
+
+
+def test_certify_bounds_holds_a_bounded_temporary():
+    tracemalloc.start()
+    try:
+        reports, _ = certify_bounds(3, 2000, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(reports) == 3
     assert peak < 16 * 2**20

@@ -53,6 +53,14 @@ BOOL_SHRINKAGE_MODEL = json.dumps({
     "kind": "lda", "prior_pos": 0.5, "mean_pos": [0.4] + [0.0] * 7, "mean_neg": [-0.4] + [0.0] * 7,
     "chol_lower": [[float(i == j) for j in range(8)] for i in range(8)],
     "shrinkage_intensity": True, "log_det": 0.0})
+# A d = 8 LDA file whose log_det is not the identity Cholesky factor's 0.0, and a
+# logistic file with a key only LDA files define; attack must reject both.
+LOG_DET_MISMATCH_MODEL = json.dumps({
+    "kind": "lda", "prior_pos": 0.5, "mean_pos": [0.4] + [0.0] * 7, "mean_neg": [-0.4] + [0.0] * 7,
+    "chol_lower": [[float(i == j) for j in range(8)] for i in range(8)],
+    "shrinkage_intensity": 0.0, "log_det": 1.0})
+UNKNOWN_KEY_MODEL = json.dumps({"kind": "logistic", "weights": [0.1] * 8, "bias": 0.1,
+                                "converged": True, "iterations": 3, "log_det": 0.0})
 
 COMMANDS = [
     ("generate_train", ["generate", "--d", "8", "--n", "200", "--mu", "0.4", "--seed", "3",
@@ -83,6 +91,9 @@ COMMANDS = [
     ("bounds_2x2", ["bounds", "--x", "2", "--y", "2", "--out", "bounds_2x2.csv"]),
     ("bounds_8x2", ["bounds", "--x", "8", "--y", "2", "--trials", "300", "--seed", "1",
                     "--out", "bounds_8x2.csv"]),
+    # both violations come from the scalar dominance check
+    ("bounds_3x3", ["bounds", "--x", "3", "--y", "3", "--trials", "1000", "--seed", "1",
+                    "--out", "bounds_3x3.csv"]),
     # 600 rows are more than one block of the row channels' closeness pass
     ("bounds_600x2", ["bounds", "--x", "600", "--y", "2", "--trials", "2",
                       "--out", "bounds_600x2.csv"]),
@@ -135,6 +146,13 @@ COMMANDS = [
                                      "--member", "train.csv", "--nonmember", "test.csv",
                                      "--scores", "max_prob",
                                      "--out", "scores_bool_shrinkage.csv"]),
+    ("attack_log_det_mismatch_model", ["attack", "--model-file", "log_det_mismatch.json",
+                                       "--member", "train.csv", "--nonmember", "test.csv",
+                                       "--scores", "max_prob",
+                                       "--out", "scores_log_det_mismatch.csv"]),
+    ("attack_unknown_key_model", ["attack", "--model-file", "unknown_key.json",
+                                  "--member", "train.csv", "--nonmember", "test.csv",
+                                  "--scores", "max_prob", "--out", "scores_unknown_key.csv"]),
 ]
 
 
@@ -153,6 +171,8 @@ def main(argv: list[str]) -> int:
     (out / "results_repeated_row.csv").write_text(REPEATED_ROW_RESULTS)
     (out / "string_numbers.json").write_text(STRING_NUMBERS_MODEL)
     (out / "bool_shrinkage.json").write_text(BOOL_SHRINKAGE_MODEL)
+    (out / "log_det_mismatch.json").write_text(LOG_DET_MISMATCH_MODEL)
+    (out / "unknown_key.json").write_text(UNKNOWN_KEY_MODEL)
     env = {k: v for k, v in os.environ.items() if k != "MIALAB_WORKERS"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     logs = out / "logs"
