@@ -13,9 +13,10 @@ marginal/conditional decomposition bounds can all be evaluated exactly
   ``c(alpha, beta) = log(beta/alpha) / (1 + log(beta/alpha))`` built from
   the conditional likelihood-ratio range, and compares the exact TV of the
   scalar log-joint channel against ``sqrt(max(0, c*KL_X - KL_cond)/2)``.
-* ``certify`` draws Dirichlet-random pairs and runs every check on a whole
-  stack of pairs at once, reporting each check's triggered count,
-  violation count and minimum slack.
+* ``certify`` draws each stack of Dirichlet-random pairs in one sized draw,
+  checks every table in it at once, and runs every check on the whole stack
+  of pairs, reporting each check's triggered count, violation count and
+  minimum slack.
 
 Each formula is coded once, on stacks of tables (leading axes index the
 pair, the last axes are the table); the single-pair functions above are
@@ -60,6 +61,19 @@ def _conditional_stack(tables: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return px, cond
 
 
+def _check_tables(tables: np.ndarray, x_size: int, y_size: int) -> None:
+    """Raise unless each table of the stack ``tables`` is an ``x_size * y_size``
+    probability table: finite, nonnegative, with mass within 1e-12 of 1."""
+    if tables.shape[1:] != (x_size, y_size):
+        raise ValidationError(f"table shape {tables.shape[1:]} != ({x_size}, {y_size})")
+    if not np.isfinite(tables).all() or tables.min() < 0:
+        raise ValidationError("table entries must be finite and nonnegative")
+    mass = tables.sum(axis=(1, 2))
+    off = np.abs(mass - 1.0) > 1e-12
+    if off.any():
+        raise ValidationError(f"table mass {mass[off][0]!r} != 1")
+
+
 def _log_tables(tables: np.ndarray) -> np.ndarray:
     """``log`` of each table in a stack; zero atoms are ``-inf``."""
     with np.errstate(divide="ignore"):
@@ -75,13 +89,7 @@ class DiscreteJoint:
     y_size: int
 
     def __post_init__(self) -> None:
-        t = self.table
-        if t.shape != (self.x_size, self.y_size):
-            raise ValidationError(f"table shape {t.shape} != ({self.x_size}, {self.y_size})")
-        if not np.isfinite(t).all() or t.min() < 0:
-            raise ValidationError("table entries must be finite and nonnegative")
-        if abs(float(t.sum()) - 1.0) > 1e-12:
-            raise ValidationError(f"table mass {t.sum()!r} != 1")
+        _check_tables(self.table[None], self.x_size, self.y_size)
 
     @classmethod
     def from_array(cls, table) -> "DiscreteJoint":
@@ -218,13 +226,17 @@ def kl(p, q) -> float:
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """:func:`kl` of each (T, n) row pair."""
+    """:func:`kl` of each row pair along the last axis.
+
+    Rows that are -1 throughout (zero-marginal conditionals) never reach
+    :func:`kl`: one in ``p`` gives 0, one in ``q`` gives nan.
+    """
     out = np.maximum(_kl_terms(p, q).sum(axis=-1), 0.0)
     # kl sums the support only: once a row holds 8 or more terms, the zeros
     # would move numpy's pairwise grouping
     if p.shape[-1] >= 8:
-        for t in np.flatnonzero((p <= 0.0).any(axis=-1)):
-            out[t] = kl(p[t], q[t])
+        for row in zip(*np.nonzero((p == 0.0).any(axis=-1) & (q >= 0.0).all(axis=-1))):
+            out[row] = kl(p[row], q[row])
     return out
 
 
@@ -245,7 +257,7 @@ def _decompose_stack(P, Q, px, p, qx, q) -> np.ndarray:
 
     q_tv = np.where(q_missing[..., None], 1.0 / P.shape[-1], q)
     tv_rows = np.abs(p - q_tv).sum(axis=-1)
-    kl_rows = np.maximum(_kl_terms(p, q).sum(axis=-1), 0.0)
+    kl_rows = _kl_rows(p, q)
     # a running sum over x adds left to right, as a per-x loop does; numpy's
     # pairwise sum does not
     exp_cond_tv = np.cumsum(np.where(seen, px * 0.5 * tv_rows, 0.0), axis=-1)[:, -1]
@@ -509,10 +521,20 @@ def dominance_probe(
     )
 
 
-def sample_dirichlet_joint(rng: np.random.Generator, x_size: int, y_size: int) -> DiscreteJoint:
-    """Flat-Dirichlet random table: full support almost surely."""
-    flat = rng.dirichlet(np.ones(x_size * y_size))
-    return DiscreteJoint.from_array(flat.reshape(x_size, y_size))
+def sample_dirichlet_joint(rng: np.random.Generator, x_size: int, y_size: int,
+                           size: int | None = None) -> DiscreteJoint | np.ndarray:
+    """Flat-Dirichlet random table: full support almost surely.
+
+    With ``size``, a (size, x, y) array of such tables drawn in one call and
+    checked at once as :class:`DiscreteJoint` checks one; ``rng`` yields the
+    same tables, and ends in the same state, as ``size`` one-table calls.
+    """
+    flat = rng.dirichlet(np.ones(x_size * y_size), size=size)
+    if size is None:
+        return DiscreteJoint.from_array(flat.reshape(x_size, y_size))
+    tables = flat.reshape(size, x_size, y_size)
+    _check_tables(tables, x_size, y_size)
+    return tables
 
 
 def _certify_stack(tables: np.ndarray):
@@ -576,12 +598,13 @@ def _certify_chunks(chunks) -> Certification:
 
 
 def _dirichlet_chunks(rng: np.random.Generator, trials: int, x_size: int, y_size: int):
-    """Stacks of ``trials`` Dirichlet pairs, drawn p, q, p, q, ... one table at a time."""
+    """Stacks of ``trials`` Dirichlet pairs; each stack's tables are drawn
+    p, q, p, q, ... in one sized draw."""
     per_chunk = max(1, _STACK_ELEMENTS // (x_size * y_size))
     for start in range(0, trials, per_chunk):
         count = min(per_chunk, trials - start)
-        tables = [sample_dirichlet_joint(rng, x_size, y_size).table for _ in range(2 * count)]
-        yield np.stack(tables).reshape(count, 2, x_size, y_size)
+        tables = sample_dirichlet_joint(rng, x_size, y_size, size=2 * count)
+        yield tables.reshape(count, 2, x_size, y_size)
 
 
 def certify(trials: int, x_size: int, y_size: int, seed: int = 0) -> Certification:

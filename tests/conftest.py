@@ -8,11 +8,12 @@ import pytest
 
 
 def _record_calls(monkeypatch, real, calls, entry):
-    """Route every mialab module's binding of ``real`` through one that logs ``entry(*args)``."""
+    """Route every mialab module's binding of ``real`` through one that logs
+    ``entry(*args, **kwargs)``."""
 
-    def counting(*args):
-        calls.append(entry(*args))
-        return real(*args)
+    def counting(*args, **kwargs):
+        calls.append(entry(*args, **kwargs))
+        return real(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("mialab.") and getattr(module, real.__name__, None) is real:
@@ -32,12 +33,13 @@ def lda_log_joints_calls(monkeypatch):
 
 @pytest.fixture
 def stack_work_calls(monkeypatch):
-    """Names of every certification kernel pass and of the stack work inside it."""
+    """Names of every table draw, certification kernel pass and stack work inside it."""
     from mialab import divergence
 
     calls = []
-    for real in (divergence._certify_stack, divergence._conditional_stack,
-                 divergence._decompose_stack, divergence._log_tables,
-                 divergence._row_channel_stack):
-        _record_calls(monkeypatch, real, calls, lambda *args, name=real.__name__: name)
+    for real in (divergence.sample_dirichlet_joint, divergence._certify_stack,
+                 divergence._conditional_stack, divergence._decompose_stack,
+                 divergence._log_tables, divergence._row_channel_stack):
+        _record_calls(monkeypatch, real, calls,
+                      lambda *args, name=real.__name__, **kwargs: name)
     return calls

@@ -427,18 +427,18 @@ def _random_pairs():
         for trial in range(24):
             mode = modes[trial % 4]
             yield _random_table(rng, shape, mode), _random_table(rng, shape, mode)
+    # zero atoms in P alone keep every conditional KL finite; at y >= 8 they
+    # show whether its row sums skip the zero terms, as the loop does
+    rng = np.random.default_rng(23)
+    for shape in ((3, 8), (4, 9), (12, 10), (7, 33)):
+        for _ in range(6):
+            yield _random_table(rng, shape, "zero_atoms"), _random_table(rng, shape, "full")
 
 
 def test_vectorized_oracle_matches_per_x_loops():
     for P, Q in [*_edge_pairs(), *_random_pairs()]:
         jp, jq = _joint(P), _joint(Q)
-        got, want = astuple(decompose(jp, jq)), ref.decompose(jp.table, jq.table)
-        if jp.y_size < 8 or (jp.table > 0.0).all():
-            assert got == want
-        else:
-            # numpy sums a row of 8 or more KL terms pairwise, and the zero
-            # terms the loop skipped move that grouping
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=1e-15)
+        assert astuple(decompose(jp, jq)) == ref.decompose(jp.table, jq.table)
         for build in _CHANNELS:
             channel = build(jp)
             outcomes, size = getattr(ref, build.__name__)(jp.table)
@@ -469,12 +469,13 @@ def test_certify_bounds_does_each_stack_step_once_per_chunk(monkeypatch, stack_w
     # 48 entries hold two 6 x 4 pairs, so five trials take three chunks
     monkeypatch.setattr(divergence, "_STACK_ELEMENTS", cap)
     certify_bounds(5, 6, 4)
-    # per chunk: one kernel pass, one conditional table for all its tables,
-    # one decomposition, one log of the target stack that the scalar and
-    # vector log-joint channels share, and one pass per row channel
-    assert stack_work_calls == ["_certify_stack", "_conditional_stack", "_decompose_stack",
-                                "_log_tables", "_row_channel_stack",
-                                "_row_channel_stack"] * chunks
+    # per chunk: one draw of all its tables, one kernel pass, one conditional
+    # table for all its tables, one decomposition, one log of the target
+    # stack that the scalar and vector log-joint channels share, and one
+    # pass per row channel
+    assert stack_work_calls == ["sample_dirichlet_joint", "_certify_stack",
+                                "_conditional_stack", "_decompose_stack", "_log_tables",
+                                "_row_channel_stack", "_row_channel_stack"] * chunks
 
 
 def test_log_table_is_cached_read_only_without_warning():
@@ -660,6 +661,44 @@ def test_certify_stack_raises_the_first_failing_pairs_error():
     fields = divergence._decompose_stack(P[None], Q[None], px, p, qx, q)[:, 0]
     assert tuple(fields.tolist()) == ref.decompose(P, Q)
     assert fields[3] == fields[4] == math.inf
+
+
+@pytest.mark.parametrize("shape, cap, chunks", [((6, 4), divergence._STACK_ELEMENTS, 1),
+                                                 ((2, 2), divergence._STACK_ELEMENTS, 1),
+                                                 ((600, 2), divergence._STACK_ELEMENTS, 1),
+                                                 ((6, 4), 48, 3)],
+                         ids=["6x4", "2x2", "600x2", "6x4_three_chunks"])
+def test_chunk_draws_match_one_table_draws(monkeypatch, shape, cap, chunks):
+    monkeypatch.setattr(divergence, "_STACK_ELEMENTS", cap)
+    stream, one_at_a_time = np.random.default_rng(9), np.random.default_rng(9)
+    stacks = list(divergence._dirichlet_chunks(stream, 5, *shape))
+    assert len(stacks) == chunks
+    want = [sample_dirichlet_joint(one_at_a_time, *shape).table for _ in range(10)]
+    assert np.concatenate(stacks).reshape(10, *shape).tobytes() == np.stack(want).tobytes()
+    assert stream.bit_generator.state == one_at_a_time.bit_generator.state
+
+
+class _SpoiledDraws:
+    """A generator whose sized Dirichlet draws have ``delta`` added to one
+    atom of their next-to-last table."""
+
+    def __init__(self, delta):
+        self.rng, self.delta = np.random.default_rng(4), delta
+
+    def dirichlet(self, alpha, size=None):
+        flat = self.rng.dirichlet(alpha, size=size)
+        flat[-2, 3] += self.delta
+        return flat
+
+
+@pytest.mark.parametrize("delta", [-1.0, np.nan, np.inf, 1e-10],
+                         ids=["negative", "nan", "inf", "mass"])
+def test_stacked_draw_checks_every_table_as_a_joint_does(delta):
+    bad = _SpoiledDraws(delta).dirichlet(np.ones(24), size=5)[-2]
+    with pytest.raises(ValidationError) as want:
+        DiscreteJoint.from_array(bad.reshape(6, 4))
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(want.value))}$"):
+        sample_dirichlet_joint(_SpoiledDraws(delta), 6, 4, size=5)
 
 
 def test_certify_bounds_draws_consecutive_pairs_from_one_stream():
