@@ -10,10 +10,20 @@ unique values), then assigns leaf values with the Newton step
 
 The split search is the exact-greedy presort of XGBoost (Chen & Guestrin,
 KDD 2016).  Each fit sorts every feature once, stably; a node takes its rows
-from those orders by mask, so no node sorts, and scores every candidate of
-every feature in one pass of row-wise prefix sums.  Each feature sums its
-residuals in its own sorted order, exactly as a per-feature search would,
-so the trees are the same bit for bit.
+from its parent's orders by mask, so no node sorts, and scores every
+candidate of every feature in one pass of row-wise prefix sums.  Each
+feature sums its residuals in its own sorted order, exactly as a
+per-feature search would, so the trees are the same bit for bit.
+
+A node's rows depend only on the (feature, threshold) splits on its path
+from the root, not on the residuals, and later stages often repeat a path.
+So a fit keeps one record per node it builds: its rows, their order under
+each feature and which candidate midpoints are valid, filed under its
+parent by the split that made it.  A stage walks its tree through these
+records and, per node, only gathers and sums residuals.  The records below
+the root are kept while their arrays fit in ``_CACHE_BYTES`` (256 KiB) per
+fit; past the cap a new split builds its children for that visit only.  The
+cap changes only speed, never a tree.
 
 There is no subsampling and no randomness: fitting is fully deterministic.
 Ties between equal-gain splits go to the lowest feature index, then the
@@ -24,7 +34,9 @@ squared error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 from scipy.special import expit
@@ -32,6 +44,8 @@ from scipy.special import expit
 from .errors import DataError, DegenerateDataError, ValidationError
 
 HESSIAN_FLOOR = 1e-12
+# Bytes of node records one fit may keep across its stages, beyond the root.
+_CACHE_BYTES = 1 << 18
 
 
 @dataclass
@@ -59,77 +73,132 @@ class GbmModel:
     n_features: int
 
 
-def _node_splits(values: np.ndarray, residuals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Best (threshold, children score) of every feature row of one node.
+class _Node:
+    """One node's rows, fixed by the (feature, threshold) splits on its path.
 
-    ``values`` holds each feature's node values in ascending order (one row
-    per feature) and ``residuals`` the node's residuals in the same order.
-    The children score is ``S_L^2/n_L + S_R^2/n_R``; maximizing it minimizes
-    the summed squared error of the two children.  Candidate thresholds are
-    midpoints of consecutive distinct sorted values; a midpoint that rounds
-    onto one of its neighbors cannot realize the intended partition and is
-    skipped.  A feature without a candidate scores ``-inf``.
+    ``idx`` lists the rows in ascending order.  A node that can split also
+    holds ``order`` (row ``f`` lists its rows by ascending feature ``f``), the
+    ``valid`` mask of its candidate positions and the child sizes
+    ``n_left``/``n_right`` of each position; a node at ``max_depth`` or with
+    fewer than two rows holds only ``idx``.  ``children`` maps a split
+    ``(f, threshold)`` to the two child records, or is None for a node that is
+    not kept.  None of it depends on the residuals, so a kept record serves
+    every stage.
     """
-    lo, hi = values[:, :-1], values[:, 1:]
-    thresholds = 0.5 * (lo + hi)
-    valid = (thresholds > lo) & (thresholds < hi)
-    # each row sums in its own order, so each feature's total is its own last prefix
-    prefix = np.cumsum(residuals, axis=1)
+
+    __slots__ = ("idx", "order", "valid", "n_left", "n_right", "children")
+
+    def __init__(self, idx: np.ndarray) -> None:
+        self.idx, self.order, self.children = idx, None, None
+
+    @property
+    def nbytes(self) -> int:
+        # n_left and n_right are views of the fit's counts and own no bytes
+        if self.order is None:
+            return self.idx.nbytes
+        return self.idx.nbytes + self.order.nbytes + self.valid.nbytes
+
+
+def _node_split(X: np.ndarray, node: _Node,
+                residuals: np.ndarray) -> tuple[int, float, np.float64]:
+    """Best ``(feature, threshold, children score)`` of a node that can split.
+
+    The children score is ``S_L^2/n_L + S_R^2/n_R``; maximizing it minimizes
+    the summed squared error of the two children.  Each feature sums its
+    residuals in its own sorted order, so its total is its own last prefix.
+    An invalid candidate scores ``-inf``.  The first maximum in row-major
+    order goes to the lowest feature, then the smallest threshold.
+    """
+    prefix = residuals[node.order].cumsum(axis=1)
     s_left, total = prefix[:, :-1], prefix[:, -1:]
-    n = values.shape[1]
-    n_left = np.arange(1, n, dtype=np.float64)
-    score = np.where(valid, s_left**2 / n_left + (total - s_left) ** 2 / (n - n_left), -np.inf)
-    best = np.argmax(score, axis=1)  # first max -> smallest threshold
-    rows = np.arange(values.shape[0])
-    return thresholds[rows, best], score[rows, best]
+    score = np.where(node.valid,
+                     s_left**2 / node.n_left + (total - s_left) ** 2 / node.n_right, -np.inf)
+    f, pos = divmod(int(score.argmax()), score.shape[1])
+    row = node.order[f]  # the midpoint the valid mask tested, to the bit
+    return f, float(0.5 * (X[row[pos], f] + X[row[pos + 1], f])), score[f, pos]
 
 
-def _subset(
-    keep: np.ndarray, idx: np.ndarray, order: np.ndarray, values: np.ndarray, grows: bool
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """The rows of a node that ``keep`` marks, as ``(idx, order, values)``;
-    a child at ``max_depth`` is a leaf (``grows`` false) and needs no sorted rows."""
-    if not grows:
-        return idx[keep[idx]], None, None
-    rows = keep[order]
-    shape = (order.shape[0], -1)
-    return idx[keep[idx]], order[rows].reshape(shape), values[rows].reshape(shape)
+class _Grower:
+    """The node records of one fit, kept across its stages within a byte cap.
 
+    A stage walks its tree through the kept records.  A split not seen at a
+    node before builds the two children from the node's rows by mask, so no
+    node sorts; they are kept while their arrays fit in what is left of
+    ``_CACHE_BYTES``, and otherwise serve this visit only.  The cap changes
+    only how much work repeats, never a tree.
+    """
 
-def _build_tree(
-    X: np.ndarray,
-    residuals: np.ndarray,
-    hessians: np.ndarray,
-    idx: np.ndarray,
-    order: np.ndarray | None,
-    values: np.ndarray | None,
-    depth: int,
-    max_depth: int,
-    train_out: np.ndarray,
-) -> TreeNode:
-    """Grow the subtree on rows ``idx`` (ascending); row ``f`` of ``order``
-    lists those rows by ascending feature ``f`` and ``values`` holds the
-    feature values in that order (both None at ``max_depth``)."""
-    node_res = residuals[idx]
-    if depth < max_depth and idx.size >= 2:
-        thresholds, scores = _node_splits(values, residuals[order])
-        f = int(np.argmax(scores))  # first max -> lowest feature
-        if scores[f] > node_res.sum() ** 2 / idx.size:
-            threshold = float(thresholds[f])
-            goes_left = X[:, f] <= threshold
-            node = TreeNode(feature=f, threshold=threshold)
-            grows = depth + 1 < max_depth
-            node.left = _build_tree(X, residuals, hessians,
-                                    *_subset(goes_left, idx, order, values, grows),
-                                    depth + 1, max_depth, train_out)
-            node.right = _build_tree(X, residuals, hessians,
-                                     *_subset(~goes_left, idx, order, values, grows),
-                                     depth + 1, max_depth, train_out)
+    def __init__(self, X: np.ndarray, max_depth: int) -> None:
+        n, m = X.shape
+        self.X, self.max_depth = X, max_depth
+        # feature f of row i sits at f * n + i of the flat transposed copy
+        self.XT = np.ascontiguousarray(X.T).ravel()
+        self.offsets = np.arange(0, m * n, n)[:, None]
+        # the child sizes 1..n-1 and n-1..1; a node of k rows views the first
+        # k - 1 of the one and the last k - 1 of the other
+        self.n_left = np.arange(1, n, dtype=np.float64)
+        self.n_right = self.n_left[::-1].copy()
+        # a stable sort restricted to the ascending rows of a node is that node's
+        # own stable sort, so one presort serves every node of every stage
+        order = np.argsort(X.T, axis=1, kind="mergesort") if max_depth > 0 else None
+        self.root = self._node(np.arange(n), order)
+        self.root.children = {}
+        self.free = _CACHE_BYTES
+
+    def _node(self, idx: np.ndarray, order: np.ndarray | None) -> _Node:
+        node = _Node(idx)
+        if order is None or idx.size < 2:
             return node
+        node.order = order
+        values = self.XT.take(order + self.offsets)
+        lo, hi = values[:, :-1], values[:, 1:]
+        mid = 0.5 * (lo + hi)
+        # a midpoint that rounds onto a neighbor cannot realize its partition
+        node.valid = (mid > lo) & (mid < hi)
+        node.n_left = self.n_left[:idx.size - 1]
+        node.n_right = self.n_right[-(idx.size - 1):]
+        return node
 
-    value = float(node_res.sum() / max(hessians[idx].sum(), HESSIAN_FLOOR))
-    train_out[idx] = value
-    return TreeNode(value=value)
+    def _children(self, node: _Node, f: int, threshold: float, depth: int) -> tuple:
+        kids = node.children.get((f, threshold)) if node.children is not None else None
+        if kids is not None:
+            return kids
+        keep = self.X[:, f] <= threshold
+        at_idx = keep[node.idx]
+        left, right = node.idx[at_idx], node.idx[~at_idx]
+        if depth < self.max_depth:
+            at_order = keep[node.order]
+            shape = (node.order.shape[0], -1)
+            kids = (self._node(left, node.order[at_order].reshape(shape)),
+                    self._node(right, node.order[~at_order].reshape(shape)))
+        else:
+            kids = (_Node(left), _Node(right))
+        size = kids[0].nbytes + kids[1].nbytes
+        if node.children is not None and size <= self.free:
+            self.free -= size
+            node.children[(f, threshold)] = kids
+            for kid in kids:
+                kid.children = {}
+        return kids
+
+    def grow(self, node: _Node, depth: int, residuals: np.ndarray, hessians: np.ndarray,
+             train_out: np.ndarray) -> TreeNode:
+        """The subtree on ``node``'s rows; writes each leaf value to ``train_out``."""
+        # np.add.reduce is ndarray.sum, same bits, without its Python wrapper
+        node_sum = np.add.reduce(residuals[node.idx])
+        if node.order is not None:
+            f, threshold, score = _node_split(self.X, node, residuals)
+            if score > node_sum**2 / node.idx.size:
+                left, right = self._children(node, f, threshold, depth + 1)
+                return TreeNode(
+                    feature=f, threshold=threshold,
+                    left=self.grow(left, depth + 1, residuals, hessians, train_out),
+                    right=self.grow(right, depth + 1, residuals, hessians, train_out),
+                )
+
+        value = float(node_sum / max(np.add.reduce(hessians[node.idx]), HESSIAN_FLOOR))
+        train_out[node.idx] = value
+        return TreeNode(value=value)
 
 
 def fit_gbm(
@@ -152,25 +221,25 @@ def fit_gbm(
         raise ValidationError("labels must be 0 or 1")
     if y.min() == y.max():
         raise DegenerateDataError("both label values must be present")
-    if n_estimators < 0 or max_depth < 0:
-        raise ValidationError("n_estimators and max_depth must be nonnegative")
+    for name, value in (("n_estimators", n_estimators), ("max_depth", max_depth)):
+        if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
+            raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
+    if isinstance(learning_rate, bool) or not isinstance(learning_rate, Real) \
+            or not (math.isfinite(learning_rate) and learning_rate >= 0):
+        raise ValidationError(
+            f"learning_rate must be a finite number >= 0, got {learning_rate!r}")
 
     rate = y.mean()
     base = float(np.log(rate / (1.0 - rate)))
     raw = np.full(X.shape[0], base)
-    idx = np.arange(X.shape[0])
-    # a stable sort restricted to the ascending rows of a node is that node's
-    # own stable sort, so one presort serves every node of every stage
-    order = np.argsort(X.T, axis=1, kind="mergesort")
-    values = np.take_along_axis(X.T, order, axis=1)
+    grower = _Grower(X, max_depth)
     trees: list[TreeNode] = []
     for _ in range(n_estimators):
         p = expit(raw)
         residuals = y - p
         hessians = p * (1.0 - p)
         contrib = np.zeros(X.shape[0])
-        root = _build_tree(X, residuals, hessians, idx, order, values, 0, max_depth, contrib)
-        trees.append(root)
+        trees.append(grower.grow(grower.root, 0, residuals, hessians, contrib))
         raw += learning_rate * contrib
     return GbmModel(
         trees=trees,

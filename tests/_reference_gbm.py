@@ -10,10 +10,10 @@ Two references live here, kept free of imports from mialab.gbm:
   features scanned in order), whose trees the presorted package engine must
   reproduce bit for bit: same features, same thresholds, same leaf values.
 
-Two probes of the package engine close the module: ``_best_split`` runs
-the production split kernel on one feature, so the exhaustive enumeration
-above can check it, and ``staged_train_deviance`` replays a fitted model's
-stages.
+Two probes of the package engine close the module: ``_best_split`` builds
+the root record of a one-feature fit and scores it with the production
+split kernel, ``_node_split``, so the exhaustive enumeration above can
+check it, and ``staged_train_deviance`` replays a fitted model's stages.
 """
 
 import math
@@ -21,7 +21,7 @@ import math
 import numpy as np
 from scipy.special import expit
 
-from mialab.gbm import GbmModel, _eval_tree, _node_splits
+from mialab.gbm import GbmModel, _eval_tree, _Grower, _node_split
 
 
 def enumerate_best_split(x, residuals):
@@ -210,11 +210,11 @@ def _best_split(x, residuals):
     """Best (threshold, children-score) of one feature by the package's split kernel, or None."""
     if x.shape[0] < 2:
         return None
-    order = np.argsort(x, kind="mergesort")
-    thresholds, scores = _node_splits(x[order][None, :], residuals[order][None, :])
-    if scores[0] == -np.inf:
+    X = x[:, None]
+    _, threshold, score = _node_split(X, _Grower(X, max_depth=1).root, residuals)
+    if score == -np.inf:
         return None
-    return float(thresholds[0]), float(scores[0])
+    return threshold, float(score)
 
 
 def staged_train_deviance(model: GbmModel, features, labels):

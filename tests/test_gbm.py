@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mialab import gbm
 from mialab.errors import DataError, DegenerateDataError, ValidationError
 from mialab.gbm import GbmModel, TreeNode, fit_gbm, gbm_predict_matrix
 
@@ -132,6 +135,68 @@ def test_presorted_engine_matches_per_feature_engine_tree_for_tree(case, max_dep
     assert [_tree_bits(t) for t in model.trees] == [_tree_bits(t) for t in trees]
 
 
+def _attack_fit(n, seed):
+    """An attack-style matrix whose membership label mostly follows the one-hot label."""
+    rng = np.random.default_rng(seed)
+    X = _attack_style(rng, n)
+    return X, np.where(rng.random(n) < 0.8, X[:, 3], 1.0 - X[:, 3])
+
+
+@pytest.mark.parametrize("n", [50, 400])
+def test_attack_style_fit_matches_per_feature_engine_over_100_stages(n):
+    X, y = _attack_fit(n, seed=n)
+    model = fit_gbm(X, y, n_estimators=100, max_depth=3, learning_rate=0.1)
+    base, trees = per_feature_boost(X, y, n_estimators=100, max_depth=3, learning_rate=0.1)
+    assert model.base_score.hex() == base.hex()
+    assert [_tree_bits(t) for t in model.trees] == [_tree_bits(t) for t in trees]
+
+
+def _cache_cases():
+    cases = {}
+    for name, X in _presort_cases().items():
+        rng = np.random.default_rng(len(name))
+        y = (rng.random(X.shape[0]) < 0.5).astype(float)
+        y[0], y[-1] = 0.0, 1.0
+        cases.update({f"{name}_depth{depth}": (X, y, depth, 30) for depth in (1, 3, 4)})
+    for n in (50, 400):
+        cases[f"attack_n{n}"] = (*_attack_fit(n, seed=n + 1), 3, 100)
+    return cases
+
+
+@pytest.mark.parametrize("case", sorted(_cache_cases()))
+def test_node_cache_cap_changes_only_speed(case, monkeypatch):
+    X, y, max_depth, stages = _cache_cases()[case]
+    growers = []
+
+    class Recorded(gbm._Grower):
+        def __init__(self, *args):
+            super().__init__(*args)
+            growers.append(self)
+
+    monkeypatch.setattr(gbm, "_Grower", Recorded)
+    fits = []
+    for cap in (0, gbm._CACHE_BYTES, 2**40):
+        monkeypatch.setattr(gbm, "_CACHE_BYTES", cap)
+        model = fit_gbm(X, y, n_estimators=stages, max_depth=max_depth, learning_rate=0.1)
+        fits.append([_tree_bits(t) for t in model.trees])
+    assert fits[0] == fits[1] == fits[2]
+    # no cap keeps every record it builds, a zero cap none below the root
+    assert not growers[0].root.children
+    if any(t[0] == "split" for t in fits[2]):
+        assert growers[2].root.children and growers[2].free < 2**40
+
+
+def test_fit_memory_stays_within_cache_cap():
+    X, y = _attack_fit(2000, seed=12)
+    tracemalloc.start()
+    try:
+        fit_gbm(X, y, n_estimators=100, max_depth=3, learning_rate=0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < gbm._CACHE_BYTES + 2 * 2**20
+
+
 def test_max_depth_respected():
     rng = np.random.default_rng(5)
     X, y = _random_problem(rng, 300, 4)
@@ -185,3 +250,24 @@ def test_error_paths():
                     n_estimators=2, max_depth=1)
     with pytest.raises(ValidationError):
         gbm_predict_matrix(model, np.array([0.0, 1.0])[None, :])  # width mismatch
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_estimators": 2.5}, {"n_estimators": -1}, {"n_estimators": True}, {"n_estimators": "3"},
+    {"max_depth": 1.5}, {"max_depth": -1}, {"max_depth": False}, {"max_depth": None},
+    {"learning_rate": float("nan")}, {"learning_rate": float("inf")}, {"learning_rate": -0.1},
+    {"learning_rate": True}, {"learning_rate": "0.1"},
+])
+def test_hyperparameters_must_be_nonnegative_integers_and_a_finite_rate(bad):
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    with pytest.raises(ValidationError):
+        fit_gbm(X, y, **bad)
+
+
+def test_numpy_scalar_hyperparameters_are_accepted():
+    X = np.array([[0.0], [1.0], [2.0], [3.0]])
+    y = np.array([0.0, 0.0, 1.0, 1.0])
+    model = fit_gbm(X, y, n_estimators=np.int64(3), max_depth=np.int32(1),
+                    learning_rate=np.float32(0.5))
+    assert len(model.trees) == 3
