@@ -13,7 +13,9 @@ KDD 2016).  Each fit sorts every feature once, stably; a node takes its rows
 from its parent's orders by mask, so no node sorts, and scores every
 candidate of every feature in one pass of row-wise prefix sums.  Each
 feature sums its residuals in its own sorted order, exactly as a
-per-feature search would, so the trees are the same bit for bit.
+per-feature search would, so the trees are the same bit for bit.  A
+constant column has no candidate at any node, so it is left out of the
+presort; the logits of a logistic target, ``(0, w.x + b)``, always have one.
 
 A node's rows depend only on the (feature, threshold) splits on its path
 from the root, not on the residuals, and later stages often repeat a path.
@@ -129,6 +131,10 @@ class _Grower:
     """
 
     def __init__(self, X: np.ndarray, max_depth: int) -> None:
+        # a constant column has no valid candidate, so it is left out of the
+        # presort; ``features`` maps each kept column back to its index in X
+        self.features = np.flatnonzero((X != X[0]).any(axis=0))
+        X = X[:, self.features]
         n, m = X.shape
         self.X, self.max_depth = X, max_depth
         # feature f of row i sits at f * n + i of the flat transposed copy
@@ -140,7 +146,7 @@ class _Grower:
         self.n_right = self.n_left[::-1].copy()
         # a stable sort restricted to the ascending rows of a node is that node's
         # own stable sort, so one presort serves every node of every stage
-        order = np.argsort(X.T, axis=1, kind="mergesort") if max_depth > 0 else None
+        order = np.argsort(X.T, axis=1, kind="mergesort") if max_depth > 0 and m else None
         self.root = self._node(np.arange(n), order)
         self.root.children = {}
         self.free = _CACHE_BYTES
@@ -191,7 +197,7 @@ class _Grower:
             if score > node_sum**2 / node.idx.size:
                 left, right = self._children(node, f, threshold, depth + 1)
                 return TreeNode(
-                    feature=f, threshold=threshold,
+                    feature=int(self.features[f]), threshold=threshold,
                     left=self.grow(left, depth + 1, residuals, hessians, train_out),
                     right=self.grow(right, depth + 1, residuals, hessians, train_out),
                 )

@@ -1,11 +1,16 @@
 """AUROC, direction-invariant advantage, summary statistics and CSV tables.
 
-AUROC is computed as the Mann-Whitney rank statistic: the fraction of
-(member, nonmember) pairs where the member scores more member-like, with
-ties counted 1/2.  That equals the trapezoidal area under the ROC curve
-obtained by sweeping a decision threshold.  The score kind's orientation
-is applied first, so kinds where lower means "more member-like" are handled
-uniformly.
+AUROC is the Mann-Whitney statistic: the fraction of (member, nonmember)
+pairs where the member scores more member-like, with ties counted 1/2.
+That equals the trapezoidal area under the ROC curve obtained by sweeping a
+decision threshold.  The score kind's orientation is applied first, so
+kinds where lower means "more member-like" are handled uniformly.
+
+The pairs are counted, not enumerated: with the nonmember scores sorted,
+two binary searches give each member's wins (nonmembers strictly below)
+and ties.  The numerator ``wins + ties / 2`` is an exact half-integer, the
+same one the rank-sum form ``R_m - n_m (n_m + 1) / 2`` gives, so the
+quotient has the same bits as the rank statistic.
 """
 
 from __future__ import annotations
@@ -37,35 +42,20 @@ class AttackResult:
     advantage: float
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties replaced by the group average (a half-integer)."""
-    order = np.argsort(values, kind="mergesort")
-    sorted_v = values[order]
-    n = values.size
-    new_group = np.empty(n, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = sorted_v[1:] != sorted_v[:-1]
-    group_id = np.cumsum(new_group) - 1
-    counts = np.bincount(group_id)
-    last = np.cumsum(counts)
-    avg = (last - counts + 1 + last) / 2.0
-    ranks = np.empty(n)
-    ranks[order] = avg[group_id]
-    return ranks
-
-
 def auroc(scores: AttackScores) -> float:
-    """Rank-statistic AUROC of the member vs nonmember score samples."""
+    """Mann-Whitney AUROC of the member vs nonmember score samples, by counting wins."""
     members = np.asarray(scores.member_scores, dtype=np.float64)
     nonmembers = np.asarray(scores.nonmember_scores, dtype=np.float64)
     if members.size == 0 or nonmembers.size == 0:
         raise InsufficientDataError("both score sides must be nonempty")
     if scores.kind.orientation is Orientation.LOWER_IS_MEMBER:
         members, nonmembers = -members, -nonmembers
-    ranks = _average_ranks(np.concatenate([members, nonmembers]))
-    n_m, n_n = members.size, nonmembers.size
-    rank_sum = float(ranks[:n_m].sum())
-    return (rank_sum - n_m * (n_m + 1) / 2.0) / (n_m * n_n)
+    # members sorted too, so each search starts where the previous one ended
+    members, nonmembers = np.sort(members), np.sort(nonmembers)
+    below = np.searchsorted(nonmembers, members, side="left")
+    not_above = np.searchsorted(nonmembers, members, side="right")
+    wins = float(below.sum()) + 0.5 * float((not_above - below).sum())
+    return wins / (members.size * nonmembers.size)
 
 
 def advantage(auroc_value: float) -> float:

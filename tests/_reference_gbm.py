@@ -210,8 +210,10 @@ def _best_split(x, residuals):
     """Best (threshold, children-score) of one feature by the package's split kernel, or None."""
     if x.shape[0] < 2:
         return None
-    X = x[:, None]
-    _, threshold, score = _node_split(X, _Grower(X, max_depth=1).root, residuals)
+    grower = _Grower(x[:, None], max_depth=1)
+    if grower.root.order is None:  # a constant feature
+        return None
+    _, threshold, score = _node_split(grower.X, grower.root, residuals)
     if score == -np.inf:
         return None
     return threshold, float(score)

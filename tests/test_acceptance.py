@@ -31,7 +31,7 @@ from mialab.divergence import (
 )
 from mialab.gbm import fit_gbm
 from mialab.harness import SweepGrid, run_sweep
-from mialab.linear_models import fit_logistic, logistic_posteriors
+from mialab.linear_models import fit_logistic, logistic_margins, logistic_posteriors
 from mialab.metrics import auroc, write_results_csv
 
 from _divergence_fixtures import matched_normalizer_pair
@@ -185,7 +185,7 @@ def test_criterion_5_auroc_oracle_equivalence():
         brute = (wins + 0.5 * ties) / (n_m * n_n)
         if auroc(scores) != brute:
             mismatches += 1
-    _report("5 (rank AUROC == pair counting)", mismatches == 0,
+    _report("5 (AUROC == pair counting)", mismatches == 0,
             f"mismatches={mismatches} of 1000")
 
 
@@ -285,8 +285,8 @@ def test_criterion_9_attack_hierarchy():
         train = generate_dataset(params, "train")
         test = generate_dataset(params, "test")
         target = fit_logistic(train)
-        p_train = logistic_posteriors(target, train.features)
-        p_test = logistic_posteriors(target, test.features)
+        p_train = logistic_posteriors(logistic_margins(target, train.features))
+        p_test = logistic_posteriors(logistic_margins(target, test.features))
         for kind, store in ((ScoreKind.LOG_LOSS, ll_vals), (ScoreKind.MAX_PROB, mp_vals)):
             scores = AttackScores(
                 member_scores=threshold_scores(kind, p_train, label_indices(train.labels)),

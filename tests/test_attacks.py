@@ -111,6 +111,18 @@ def test_batch_threshold_scores_match_single_sample(ps):
         np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=1e-15)
 
 
+def test_two_column_scores_equal_the_row_reduction_form():
+    rng = np.random.default_rng(13)
+    p = rng.random(400)
+    p[:40] = [0.0, 1.0, -0.0, 0.5, 1e-300, 1.0 - 1e-16, 5e-324, 0.25, 0.75, 1e-17] * 4
+    P = np.column_stack([1.0 - p, p])
+    P[::7] = P[::7, ::-1]
+    P[:4, 0] = [0.0, -0.0, 0.0, -0.0]
+    assert threshold_scores(ScoreKind.MAX_PROB, P).tobytes() == P.max(axis=1).tobytes()
+    terms = np.where(P > 0.0, P * np.log(np.where(P > 0.0, P, 1.0)), 0.0)
+    assert threshold_scores(ScoreKind.ENTROPY, P).tobytes() == (-terms.sum(axis=1)).tobytes()
+
+
 def test_entropy_and_max_prob_rank_identically_for_binary():
     # both are monotone in |p - 1/2|, so their AUROCs coincide
     rng = np.random.default_rng(0)

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mialab import datagen
 from mialab.datagen import (
     GenParams,
     _contaminate,
@@ -67,6 +69,55 @@ def test_determinism_bit_identical():
     c = generate_dataset(params, "test")
     assert c.features.shape[0] == params.n_test
     assert c.features[: a.n].tobytes() != a.features.tobytes()
+
+
+def _one_call_dataset(params, split):
+    """The generation stream drawn the plain way: all noise in one call, then ``hstack``."""
+    tag = {"train": 0, "test": 1}[split]
+    n = params.n_train if split == "train" else params.n_test
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=params.seed, spawn_key=(tag,)))
+    labels = np.where(rng.random(n) < params.w, 1, -1).astype(np.int64)
+    core = rng.normal(labels * params.mu, params.sigma)
+    noise = rng.normal(0.0, params.sigma_noise, size=(n, params.d - 1))
+    features = np.hstack([core[:, None], noise])
+    mask = np.zeros(n, dtype=bool)
+    if params.epsilon > 0.0:
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=params.seed, spawn_key=(2, tag)))
+        mask = rng.random(n) < params.epsilon
+        if mask.any():
+            features[mask] = rng.normal(0.0, params.tau, size=(int(mask.sum()), params.d))
+    return features, labels, mask
+
+
+@pytest.mark.parametrize("cap", [1, 7, datagen._NOISE_BLOCK_ELEMENTS])
+@pytest.mark.parametrize("epsilon", [0.0, 0.3])
+@pytest.mark.parametrize("n", [1, 2, 127, 4097])
+@pytest.mark.parametrize("d", [1, 2, 16, 257])
+def test_row_block_draws_match_one_call_draw(d, n, epsilon, cap, monkeypatch):
+    monkeypatch.setattr(datagen, "_NOISE_BLOCK_ELEMENTS", cap)
+    params = GenParams(d=d, n_train=2, n_test=max(n, 2), mu=0.3, seed=17 + d,
+                       sigma_noise=1.7, epsilon=epsilon)
+    # a one-row split is below what GenParams accepts, but the stream is defined for it
+    object.__setattr__(params, "n_train", n)
+    for split in ("train", "test"):
+        data = generate_dataset(params, split)
+        features, labels, mask = _one_call_dataset(params, split)
+        assert data.features.tobytes() == features.tobytes()
+        assert data.labels.tobytes() == labels.tobytes()
+        assert data.contaminated_mask.tobytes() == mask.tobytes()
+
+
+def test_test_split_draw_keeps_no_whole_matrix_temporary():
+    params = GenParams(d=256, n_train=2, n_test=4000, mu=0.3, seed=3)
+    generate_dataset(params, "test")  # warm up
+    tracemalloc.start()
+    try:
+        data = generate_dataset(params, "test")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < data.features.nbytes + 2**20
 
 
 def test_core_column_conditional_means():

@@ -3,9 +3,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mialab import gbm
+from mialab import attacks, gbm
+from mialab.attacks import ScoreKind
+from mialab.datagen import GenParams, generate_dataset
 from mialab.errors import DataError, DegenerateDataError, ValidationError
 from mialab.gbm import GbmModel, TreeNode, fit_gbm, gbm_predict_matrix
+from mialab.linear_models import fit_logistic
 
 from _gbm_text import deserialize_gbm, serialize_gbm, tree_depth
 from _reference_gbm import (
@@ -184,6 +187,51 @@ def test_node_cache_cap_changes_only_speed(case, monkeypatch):
     assert not growers[0].root.children
     if any(t[0] == "split" for t in fits[2]):
         assert growers[2].root.children and growers[2].free < 2**40
+
+
+def _logistic_logits_matrix(n_train, seed):
+    """A ``gbm_logits`` attack matrix of a logistic target: ``[0, w.x + b, one-hot label]``."""
+    params = GenParams(d=16, n_train=n_train, n_test=n_train, mu=0.3, seed=seed)
+    train, test = generate_dataset(params, "train"), generate_dataset(params, "test")
+    target = fit_logistic(train)
+    rows = [attacks._attack_matrix(attacks.model_outputs(target, data), ScoreKind.GBM_LOGITS)
+            for data in (train, test)]
+    X = np.vstack(rows)
+    y = np.concatenate([np.ones(n_train), np.zeros(n_train)])
+    return X, y
+
+
+@pytest.mark.parametrize("n_train, seed", [(25, 0), (50, 1), (200, 2)])
+def test_logistic_logits_fit_matches_per_feature_engine(n_train, seed):
+    X, y = _logistic_logits_matrix(n_train, seed)
+    assert np.unique(X[:, 0]).size == 1  # the constant column the grower leaves out
+    model = fit_gbm(X, y, n_estimators=100, max_depth=3, learning_rate=0.1)
+    base, trees = per_feature_boost(X, y, n_estimators=100, max_depth=3, learning_rate=0.1)
+    assert model.base_score.hex() == base.hex()
+    assert [_tree_bits(t) for t in model.trees] == [_tree_bits(t) for t in trees]
+    assert any(t.feature > 0 for t in model.trees)  # splits name columns of X
+
+
+def test_constant_columns_split_features_keep_their_indices():
+    rng = np.random.default_rng(14)
+    X, y = _random_problem(rng, 80, 3)
+    padded = np.column_stack([np.full(80, 2.0), X[:, 0], np.zeros(80), X[:, 1:], np.ones(80)])
+    padded[::3, 2] = -0.0  # 0.0 and -0.0 compare equal, so the column is constant
+    model = fit_gbm(padded, y, n_estimators=20, max_depth=3, learning_rate=0.1)
+    base, trees = per_feature_boost(padded, y, n_estimators=20, max_depth=3, learning_rate=0.1)
+    assert [_tree_bits(t) for t in model.trees] == [_tree_bits(t) for t in trees]
+    assert model.n_features == 6
+
+
+@pytest.mark.parametrize("max_depth", [0, 3])
+def test_all_constant_matrix_gives_one_leaf_per_stage(max_depth):
+    X = np.column_stack([np.full(30, 0.5), np.zeros(30)])
+    y = (np.arange(30) % 3 == 0).astype(float)
+    model = fit_gbm(X, y, n_estimators=7, max_depth=max_depth, learning_rate=0.1)
+    base, trees = per_feature_boost(X, y, n_estimators=7, max_depth=max_depth,
+                                    learning_rate=0.1)
+    assert len(model.trees) == 7 and all(t.is_leaf for t in model.trees)
+    assert [_tree_bits(t) for t in model.trees] == [_tree_bits(t) for t in trees]
 
 
 def test_fit_memory_stays_within_cache_cap():

@@ -1,5 +1,6 @@
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_triangular
 from scipy.stats import multivariate_normal
 
+from mialab import linear_models
 from mialab.attacks import accuracy, model_outputs
 from mialab.datagen import Dataset, GenParams, generate_dataset
 from mialab.errors import DataError, DegenerateDataError, MialabError, ValidationError
@@ -19,12 +21,17 @@ from mialab.linear_models import (
     fit_lda,
     fit_logistic,
     lda_log_joints,
+    logistic_margins,
     logistic_posteriors,
     serialize_model,
     softmax_pairs,
 )
 
 from _reference_lda import lda_log_joints as reference_lda_log_joints
+
+
+def _posteriors(model, X):
+    return logistic_posteriors(logistic_margins(model, X))
 
 
 def _dataset(features, labels):
@@ -115,14 +122,14 @@ def test_logistic_errors(recwarn):
 
 def test_logistic_posterior_values():
     model = LogisticModel(weights=np.zeros(2), bias=0.0, converged=True, iterations=0)
-    np.testing.assert_allclose(logistic_posteriors(model, np.array([1.0, 2.0])[None, :])[0],
+    np.testing.assert_allclose(_posteriors(model, np.array([1.0, 2.0])[None, :])[0],
                                [0.5, 0.5])
 
     saturated = LogisticModel(weights=np.zeros(2), bias=50.0, converged=True, iterations=0)
-    assert logistic_posteriors(saturated, np.zeros(2)[None, :])[0, 1] >= 1 - 1e-20
+    assert _posteriors(saturated, np.zeros(2)[None, :])[0, 1] >= 1 - 1e-20
 
     unit = LogisticModel(weights=np.array([1.0]), bias=0.0, converged=True, iterations=0)
-    assert logistic_posteriors(unit, np.array([1.0])[None, :])[0, 1] == pytest.approx(
+    assert _posteriors(unit, np.array([1.0])[None, :])[0, 1] == pytest.approx(
         0.7310585786, abs=1e-9)
 
 
@@ -130,7 +137,7 @@ def test_posterior_pairs_normalized():
     rng = np.random.default_rng(1)
     model = LogisticModel(weights=rng.normal(size=6), bias=0.3, converged=True, iterations=0)
     X = rng.normal(size=(200, 6)) * 20
-    P = logistic_posteriors(model, X)
+    P = _posteriors(model, X)
     np.testing.assert_allclose(P.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -346,6 +353,29 @@ def test_lda_log_joints_match_per_class_solves(case):
                                rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 4000), (16, 50), (33, 4000), (256, 4000)])
+def test_lda_quadratic_block_cap_changes_no_bit(d, n, monkeypatch):
+    model, X = _lda_and_rows(d, n, offset=3.0)
+    outs = []
+    for cap in (1, 7 * d, linear_models._QUAD_BLOCK_ELEMENTS, 2**40):
+        monkeypatch.setattr(linear_models, "_QUAD_BLOCK_ELEMENTS", cap)
+        outs.append(lda_log_joints(model, X).tobytes())
+    assert len(set(outs)) == 1
+
+
+def test_lda_log_joints_keep_one_row_sized_temporary():
+    # the centred copy the whitening overwrites; the quadratic passes stay in blocks
+    model, X = _lda_and_rows(256, 4000)
+    lda_log_joints(model, X)  # caches the whitener
+    tracemalloc.start()
+    try:
+        lda_log_joints(model, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < X.nbytes + 2 * 2**20
+
+
 def test_lda_log_joints_solve_only_for_the_whitener_once_per_model(monkeypatch):
     model, X = _lda_and_rows(16, 50)
     other, _ = _lda_and_rows(16, 1)
@@ -377,6 +407,17 @@ def test_softmax_shift_invariance():
         np.testing.assert_allclose(shifted, base, atol=1e-12)
 
 
+def test_softmax_pairs_equal_the_row_reduction_form():
+    rng = np.random.default_rng(12)
+    logits = rng.normal(scale=30.0, size=(500, 2))
+    logits[:50, 1] = logits[:50, 0]  # equal pairs
+    logits[50:60] = [[0.0, -0.0], [-0.0, 0.0], [-800.0, 0.0], [0.0, -800.0], [-1e300, 5.0],
+                     [7.0, -1e300], [1e-300, -1e-300], [-745.0, 0.0], [3.0, 3.0], [-0.0, -0.0]]
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    assert softmax_pairs(logits).tobytes() == (e / e.sum(axis=1, keepdims=True)).tobytes()
+
+
 # ---------------------------------------------------------------- shared
 
 
@@ -403,8 +444,8 @@ def test_serialization_round_trip_bit_exact():
         model = fit(data)
         clone = deserialize_model(serialize_model(model))
         if isinstance(model, LogisticModel):
-            a = logistic_posteriors(model, X)
-            b = logistic_posteriors(clone, X)
+            a = _posteriors(model, X)
+            b = _posteriors(clone, X)
         else:
             a = softmax_pairs(lda_log_joints(model, X))
             b = softmax_pairs(lda_log_joints(clone, X))
@@ -443,5 +484,5 @@ def test_deserialize_model_fuzz_raises_only_mialab_errors(payload):
     # whatever loads is a usable model of its own dimension
     X = np.zeros((1, model.d))
     P = (softmax_pairs(lda_log_joints(model, X)) if isinstance(model, LdaModel)
-         else logistic_posteriors(model, X))
+         else _posteriors(model, X))
     assert P.shape == (1, 2)

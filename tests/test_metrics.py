@@ -17,6 +17,7 @@ from mialab.metrics import (
 )
 
 from _payloads import table_payloads
+from _reference_metrics import rank_sum_auroc
 
 
 def _scores(member, nonmember, kind=ScoreKind.MAX_PROB):
@@ -76,6 +77,35 @@ def test_auroc_equals_pair_counting_with_ties():
         member = rng.integers(0, 12, size=n_m) / 2.0
         nonmember = rng.integers(0, 12, size=n_n) / 2.0
         assert auroc(_scores(member, nonmember)) == pair_counting_auroc(member, nonmember)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_m=st.integers(1, 5000), n_n=st.integers(1, 5000), grid=st.integers(0, 12),
+       kind=st.sampled_from([ScoreKind.MAX_PROB, ScoreKind.ENTROPY]),
+       seed=st.integers(0, 2**32 - 1))
+def test_auroc_counting_equals_rank_sum_bit_for_bit(n_m, n_n, grid, kind, seed):
+    # half-integers in [-grid/2, grid/2] tie heavily; a zero is 0.0 or -0.0 at random
+    rng = np.random.default_rng(seed)
+    sides = []
+    for size in (n_m, n_n):
+        values = rng.integers(-grid, grid + 1, size=size) / 2.0
+        values[values == 0.0] *= rng.choice([1.0, -1.0], size=int((values == 0.0).sum()))
+        sides.append(values)
+    member, nonmember = sides
+    oriented = (-member, -nonmember) if kind is ScoreKind.ENTROPY else (member, nonmember)
+    got = auroc(_scores(member, nonmember, kind))
+    assert got.hex() == rank_sum_auroc(*oriented).hex()
+
+
+def test_auroc_counting_equals_rank_sum_on_continuous_scores():
+    rng = np.random.default_rng(3)
+    for n_m, n_n in ((1, 1), (1, 4000), (50, 4000), (2000, 4000), (4000, 7)):
+        member, nonmember = rng.normal(0.1, 1.0, size=n_m), rng.normal(size=n_n)
+        for kind in (ScoreKind.MAX_PROB, ScoreKind.LOG_LOSS):
+            oriented = (-member, -nonmember) if kind is ScoreKind.LOG_LOSS \
+                else (member, nonmember)
+            got = auroc(_scores(member, nonmember, kind))
+            assert got.hex() == rank_sum_auroc(*oriented).hex()
 
 
 def test_auroc_empty_side_rejected():
