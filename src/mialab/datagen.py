@@ -147,24 +147,18 @@ def generate_dataset(params: GenParams, split: str) -> Dataset:
         contaminated_mask=np.zeros(n, dtype=bool),
     )
     if params.epsilon > 0.0:
-        contam_rng = _stream(params.seed, _TAG_CONTAM, tag)
-        data = _contaminate(data, params.epsilon, params.tau, contam_rng)
+        _contaminate(data, params.epsilon, params.tau, _stream(params.seed, _TAG_CONTAM, tag))
     return data
 
 
-def _contaminate(
-    data: Dataset, epsilon: float, tau: float, rng: np.random.Generator
-) -> Dataset:
+def _contaminate(data: Dataset, epsilon: float, tau: float, rng: np.random.Generator) -> None:
+    """Replace each row of ``data`` with probability ``epsilon`` by a
+    ``N(0, tau^2 I_d)`` draw, in place, and record the replaced rows in its mask."""
     mask = rng.random(data.n) < epsilon
-    features = data.features.copy()
     k = int(mask.sum())
     if k:
-        features[mask] = rng.normal(0.0, tau, size=(k, data.d))
-    return Dataset(
-        features=features,
-        labels=data.labels.copy(),
-        contaminated_mask=mask,
-    )
+        data.features[mask] = rng.normal(0.0, tau, size=(k, data.d))
+    data.contaminated_mask = mask
 
 
 def write_csv(data: Dataset, path: str) -> None:

@@ -3,25 +3,31 @@
 Everything here operates on explicit probability tables over a finite
 ``X x Y`` grid, so total variation, KL, pushforward laws, and the
 marginal/conditional decomposition bounds can all be evaluated exactly
-(up to float rounding) and certified against each other:
+(up to float rounding) and certified against each other.
+
+``certify`` draws each stack of Dirichlet-random ``(p, q)`` pairs in one
+sized draw, checks every table in it at once, and runs one kernel pass
+over the stack.  The pass computes each pair's conditional table and the
+``log`` of its target table once, shares them, and calls each stage once;
+every stage takes the whole stack (leading axis: the pair):
 
 * ``decompose`` splits the joint TV into a marginal part and an expected
-  conditional part and reports the resulting sandwich
+  conditional part, giving the sandwich
   ``|TV_X - E TV_cond| <= TV_joint <= TV_X + E TV_cond`` together with the
   KL-based upper bound ``sqrt(KL_X/2) + sqrt(E KL_cond / 2)``.
+* ``log_joint_vector_channel`` and ``softmax_channel`` group each target's
+  x atoms by their log-joint row and by their posterior row.
+* ``pushforward`` gives the law of both tables of each pair through every
+  channel.
 * ``dominance_probe`` evaluates the coefficient
   ``c(alpha, beta) = log(beta/alpha) / (1 + log(beta/alpha))`` built from
   the conditional likelihood-ratio range, and compares the exact TV of the
   scalar log-joint channel against ``sqrt(max(0, c*KL_X - KL_cond)/2)``.
-* ``certify`` draws each stack of Dirichlet-random pairs in one sized draw,
-  checks every table in it at once, and runs every check on the whole stack
-  of pairs, reporting each check's triggered count, violation count and
-  minimum slack.
 
-Each formula is coded once, on stacks of tables (leading axes index the
-pair, the last axes are the table); the single-pair functions above are
-stacks of one.  Every sum keeps the order a single-pair computation uses,
-so a pair's numbers do not depend on the stack it was certified in.
+The pass reports each check's triggered count, violation count and minimum
+slack.  Every sum keeps the order a single-pair computation uses, so a
+pair's numbers do not depend on the stack it was certified in; the tests
+hold an independent per-pair oracle.
 
 Conventions: conditionals at marginal-zero points contribute 0 to
 expectations taken under the first argument's marginal.  Where the second
@@ -32,10 +38,10 @@ placeholder row, which keeps every reported bound valid.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from itertools import compress
+from numbers import Integral
 
 import numpy as np
 
@@ -66,7 +72,7 @@ def _check_tables(tables: np.ndarray, x_size: int, y_size: int) -> None:
     probability table: finite, nonnegative, with mass within 1e-12 of 1."""
     if tables.shape[1:] != (x_size, y_size):
         raise ValidationError(f"table shape {tables.shape[1:]} != ({x_size}, {y_size})")
-    if not np.isfinite(tables).all() or tables.min() < 0:
+    if tables.size and (not np.isfinite(tables).all() or tables.min() < 0):
         raise ValidationError("table entries must be finite and nonnegative")
     mass = tables.sum(axis=(1, 2))
     off = np.abs(mass - 1.0) > 1e-12
@@ -81,57 +87,6 @@ def _log_tables(tables: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class DiscreteJoint:
-    """A full joint probability table over ``x_size * y_size`` atoms."""
-
-    table: np.ndarray
-    x_size: int
-    y_size: int
-
-    def __post_init__(self) -> None:
-        _check_tables(self.table[None], self.x_size, self.y_size)
-
-    @classmethod
-    def from_array(cls, table) -> "DiscreteJoint":
-        t = np.asarray(table, dtype=np.float64)
-        if t.ndim != 2:
-            raise ValidationError("joint table must be 2-D")
-        return cls(table=t, x_size=t.shape[0], y_size=t.shape[1])
-
-    def conditionals(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(p(x), p(y|x))``, read-only; a row whose marginal is zero is -1 throughout."""
-        return self._conditionals
-
-    @functools.cached_property
-    def _conditionals(self) -> tuple[np.ndarray, np.ndarray]:
-        px, cond = _conditional_stack(self.table)
-        px.flags.writeable = cond.flags.writeable = False
-        return px, cond
-
-    @functools.cached_property
-    def log_table(self) -> np.ndarray:
-        """``log`` of the table, read-only; zero atoms are ``-inf``."""
-        logs = _log_tables(self.table)
-        logs.flags.writeable = False
-        return logs
-
-
-@dataclass(frozen=True)
-class ScoreChannel:
-    """A deterministic map from (x, y) atoms to a finite outcome set."""
-
-    outcomes: np.ndarray
-    outcome_size: int
-
-    def __post_init__(self) -> None:
-        o = self.outcomes
-        if o.ndim != 2 or o.dtype.kind not in "iu":
-            raise ValidationError("outcomes must be a 2-D integer array")
-        if o.size and (o.min() < 0 or o.max() >= self.outcome_size):
-            raise ValidationError("outcome indices out of range")
-
-
-@dataclass(frozen=True)
 class BoundsReport:
     """One decomposition instance; the inequality chain is the certificate."""
 
@@ -143,19 +98,6 @@ class BoundsReport:
     lower: float
     upper: float
     pinsker_upper: float
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    kl_x: float
-    exp_kl_cond: float
-    alpha: float
-    beta: float
-    c: float
-    condition_holds: bool
-    adv_scalar_joint_lb: float
-    adv_cond_ub: float
-    tv_scalar_joint: float
 
 
 @dataclass(frozen=True)
@@ -240,15 +182,11 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_same_shape(joint_p: DiscreteJoint, joint_q: DiscreteJoint) -> None:
-    if joint_p.table.shape != joint_q.table.shape:
-        raise ValidationError("joint tables must have matching shapes")
-
-
-def _decompose_stack(P, Q, px, p, qx, q) -> np.ndarray:
+def decompose(P, Q, px, p, qx, q) -> np.ndarray:
     """The :class:`BoundsReport` fields of each (T, x, y) table pair, an (8, T) array.
 
-    ``px, p`` and ``qx, q`` are the pairs' :func:`_conditional_stack`.
+    The exact TV/KL decomposition of each pair into marginal and conditional
+    parts; ``px, p`` and ``qx, q`` are the pairs' :func:`_conditional_stack`.
     """
     seen, q_missing = px > 0.0, qx <= 0.0
     tv_joint = _half_l1(P.reshape(len(P), -1), Q.reshape(len(Q), -1))
@@ -274,49 +212,36 @@ def _decompose_stack(P, Q, px, p, qx, q) -> np.ndarray:
                      pinsker_upper])
 
 
-def decompose(joint_p: DiscreteJoint, joint_q: DiscreteJoint) -> BoundsReport:
-    """Exact TV/KL decomposition of a joint pair into marginal and conditional parts."""
-    _check_same_shape(joint_p, joint_q)
-    (px, p), (qx, q) = joint_p.conditionals(), joint_q.conditionals()
-    fields = _decompose_stack(joint_p.table[None], joint_q.table[None],
-                              px[None], p[None], qx[None], q[None])
-    return BoundsReport(*fields[:, 0].tolist())
+def pushforward(tables: np.ndarray, channels) -> list[np.ndarray]:
+    """Law of both tables of each (T, 2, x, y) pair through each channel.
 
-
-def _pushforward_stack(tables: np.ndarray, outcomes: np.ndarray,
-                       sizes: np.ndarray) -> np.ndarray:
-    """Law of each (T, x, y) table through its channel, a (T, max size) array.
-
-    ``outcomes[t]`` maps the flattened atoms of ``tables[t]`` into its first
-    ``sizes[t]`` outcomes; a row is normalised by the sum of those alone.
+    A channel is ``(outcomes, sizes)``: ``outcomes[t]`` maps the flattened
+    atoms of pair ``t``'s tables into its first ``sizes[t]`` outcomes.  Each
+    channel's laws are a (T, 2, max size) array, each row normalised by the
+    sum of its first ``sizes[t]`` entries alone.
     """
-    count, width = len(tables), int(sizes.max())
-    flat = (outcomes + width * np.arange(count)[:, None]).ravel()
-    out = np.bincount(flat, weights=tables.reshape(-1),
-                      minlength=count * width).reshape(count, width)
-    totals = out.sum(axis=-1)
-    # padding zeros would move numpy's pairwise grouping of a merged channel's sum
-    for t in np.flatnonzero(sizes < width):
-        totals[t] = out[t, :sizes[t]].sum()
-    return out / totals[:, None]
+    count = len(tables)
+    weights = tables.reshape(-1)
+    rows = np.arange(2 * count).reshape(count, 2, 1)
+    laws = []
+    for outcomes, sizes in channels:
+        width = int(sizes.max())
+        flat = (outcomes[:, None, :] + width * rows).ravel()
+        out = np.bincount(flat, weights=weights,
+                          minlength=2 * count * width).reshape(count, 2, width)
+        totals = out.sum(axis=-1)
+        # padding zeros would move numpy's pairwise grouping of a merged channel's sum
+        for t in np.flatnonzero(sizes < width):
+            totals[t] = out[t, :, :sizes[t]].sum(axis=-1)
+        laws.append(out / totals[..., None])
+    return laws
 
 
-def pushforward(joint: DiscreteJoint, channel: ScoreChannel) -> np.ndarray:
-    """Outcome law induced by mapping every (x, y) atom through the channel."""
-    if channel.outcomes.shape != joint.table.shape:
-        raise ValidationError("channel does not cover the joint's index set")
-    return _pushforward_stack(joint.table[None], channel.outcomes.reshape(1, -1),
-                              np.array([channel.outcome_size]))[0]
-
-
-def _channel_tv_stack(P: np.ndarray, Q: np.ndarray, outcomes: np.ndarray,
-                      sizes: np.ndarray) -> np.ndarray:
-    """TV between the laws of each (T, x, y) pair through the target's channel."""
-    law_p = _check_mass_rows(_pushforward_stack(P, outcomes, sizes), "p")
-    law_q = _check_mass_rows(_pushforward_stack(Q, outcomes, sizes), "q")
-    out = _half_l1(law_p, law_q)
-    for t in np.flatnonzero(sizes < law_p.shape[-1]):
-        out[t] = tv(law_p[t, :sizes[t]], law_q[t, :sizes[t]])
+def _law_tv(laws: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """TV between the two laws of each pair in one :func:`pushforward` result."""
+    out = _half_l1(laws[:, 0], laws[:, 1])
+    for t in np.flatnonzero(sizes < laws.shape[-1]):
+        out[t] = tv(laws[t, 0, :sizes[t]], laws[t, 1, :sizes[t]])
     return out
 
 
@@ -331,7 +256,8 @@ def c_coeff(alpha: float, beta: float) -> float:
 
 
 def _lr_range_stack(px, p, qx, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(alpha, beta, unbounded)`` of each (T, x, y) pair's conditional ratio.
+    """``(alpha, beta, unbounded)``: the range of each (T, x, y) pair's
+    conditional ratio ``P(y|x)/Q(y|x)`` over supported x, where 0/0 is free.
 
     Where ``unbounded[t]`` the range is not finite and ``alpha, beta`` are
     meaningless; :func:`_unbounded_ratio` says why.
@@ -356,22 +282,27 @@ def _unbounded_ratio(px, p, qx, q) -> UnboundedRatioError:
     return UnboundedRatioError(f"conditional ratio unbounded at (x={x}, y={y})")
 
 
-def lr_constants(joint_p: DiscreteJoint, joint_q: DiscreteJoint) -> tuple[float, float]:
-    """(min, max) of the conditional ratio ``P(y|x)/Q(y|x)`` over supported x; 0/0 is free."""
-    _check_same_shape(joint_p, joint_q)
-    (px, p), (qx, q) = joint_p.conditionals(), joint_q.conditionals()
-    alpha, beta, bad = _lr_range_stack(px[None], p[None], qx[None], q[None])
-    if bad[0]:
-        raise _unbounded_ratio(px, p, qx, q)
-    return float(alpha[0]), float(beta[0])
+def dominance_probe(pair, kl_x, exp_kl_cond, scalar_laws, scalar_sizes):
+    """``(holds, bound, tv_scalar)`` of the scalar-joint dominance check, per pair.
 
-
-def _scalar_joint_bound(c, kl_x, exp_kl_cond):
-    """``(condition_holds, adv_scalar_joint_lb)`` of :func:`dominance_probe`, elementwise."""
+    ``pair`` is ``(px, p, qx, q)``, the pairs' :func:`_conditional_stack`;
+    ``c`` comes from the range of their conditional ratio.  ``holds`` is
+    ``c * KL_X > E KL_cond``; where it does, ``tv_scalar``, the exact TV of
+    the scalar log-joint channel (its :func:`pushforward` laws and outcome
+    counts), is expected to clear ``bound = sqrt(max(0, c*KL_X - E KL_cond) / 2)``.
+    Raises the error of the first pair whose ratio range is not finite or
+    whose ``c`` is undefined.
+    """
+    alpha, beta, unbounded = _lr_range_stack(*pair)
+    c = np.empty(len(alpha))
+    for t, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist())):
+        if unbounded[t]:
+            raise _unbounded_ratio(*(part[t] for part in pair))
+        c[t] = c_coeff(a, b)
     gap = c * kl_x - exp_kl_cond
     with np.errstate(invalid="ignore"):
         bound = np.where(np.isfinite(gap), np.sqrt(np.maximum(gap, 0.0) / 2.0), np.inf)
-    return gap > 0.0, bound
+    return gap > 0.0, bound, _law_tv(scalar_laws, scalar_sizes)
 
 
 def _chain_stack(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -379,7 +310,9 @@ def _chain_stack(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     A row's values in sorted order open a new outcome wherever the gap to the
     previous value exceeds ``_GROUP_ATOL``; ``-inf`` values share one (their
-    gap is nan).
+    gap is nan).  Over a target's log table this is its scalar log-joint
+    channel: atoms whose log-joint values coincide share an outcome, and
+    zero atoms all score ``-inf``.
     """
     order = np.argsort(values, axis=-1, kind="mergesort")
     with np.errstate(invalid="ignore"):
@@ -391,19 +324,13 @@ def _chain_stack(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return outcomes, ids[:, -1] + 1
 
 
-def _chain_channel(values: np.ndarray) -> ScoreChannel:
-    """The chain channel of :func:`_chain_stack` over every entry of ``values``."""
-    outcomes, sizes = _chain_stack(values.reshape(1, -1))
-    return ScoreChannel(outcomes=outcomes.reshape(values.shape), outcome_size=int(sizes[0]))
-
-
 def _close(openers: np.ndarray, rest: np.ndarray) -> np.ndarray:
     """Rows close entry for entry (broadcast over all but the last axis)."""
     return ((np.abs(openers - rest) <= _GROUP_ATOL) | (openers == rest)).all(axis=-1)
 
 
-def _row_channel(rows: np.ndarray) -> ScoreChannel:
-    """Each x's outcome is its row's group: the first unlabelled row opens a
+def _row_channel(rows: np.ndarray) -> tuple[list[int], int]:
+    """Each x's group and the group count: the first unlabelled row opens a
     group that takes every unlabelled row close to it.
 
     Two rows are close when every entry pair has ``|a - b| <= _GROUP_ATOL``
@@ -428,8 +355,7 @@ def _row_channel(rows: np.ndarray) -> ScoreChannel:
                         if labels[k] < 0:
                             labels[k] = size
                     size += 1
-    outcomes = np.repeat(np.array(labels, dtype=np.int64)[:, None], y_size, axis=1)
-    return ScoreChannel(outcomes=outcomes, outcome_size=size)
+    return labels, size
 
 
 def _any_close_rows(rows: np.ndarray) -> np.ndarray:
@@ -464,74 +390,35 @@ def _row_channel_stack(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     labels = np.tile(np.arange(x_size, dtype=np.int64), (count, 1))
     sizes = np.full(count, x_size, dtype=np.int64)
     for t in np.flatnonzero(_any_close_rows(rows)):
-        channel = _row_channel(rows[t])
-        labels[t], sizes[t] = channel.outcomes[:, 0], channel.outcome_size
+        labels[t], sizes[t] = _row_channel(rows[t])
     return np.repeat(labels, y_size, axis=1), sizes
 
 
-def scalar_log_joint_channel(joint: DiscreteJoint) -> ScoreChannel:
-    """Channel collapsing (x, y) atoms whose model log-joint values coincide.
-
-    Zero-probability atoms all score ``-inf`` and share one outcome.
-    """
-    return _chain_channel(joint.log_table)
-
-
-def log_joint_vector_channel(joint: DiscreteJoint) -> ScoreChannel:
-    """Channel exposing the full per-class log-joint vector (a function of x).
+def log_joint_vector_channel(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Channel exposing the full per-class log-joint vector (a function of x),
+    for each (T, x, y) stack of log tables: per-atom outcomes and outcome counts.
 
     Two x atoms share an outcome only when their whole log rows coincide.
     """
-    return _row_channel(joint.log_table)
+    return _row_channel_stack(logs)
 
 
-def softmax_channel(joint: DiscreteJoint) -> ScoreChannel:
-    """Channel exposing the posterior row: log rows equal up to an additive
-    shift collapse to the same outcome (the per-x normalizer is discarded)."""
-    return _row_channel(joint.conditionals()[1])
-
-
-def dominance_probe(
-    joint_p: DiscreteJoint, joint_q: DiscreteJoint, report: BoundsReport | None = None
-) -> DominanceReport:
-    """Evaluate the scalar-joint dominance condition and both advantage bounds.
-
-    ``condition_holds`` is ``c * KL_X > KL_cond``; when it does, the exact TV
-    of the scalar log-joint channel is expected to clear
-    ``sqrt(max(0, c*KL_X - KL_cond) / 2)`` while the conditional channel is
-    capped by ``sqrt(KL_X/2) + sqrt(KL_cond/2)``.  ``report`` is the pair's
-    :func:`decompose`, computed here when not given.
-    """
-    alpha, beta = lr_constants(joint_p, joint_q)
-    report = decompose(joint_p, joint_q) if report is None else report
-    c = c_coeff(alpha, beta)
-    holds, bound = _scalar_joint_bound(c, report.kl_x, report.exp_kl_cond)
-    channel = scalar_log_joint_channel(joint_p)
-    tv_scalar = tv(pushforward(joint_p, channel), pushforward(joint_q, channel))
-    return DominanceReport(
-        kl_x=report.kl_x,
-        exp_kl_cond=report.exp_kl_cond,
-        alpha=alpha,
-        beta=beta,
-        c=c,
-        condition_holds=bool(holds),
-        adv_scalar_joint_lb=float(bound),
-        adv_cond_ub=report.pinsker_upper,
-        tv_scalar_joint=tv_scalar,
-    )
+def softmax_channel(cond: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Channel exposing the posterior row, for each (T, x, y) stack of
+    conditional tables: log rows equal up to an additive shift collapse to
+    the same outcome (the per-x normalizer is discarded)."""
+    return _row_channel_stack(cond)
 
 
 def sample_dirichlet_joint(rng: np.random.Generator, x_size: int, y_size: int,
-                           size: int | None = None) -> DiscreteJoint | np.ndarray:
-    """Flat-Dirichlet random table: full support almost surely.
+                           size: int) -> np.ndarray:
+    """A (size, x, y) stack of flat-Dirichlet random tables (full support
+    almost surely), drawn in one call and checked at once.
 
-    With ``size``, a (size, x, y) array of such tables drawn in one call and
-    checked at once as :class:`DiscreteJoint` checks one; ``rng`` yields the
-    same tables, and ends in the same state, as ``size`` one-table calls.
+    ``rng`` yields the same tables, and ends in the same state, as ``size``
+    one-table draws.
     """
     flat = rng.dirichlet(np.ones(x_size * y_size), size=size)
-    if size is None:
-        return DiscreteJoint.from_array(flat.reshape(x_size, y_size))
     tables = flat.reshape(size, x_size, y_size)
     _check_tables(tables, x_size, y_size)
     return tables
@@ -542,28 +429,23 @@ def _certify_stack(tables: np.ndarray):
 
     Returns the (8, T) :class:`BoundsReport` fields and three (5, T) arrays
     over ``CHECKS``: whether each check applied to each pair, whether it
-    failed, and its slack.  Raises the error the first failing pair raises
-    in :func:`dominance_probe`.
+    failed, and its slack.  Raises the error :func:`dominance_probe` raises
+    for the first failing pair.
     """
     count = len(tables)
     P, Q = tables[:, 0], tables[:, 1]
     px, cond = _conditional_stack(tables)
     pair = (px[:, 0], cond[:, 0], px[:, 1], cond[:, 1])
-    fields = _decompose_stack(P, Q, *pair)
+    fields = decompose(P, Q, *pair)
     tv_joint, _, _, kl_x, exp_kl_cond, lower, upper, pinsker = fields
 
-    alpha, beta, unbounded = _lr_range_stack(*pair)
-    c = np.empty(count)
-    for t, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist())):
-        if unbounded[t]:
-            raise _unbounded_ratio(*(part[t] for part in pair))
-        c[t] = c_coeff(a, b)
-    holds, bound = _scalar_joint_bound(c, kl_x, exp_kl_cond)
-
     logs = _log_tables(P)
-    tv_scalar = _channel_tv_stack(P, Q, *_chain_stack(logs.reshape(count, -1)))
-    tv_vec = _channel_tv_stack(P, Q, *_row_channel_stack(logs))
-    tv_soft = _channel_tv_stack(P, Q, *_row_channel_stack(cond[:, 0]))
+    channels = (_chain_stack(logs.reshape(count, -1)), log_joint_vector_channel(logs),
+                softmax_channel(cond[:, 0]))
+    scalar_sizes, vec_sizes, soft_sizes = (sizes for _, sizes in channels)
+    scalar_laws, vec_laws, soft_laws = pushforward(tables, channels)
+    holds, bound, tv_scalar = dominance_probe(pair, kl_x, exp_kl_cond, scalar_laws, scalar_sizes)
+    tv_vec, tv_soft = _law_tv(vec_laws, vec_sizes), _law_tv(soft_laws, soft_sizes)
 
     tol = _CHECK_TOL
     finite = np.isfinite(pinsker)
@@ -615,10 +497,15 @@ def certify(trials: int, x_size: int, y_size: int, seed: int = 0) -> Certificati
     ``TV_joint <= pinsker_upper`` and (3) ``upper <= pinsker_upper``; (4) the
     data-processing check, softmax channel TV <= log-joint vector channel TV;
     and, where ``dominance_probe``'s condition holds, (5) scalar log-joint
-    channel TV >= ``adv_scalar_joint_lb``.  A check fails when it misses by
-    more than 1e-12; its slack is the margin by which it holds (negative
-    when it misses).  The expected violation count is 0.
+    channel TV >= its ``bound``.  A check fails when it misses by more than
+    1e-12; its slack is the margin by which it holds (negative when it
+    misses).  The expected violation count is 0.  The counts and the seed
+    must be integers.
     """
+    for name, value in (("trials", trials), ("x_size", x_size), ("y_size", y_size),
+                        ("seed", seed)):
+        if isinstance(value, bool) or not isinstance(value, Integral):
+            raise ValidationError(f"{name} must be an integer, got {value!r}")
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
     if seed < 0:

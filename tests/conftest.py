@@ -33,13 +33,16 @@ def lda_log_joints_calls(monkeypatch):
 
 @pytest.fixture
 def stack_work_calls(monkeypatch):
-    """Names of every table draw, certification kernel pass and stack work inside it."""
+    """Names of every table draw, certification kernel pass, stage and shared
+    table computed inside it."""
     from mialab import divergence
 
     calls = []
     for real in (divergence.sample_dirichlet_joint, divergence._certify_stack,
-                 divergence._conditional_stack, divergence._decompose_stack,
-                 divergence._log_tables, divergence._row_channel_stack):
+                 divergence._conditional_stack, divergence._log_tables,
+                 divergence.decompose, divergence.pushforward,
+                 divergence.log_joint_vector_channel, divergence.softmax_channel,
+                 divergence.dominance_probe):
         _record_calls(monkeypatch, real, calls,
                       lambda *args, name=real.__name__, **kwargs: name)
     return calls

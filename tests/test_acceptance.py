@@ -1,8 +1,10 @@
 """Acceptance gate: every shipped guarantee, one printed line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
-pass.  The sweep-backed criteria 7, 8 and 11 dominate the runtime: about
-100 s on two cores, 75 s of it criterion 11; everything else is seconds.
+pass.  The sweep-backed criteria 7, 8 and 11 dominate the runtime.  On two
+shared cores the file took 62 s: 43 s for criterion 11, which runs the
+default grid three times, and 11 s and 5 s for the sweeps behind criteria 8
+and 7.  Every other criterion took under a second.
 """
 
 import math
@@ -19,22 +21,20 @@ from mialab.attacks import (
     threshold_scores,
 )
 from mialab.datagen import GenParams, generate_dataset
-from mialab.divergence import (
-    c_coeff,
-    decompose,
-    dominance_probe,
-    log_joint_vector_channel,
-    pushforward,
-    sample_dirichlet_joint,
-    softmax_channel,
-    tv,
-)
+from mialab.divergence import c_coeff, sample_dirichlet_joint
 from mialab.gbm import fit_gbm
 from mialab.harness import SweepGrid, run_sweep
 from mialab.linear_models import fit_logistic, logistic_margins, logistic_posteriors
 from mialab.metrics import auroc, write_results_csv
 
-from _divergence_fixtures import matched_normalizer_pair
+from _divergence_fixtures import (
+    channel_tv,
+    decompose,
+    dominance_probe,
+    log_joint_vector_channel,
+    matched_normalizer_pair,
+    softmax_channel,
+)
 from _reference_gbm import _best_split, enumerate_best_split, staged_train_deviance
 
 TOL = 1e-12
@@ -77,9 +77,7 @@ def test_criterion_1_sandwich_certification():
     start = time.perf_counter()
     violations = 0
     for _ in range(1000):
-        jp = sample_dirichlet_joint(rng, 6, 4)
-        jq = sample_dirichlet_joint(rng, 6, 4)
-        rep = decompose(jp, jq)
+        rep = decompose(*sample_dirichlet_joint(rng, 6, 4, size=2))
         if not (rep.lower <= rep.tv_joint + TOL and rep.tv_joint <= rep.upper + TOL):
             violations += 1
     elapsed = time.perf_counter() - start
@@ -95,9 +93,7 @@ def test_criterion_2_kl_upper_bound_chain():
     violations = 0
     finite = 0
     for _ in range(1000):
-        jp = sample_dirichlet_joint(rng, 6, 4)
-        jq = sample_dirichlet_joint(rng, 6, 4)
-        rep = decompose(jp, jq)
+        rep = decompose(*sample_dirichlet_joint(rng, 6, 4, size=2))
         if math.isfinite(rep.kl_x) and math.isfinite(rep.exp_kl_cond):
             finite += 1
             bound = math.sqrt(rep.kl_x / 2.0) + math.sqrt(rep.exp_kl_cond / 2.0)
@@ -114,24 +110,17 @@ def test_criterion_3_softmax_coarsening():
     rng = np.random.default_rng(3)
     violations = 0
     for _ in range(500):
-        jp = sample_dirichlet_joint(rng, 6, 4)
-        jq = sample_dirichlet_joint(rng, 6, 4)
-        vec = log_joint_vector_channel(jp)
-        soft = softmax_channel(jp)
-        tv_vec = tv(pushforward(jp, vec), pushforward(jq, vec))
-        tv_soft = tv(pushforward(jp, soft), pushforward(jq, soft))
+        P, Q = sample_dirichlet_joint(rng, 6, 4, size=2)
+        tv_vec = channel_tv(P, Q, log_joint_vector_channel(P))
+        tv_soft = channel_tv(P, Q, softmax_channel(P))
         if tv_soft > tv_vec + TOL:
             violations += 1
 
     worst_gap = 0.0
     for _ in range(10):
-        jp, jq = matched_normalizer_pair(rng)
-        vec = log_joint_vector_channel(jp)
-        soft = softmax_channel(jp)
-        gap = abs(
-            tv(pushforward(jp, vec), pushforward(jq, vec))
-            - tv(pushforward(jp, soft), pushforward(jq, soft))
-        )
+        P, Q = matched_normalizer_pair(rng)
+        gap = abs(channel_tv(P, Q, log_joint_vector_channel(P))
+                  - channel_tv(P, Q, softmax_channel(P)))
         worst_gap = max(worst_gap, gap)
     _report(
         "3 (posterior coarsening never gains)",
@@ -152,12 +141,10 @@ def test_criterion_4_scalar_joint_dominance():
     held = 0
     violations = 0
     for _ in range(500):
-        jp = sample_dirichlet_joint(rng, 6, 4)
-        jq = sample_dirichlet_joint(rng, 6, 4)
-        probe = dominance_probe(jp, jq)
-        if probe.condition_holds:
+        holds, bound, tv_scalar = dominance_probe(*sample_dirichlet_joint(rng, 6, 4, size=2))
+        if holds:
             held += 1
-            if probe.tv_scalar_joint < probe.adv_scalar_joint_lb - TOL:
+            if tv_scalar < bound - TOL:
                 violations += 1
     _report(
         "4 (scalar-joint dominance bound)",

@@ -109,15 +109,19 @@ def test_row_block_draws_match_one_call_draw(d, n, epsilon, cap, monkeypatch):
 
 
 def test_test_split_draw_keeps_no_whole_matrix_temporary():
-    params = GenParams(d=256, n_train=2, n_test=4000, mu=0.3, seed=3)
-    generate_dataset(params, "test")  # warm up
-    tracemalloc.start()
-    try:
-        data = generate_dataset(params, "test")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < data.features.nbytes + 2**20
+    # contamination replaces its rows in the drawn matrix, so a contaminated
+    # split holds no second copy either
+    for epsilon in (0.0, 0.02):
+        params = GenParams(d=256, n_train=2, n_test=4000, mu=0.3, seed=3, epsilon=epsilon)
+        generate_dataset(params, "test")  # warm up
+        tracemalloc.start()
+        try:
+            data = generate_dataset(params, "test")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert data.contaminated_mask.any() == (epsilon > 0.0)
+        assert peak < data.features.nbytes + 2**20, epsilon
 
 
 def test_core_column_conditional_means():
@@ -162,9 +166,10 @@ def test_matched_distributions_two_sample_mean():
 def test_contaminate_zero_epsilon_is_identity():
     params = GenParams(d=4, n_train=32, mu=0.2, seed=1)
     data = generate_dataset(params, "train")
-    out = _contaminate(data, 0.0, 1.0, np.random.default_rng(9))
-    assert np.array_equal(out.features, data.features)
-    assert not out.contaminated_mask.any()
+    clean = data.features.copy()
+    _contaminate(data, 0.0, 1.0, np.random.default_rng(9))
+    assert np.array_equal(data.features, clean)
+    assert not data.contaminated_mask.any()
 
 
 def test_contaminate_epsilon_one_replaces_everything():

@@ -12,46 +12,39 @@ from mpmath import mp, mpf
 from mialab import divergence
 from mialab.divergence import (
     BoundsReport,
-    DiscreteJoint,
-    ScoreChannel,
-    _row_channel,
     c_coeff,
     certify_bounds,
-    decompose,
-    dominance_probe,
     kl,
-    log_joint_vector_channel,
-    lr_constants,
-    pushforward,
     sample_dirichlet_joint,
-    scalar_log_joint_channel,
-    softmax_channel,
     tv,
 )
 from mialab.errors import UnboundedRatioError, ValidationError
 
 from _divergence_fixtures import (
+    channel_tv,
+    decompose,
+    dominance_probe,
+    laws,
+    log_joint_vector_channel,
+    lr_constants,
     marginal_skew_pair,
     matched_normalizer_pair,
     scalar_conditional_channel,
+    scalar_log_joint_channel,
+    softmax_channel,
 )
 
 mp.dps = 50
 
 
-def _joint(rows):
-    return DiscreteJoint.from_array(np.asarray(rows, dtype=np.float64))
-
-
 def _channel(outcomes):
     outcomes = np.asarray(outcomes, dtype=np.int64)
-    return ScoreChannel(outcomes=outcomes, outcome_size=int(outcomes.max()) + 1)
+    return outcomes, int(outcomes.max()) + 1
 
 
-def _tv_before_and_after(jp, jq, channel):
+def _tv_before_and_after(P, Q, channel):
     """TV of the joint pair and of the pair's laws through ``channel``."""
-    before = tv(jp.table.ravel(), jq.table.ravel())
-    return before, tv(pushforward(jp, channel), pushforward(jq, channel))
+    return tv(P.ravel(), Q.ravel()), channel_tv(P, Q, channel)
 
 
 # ------------------------------------------------------------------ tv / kl
@@ -81,10 +74,9 @@ def test_divergences_match_high_precision_oracle():
     # 50-digit re-evaluation of tv, kl, and the full decomposition
     rng = np.random.default_rng(0)
     for _ in range(20):
-        jp = sample_dirichlet_joint(rng, 6, 4)
-        jq = sample_dirichlet_joint(rng, 6, 4)
-        P = [[mpf(v) for v in row] for row in jp.table]
-        Q = [[mpf(v) for v in row] for row in jq.table]
+        jp, jq = sample_dirichlet_joint(rng, 6, 4, size=2)
+        P = [[mpf(v) for v in row] for row in jp]
+        Q = [[mpf(v) for v in row] for row in jq]
         px = [sum(row) for row in P]
         qx = [sum(row) for row in Q]
 
@@ -113,8 +105,8 @@ def test_divergences_match_high_precision_oracle():
 
 def test_decompose_identical_pair_is_all_zero():
     rng = np.random.default_rng(1)
-    jp = sample_dirichlet_joint(rng, 5, 3)
-    rep = decompose(jp, jp)
+    P = sample_dirichlet_joint(rng, 5, 3, size=1)[0]
+    rep = decompose(P, P)
     assert rep.tv_joint == 0.0
     assert rep.lower == 0.0 and rep.upper == 0.0
     assert rep.kl_x == 0.0 and rep.exp_kl_cond == 0.0
@@ -127,9 +119,7 @@ def test_decompose_product_structure_tightness():
     c = rng.dirichlet(np.ones(4))
     px = rng.dirichlet(np.ones(6))
     qx = rng.dirichlet(np.ones(6))
-    jp = _joint(px[:, None] * c[None, :])
-    jq = _joint(qx[:, None] * c[None, :])
-    rep = decompose(jp, jq)
+    rep = decompose(px[:, None] * c[None, :], qx[:, None] * c[None, :])
     assert rep.exp_cond_tv == pytest.approx(0.0, abs=1e-14)
     assert rep.tv_joint == pytest.approx(rep.tv_marginal, abs=1e-12)
     assert rep.lower == pytest.approx(rep.upper, abs=1e-12)
@@ -138,9 +128,7 @@ def test_decompose_product_structure_tightness():
 def test_decompose_random_sandwich_and_pinsker():
     rng = np.random.default_rng(3)
     for _ in range(300):
-        jp = sample_dirichlet_joint(rng, 6, 4)
-        jq = sample_dirichlet_joint(rng, 6, 4)
-        rep = decompose(jp, jq)
+        rep = decompose(*sample_dirichlet_joint(rng, 6, 4, size=2))
         assert rep.lower <= rep.tv_joint + 1e-12
         assert rep.tv_joint <= rep.upper + 1e-12
         assert rep.tv_joint <= rep.pinsker_upper + 1e-12
@@ -150,9 +138,7 @@ def test_decompose_random_sandwich_and_pinsker():
 def test_decompose_zero_shadow_marginal_edge():
     # Q puts no mass on x=0 while P does: KL terms blow up, TV terms stay
     # finite, and the sandwich still holds
-    jp = _joint([[0.2, 0.2], [0.3, 0.3]])
-    jq = _joint([[0.0, 0.0], [0.5, 0.5]])
-    rep = decompose(jp, jq)
+    rep = decompose(np.array([[0.2, 0.2], [0.3, 0.3]]), np.array([[0.0, 0.0], [0.5, 0.5]]))
     assert rep.kl_x == math.inf
     assert rep.exp_kl_cond == math.inf
     assert rep.pinsker_upper == math.inf
@@ -160,20 +146,15 @@ def test_decompose_zero_shadow_marginal_edge():
     assert rep.lower <= rep.tv_joint + 1e-12 <= rep.upper + 2e-12
 
 
-def test_decompose_shape_mismatch():
-    with pytest.raises(ValidationError):
-        decompose(_joint([[0.5, 0.5]]), _joint([[0.5], [0.5]]))
-
-
 # ------------------------------------------------------------------ channels
 
 
 def test_pushforward_identity_and_constant():
     rng = np.random.default_rng(4)
-    jp = sample_dirichlet_joint(rng, 3, 2)
-    flat = pushforward(jp, _channel(np.arange(6).reshape(3, 2)))
-    np.testing.assert_allclose(flat, jp.table.ravel())
-    point = pushforward(jp, _channel(np.zeros((3, 2))))
+    P = sample_dirichlet_joint(rng, 3, 2, size=1)[0]
+    flat, _ = laws(P, P, _channel(np.arange(6).reshape(3, 2)))
+    np.testing.assert_allclose(flat, P.ravel())
+    point, _ = laws(P, P, _channel(np.zeros((3, 2))))
     np.testing.assert_allclose(point, [1.0])
 
 
@@ -181,59 +162,49 @@ def test_pushforward_argmax_channel_matches_enumeration():
     rng = np.random.default_rng(5)
     posterior_table = rng.dirichlet(np.ones(4), size=6)
     channel = _channel(np.repeat(np.argmax(posterior_table, axis=1)[:, None], 4, axis=1))
-    jp = sample_dirichlet_joint(rng, 6, 4)
-    law = pushforward(jp, channel)
-    oracle = np.zeros(channel.outcome_size)
+    P = sample_dirichlet_joint(rng, 6, 4, size=1)[0]
+    law, _ = laws(P, P, channel)
+    oracle = np.zeros(channel[1])
     for x in range(6):
         for y in range(4):
-            oracle[int(np.argmax(posterior_table[x]))] += jp.table[x, y]
+            oracle[int(np.argmax(posterior_table[x]))] += P[x, y]
     np.testing.assert_allclose(law, oracle, atol=1e-15)
 
 
 def test_dpi_injective_and_merge_all():
     rng = np.random.default_rng(6)
-    jp = sample_dirichlet_joint(rng, 4, 3)
-    jq = sample_dirichlet_joint(rng, 4, 3)
-    before, after = _tv_before_and_after(jp, jq, _channel(np.arange(12).reshape(4, 3)))
+    P, Q = sample_dirichlet_joint(rng, 4, 3, size=2)
+    before, after = _tv_before_and_after(P, Q, _channel(np.arange(12).reshape(4, 3)))
     assert after == pytest.approx(before, abs=1e-15)
-    _, after_const = _tv_before_and_after(jp, jq, _channel(np.zeros((4, 3))))
+    _, after_const = _tv_before_and_after(P, Q, _channel(np.zeros((4, 3))))
     assert after_const == pytest.approx(0.0, abs=1e-15)
 
 
 def test_softmax_coarsening_never_beats_log_joint_vector():
     rng = np.random.default_rng(7)
     for _ in range(200):
-        jp = sample_dirichlet_joint(rng, 6, 4)
-        jq = sample_dirichlet_joint(rng, 6, 4)
-        vec = log_joint_vector_channel(jp)
-        soft = softmax_channel(jp)
-        tv_vec = tv(pushforward(jp, vec), pushforward(jq, vec))
-        tv_soft = tv(pushforward(jp, soft), pushforward(jq, soft))
+        P, Q = sample_dirichlet_joint(rng, 6, 4, size=2)
+        tv_vec = channel_tv(P, Q, log_joint_vector_channel(P))
+        tv_soft = channel_tv(P, Q, softmax_channel(P))
         assert tv_soft <= tv_vec + 1e-12
 
 
 def test_matched_normalizer_instances_reach_equality():
     rng = np.random.default_rng(8)
     for _ in range(20):
-        jp, jq = matched_normalizer_pair(rng)
-        vec = log_joint_vector_channel(jp)
-        soft = softmax_channel(jp)
+        P, Q = matched_normalizer_pair(rng)
+        vec = log_joint_vector_channel(P)
+        soft = softmax_channel(P)
         # the quotient genuinely merges rows here
-        assert soft.outcome_size < vec.outcome_size
-        tv_vec = tv(pushforward(jp, vec), pushforward(jq, vec))
-        tv_soft = tv(pushforward(jp, soft), pushforward(jq, soft))
-        assert tv_soft == pytest.approx(tv_vec, abs=1e-10)
+        assert soft[1] < vec[1]
+        assert channel_tv(P, Q, soft) == pytest.approx(channel_tv(P, Q, vec), abs=1e-10)
 
 
 def test_scalar_log_joint_channel_merges_equal_scores():
-    jp = _joint([[0.25, 0.25], [0.25, 0.25]])
-    channel = scalar_log_joint_channel(jp)
-    assert channel.outcome_size == 1
-    jp2 = _joint([[0.4, 0.1], [0.4, 0.1]])
-    assert scalar_log_joint_channel(jp2).outcome_size == 2
-    jp3 = _joint([[0.5, 0.0], [0.3, 0.2]])
+    assert scalar_log_joint_channel(np.array([[0.25, 0.25], [0.25, 0.25]]))[1] == 1
+    assert scalar_log_joint_channel(np.array([[0.4, 0.1], [0.4, 0.1]]))[1] == 2
     # distinct positives 0.5, 0.3, 0.2 plus the zero class
-    assert scalar_log_joint_channel(jp3).outcome_size == 4
+    assert scalar_log_joint_channel(np.array([[0.5, 0.0], [0.3, 0.2]]))[1] == 4
 
 
 # ------------------------------------------------------------ dominance ops
@@ -261,17 +232,17 @@ def test_c_coeff_monotone_and_bounded():
 
 def test_lr_constants_identity_and_enumeration():
     rng = np.random.default_rng(9)
-    jp = sample_dirichlet_joint(rng, 5, 3)
-    assert lr_constants(jp, jp) == pytest.approx((1.0, 1.0))
+    P = sample_dirichlet_joint(rng, 5, 3, size=1)[0]
+    assert lr_constants(P, P) == pytest.approx((1.0, 1.0))
 
-    jq = sample_dirichlet_joint(rng, 5, 3)
-    alpha, beta = lr_constants(jp, jq)
+    Q = sample_dirichlet_joint(rng, 5, 3, size=1)[0]
+    alpha, beta = lr_constants(P, Q)
     ratios = []
     for x in range(5):
-        px = jp.table[x].sum()
-        qx = jq.table[x].sum()
+        px = P[x].sum()
+        qx = Q[x].sum()
         for y in range(3):
-            ratios.append((jp.table[x, y] / px) / (jq.table[x, y] / qx))
+            ratios.append((P[x, y] / px) / (Q[x, y] / qx))
     assert alpha == pytest.approx(min(ratios), abs=1e-15)
     assert beta == pytest.approx(max(ratios), abs=1e-15)
 
@@ -281,51 +252,46 @@ def test_lr_constants_matched_conditionals_skewed_marginals():
     cond = rng.dirichlet(np.ones(3), size=4)
     px = rng.dirichlet(np.ones(4))
     qx = rng.dirichlet(np.ones(4))
-    jp = _joint(px[:, None] * cond)
-    jq = _joint(qx[:, None] * cond)
-    alpha, beta = lr_constants(jp, jq)
+    P, Q = px[:, None] * cond, qx[:, None] * cond
+    alpha, beta = lr_constants(P, Q)
     assert (alpha, beta) == (pytest.approx(1.0), pytest.approx(1.0))
-    probe = dominance_probe(jp, jq)
-    assert probe.c == pytest.approx(0.0, abs=1e-12)
+    assert c_coeff(alpha, beta) == pytest.approx(0.0, abs=1e-12)
+    holds, bound, tv_scalar = dominance_probe(P, Q)
     # c = 0 at the alpha == beta boundary: the strict dominance condition
     # degenerates even though the marginals carry all the signal.  Float
     # rounding may leave ratios a few ulps off 1, in which case the bound it
     # triggers is vacuous rather than wrong.
-    if probe.condition_holds:
-        assert probe.adv_scalar_joint_lb <= 1e-7
-        assert probe.tv_scalar_joint >= probe.adv_scalar_joint_lb - 1e-12
+    if holds:
+        assert bound <= 1e-7
+        assert tv_scalar >= bound - 1e-12
 
 
 def test_lr_constants_unbounded():
-    jp = _joint([[0.25, 0.25], [0.25, 0.25]])
-    jq = _joint([[0.5, 0.0], [0.25, 0.25]])
-    with pytest.raises(UnboundedRatioError):
-        lr_constants(jp, jq)
-    jq2 = _joint([[0.0, 0.0], [0.5, 0.5]])
-    with pytest.raises(UnboundedRatioError):
-        lr_constants(jp, jq2)
+    P = np.array([[0.25, 0.25], [0.25, 0.25]])
+    with pytest.raises(UnboundedRatioError, match=re.escape("unbounded at (x=0, y=1)")):
+        dominance_probe(P, np.array([[0.5, 0.0], [0.25, 0.25]]))
+    with pytest.raises(UnboundedRatioError, match="Q has no mass at supported x=0"):
+        dominance_probe(P, np.array([[0.0, 0.0], [0.5, 0.5]]))
 
 
 def test_dominance_probe_identical_pair():
     rng = np.random.default_rng(11)
-    jp = sample_dirichlet_joint(rng, 4, 2)
-    probe = dominance_probe(jp, jp)
-    assert probe.adv_scalar_joint_lb == 0.0
-    assert probe.adv_cond_ub == 0.0
-    assert probe.tv_scalar_joint == 0.0
-    assert not probe.condition_holds
+    P = sample_dirichlet_joint(rng, 4, 2, size=1)[0]
+    holds, bound, tv_scalar = dominance_probe(P, P)
+    assert bound == 0.0
+    assert decompose(P, P).pinsker_upper == 0.0
+    assert tv_scalar == 0.0
+    assert not holds
 
 
 def test_dominance_probe_random_certification():
     rng = np.random.default_rng(12)
     held = 0
     for _ in range(300):
-        jp = sample_dirichlet_joint(rng, 6, 4)
-        jq = sample_dirichlet_joint(rng, 6, 4)
-        probe = dominance_probe(jp, jq)
-        if probe.condition_holds:
+        holds, bound, tv_scalar = dominance_probe(*sample_dirichlet_joint(rng, 6, 4, size=2))
+        if holds:
             held += 1
-            assert probe.tv_scalar_joint >= probe.adv_scalar_joint_lb - 1e-12
+            assert tv_scalar >= bound - 1e-12
     # mostly informational; random pairs rarely satisfy the condition
 
 
@@ -335,21 +301,20 @@ def test_dominance_probe_constructed_skew_instances():
     rng = np.random.default_rng(13)
     held = 0
     for _ in range(100):
-        jp, jq = marginal_skew_pair(rng, 6, 4, delta=0.05)
-        probe = dominance_probe(jp, jq)
-        if not probe.condition_holds:
+        P, Q = marginal_skew_pair(rng, 6, 4, delta=0.05)
+        holds, _, tv_scalar = dominance_probe(P, Q)
+        if not holds:
             continue
         held += 1
-        gap = probe.c * probe.kl_x - probe.exp_kl_cond
+        report = decompose(P, Q)
+        gap = c_coeff(*lr_constants(P, Q)) * report.kl_x - report.exp_kl_cond
         # this family stresses the bound far harder than flat-Dirichlet
         # pairs; the linear form survives it, the square-root form does not
         # (it fails once KL_X gets large), so only the former is asserted here
-        assert probe.tv_scalar_joint >= gap / math.sqrt(2) - 1e-12
+        assert tv_scalar >= gap / math.sqrt(2) - 1e-12
         # the headline comparison: the scalar joint channel beats the
         # scalar conditional channel whenever the condition holds
-        cond_channel = scalar_conditional_channel(jp)
-        tv_cond = tv(pushforward(jp, cond_channel), pushforward(jq, cond_channel))
-        assert probe.tv_scalar_joint >= tv_cond - 1e-12
+        assert tv_scalar >= channel_tv(P, Q, scalar_conditional_channel(P)) - 1e-12
     assert held >= 90
 
 
@@ -364,24 +329,45 @@ def test_certify_bounds_runs_clean():
         certify_bounds(-1, 6, 4)
 
 
+@pytest.mark.parametrize("args, kwargs", [
+    ((2.5, 6, 4), {}), ((3, 6.0, 4), {}), ((3, 6, 4.0), {}), ((3, 6, 4), {"seed": 2.5}),
+    ((True, 6, 4), {}), ((3, True, 4), {}), ((3, 6, False), {}), ((3, 6, 4), {"seed": True}),
+    ((np.float64(3.0), 6, 4), {}), ((3, 6, 4), {"seed": "1"}),
+], ids=["trials_float", "x_float", "y_float", "seed_float", "trials_bool", "x_bool",
+        "y_bool", "seed_bool", "trials_numpy_float", "seed_str"])
+def test_certify_rejects_counts_and_seeds_that_are_not_integers(args, kwargs):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        divergence.certify(*args, **kwargs)
+
+
+def test_certify_accepts_numpy_integers():
+    assert divergence.certify(np.int64(3), np.int32(6), np.uint8(4), seed=np.int64(0)) == \
+        divergence.certify(3, 6, 4, seed=0)
+
+
+def test_sized_draw_of_no_tables_is_an_empty_stack():
+    rng = np.random.default_rng(0)
+    tables = sample_dirichlet_joint(rng, 6, 4, size=0)
+    assert tables.shape == (0, 6, 4)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
 def test_joint_validation():
-    with pytest.raises(ValidationError):
-        _joint([[0.5, 0.4]])
-    with pytest.raises(ValidationError):
-        _joint([[0.5, -0.1], [0.3, 0.3]])
-    with pytest.raises(ValidationError):
-        DiscreteJoint.from_array(np.ones(4) / 4)
+    with pytest.raises(ValidationError, match="table mass"):
+        divergence._check_tables(np.array([[[0.5, 0.4]]]), 1, 2)
+    with pytest.raises(ValidationError, match="finite and nonnegative"):
+        divergence._check_tables(np.array([[[0.5, -0.1], [0.3, 0.3]]]), 2, 2)
+    with pytest.raises(ValidationError, match="table shape"):
+        divergence._check_tables((np.ones(4) / 4)[None], 2, 2)
 
 
 def test_random_channels_never_increase_tv():
     rng = np.random.default_rng(14)
     for _ in range(100):
-        jp = sample_dirichlet_joint(rng, 5, 3)
-        jq = sample_dirichlet_joint(rng, 5, 3)
+        P, Q = sample_dirichlet_joint(rng, 5, 3, size=2)
         n_out = int(rng.integers(1, 16))
         outcomes = rng.integers(0, n_out, size=(5, 3))
-        channel = ScoreChannel(outcomes=outcomes, outcome_size=n_out)
-        before, after = _tv_before_and_after(jp, jq, channel)
+        before, after = _tv_before_and_after(P, Q, (outcomes, n_out))
         assert after <= before + 1e-12
         assert before <= 1.0 + 1e-12
 
@@ -416,7 +402,7 @@ def _edge_pairs():
     proportional[1] = 0.5 * proportional[3]
     pairs = [(t / t.sum(), full) for t in (zero_atoms, zero_row, duplicated, proportional)]
     pairs.append((zero_atoms, zero_row))
-    pairs += [(jp.table, jq.table) for jp, jq in (matched_normalizer_pair(rng) for _ in range(5))]
+    pairs += [matched_normalizer_pair(rng) for _ in range(5)]
     return pairs + [(q, p) for p, q in pairs]
 
 
@@ -437,29 +423,31 @@ def _random_pairs():
 
 def test_vectorized_oracle_matches_per_x_loops():
     for P, Q in [*_edge_pairs(), *_random_pairs()]:
-        jp, jq = _joint(P), _joint(Q)
-        assert astuple(decompose(jp, jq)) == ref.decompose(jp.table, jq.table)
+        assert astuple(decompose(P, Q)) == ref.decompose(P, Q)
         for build in _CHANNELS:
-            channel = build(jp)
-            outcomes, size = getattr(ref, build.__name__)(jp.table)
-            assert channel.outcome_size == size
-            np.testing.assert_array_equal(channel.outcomes, outcomes)
+            outcomes, size = build(P)
+            want_outcomes, want_size = getattr(ref, build.__name__)(P)
+            assert size == want_size
+            np.testing.assert_array_equal(outcomes, want_outcomes)
         try:
-            want_ratio = ref.lr_constants(jp.table, jq.table)
+            want_ratio = ref.lr_constants(P, Q)
         except ref.Unbounded as exc:
             with pytest.raises(UnboundedRatioError, match=re.escape(str(exc))):
-                lr_constants(jp, jq)
+                dominance_probe(P, Q)
         else:
-            assert lr_constants(jp, jq) == want_ratio
+            assert lr_constants(P, Q) == want_ratio
 
 
 def test_conditionals_mark_zero_marginal_rows_without_warning():
-    jp = _joint([[0.2, 0.2], [0.0, 0.0], [0.5, 0.1]])
+    P = np.array([[0.2, 0.2], [0.0, 0.0], [0.5, 0.1]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        px, cond = jp.conditionals()
-    np.testing.assert_array_equal(px, jp.table.sum(axis=1))
+        px, cond = divergence._conditional_stack(P)
+        logs = divergence._log_tables(P)
+    np.testing.assert_array_equal(px, P.sum(axis=1))
     np.testing.assert_array_equal(cond, [[0.5, 0.5], [-1.0, -1.0], [0.5 / 0.6, 0.1 / 0.6]])
+    np.testing.assert_array_equal(logs, [[math.log(0.2), math.log(0.2)], [-math.inf, -math.inf],
+                                         [math.log(0.5), math.log(0.1)]])
 
 
 @pytest.mark.parametrize("cap, chunks", [(divergence._STACK_ELEMENTS, 1), (48, 3)],
@@ -471,22 +459,13 @@ def test_certify_bounds_does_each_stack_step_once_per_chunk(monkeypatch, stack_w
     certify_bounds(5, 6, 4)
     # per chunk: one draw of all its tables, one kernel pass, one conditional
     # table for all its tables, one decomposition, one log of the target
-    # stack that the scalar and vector log-joint channels share, and one
-    # pass per row channel
+    # stack that the scalar and vector log-joint channels share, one pass per
+    # row channel, one pushforward through all three channels and one
+    # dominance probe
     assert stack_work_calls == ["sample_dirichlet_joint", "_certify_stack",
-                                "_conditional_stack", "_decompose_stack", "_log_tables",
-                                "_row_channel_stack", "_row_channel_stack"] * chunks
-
-
-def test_log_table_is_cached_read_only_without_warning():
-    jp = _joint([[0.2, 0.0], [0.5, 0.3]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        logs = jp.log_table
-    assert logs is jp.log_table
-    assert not logs.flags.writeable
-    np.testing.assert_array_equal(logs, [[math.log(0.2), -math.inf],
-                                         [math.log(0.5), math.log(0.3)]])
+                                "_conditional_stack", "decompose", "_log_tables",
+                                "log_joint_vector_channel", "softmax_channel", "pushforward",
+                                "dominance_probe"] * chunks
 
 
 # ------------------------------------------------------- row grouping
@@ -522,11 +501,11 @@ def test_row_grouping_edges_match_oracle(monkeypatch, case, cap):
     monkeypatch.setattr(divergence, "_CLOSE_BLOCK_ELEMENTS", cap)
     rows, groups = _GROUPING_EDGES[case]
     rows = np.asarray(rows, dtype=np.float64)
-    channel = _row_channel(rows)
+    got, sizes = divergence.log_joint_vector_channel(rows[None])
     outcomes, size = ref._group_rows(rows)
     np.testing.assert_array_equal(outcomes[:, 0], groups)
-    np.testing.assert_array_equal(channel.outcomes, outcomes)
-    assert channel.outcome_size == size
+    np.testing.assert_array_equal(got[0].reshape(rows.shape), outcomes)
+    assert sizes[0] == size
 
 
 @pytest.mark.parametrize("cap", _BLOCK_CAPS)
@@ -541,23 +520,24 @@ def test_row_grouping_across_blocks_matches_oracle(monkeypatch, cap):
         x_size = int(rng.integers(1, 25))
         offsets = rng.choice([-1.2, -0.6, 0.0, 0.6, 1.2], size=(x_size, y_size)) * _ATOL
         rows = bases[rng.integers(len(bases), size=x_size)] + offsets
-        channel = _row_channel(rows)
+        got, sizes = divergence.log_joint_vector_channel(rows[None])
         outcomes, size = ref._group_rows(rows)
-        np.testing.assert_array_equal(channel.outcomes, outcomes)
-        assert channel.outcome_size == size
+        np.testing.assert_array_equal(got[0].reshape(rows.shape), outcomes)
+        assert sizes[0] == size
 
 
 def test_row_grouping_holds_a_bounded_temporary():
     # one (x, x, y) broadcast at 2000 x 4 peaks near 244 MB
-    joint = sample_dirichlet_joint(np.random.default_rng(32), 2000, 4)
-    joint.conditionals()  # cached before tracing starts
+    tables = sample_dirichlet_joint(np.random.default_rng(32), 2000, 4, size=1)
+    cond = divergence._conditional_stack(tables)[1]
+    cond[0, 1] = cond[0, 0]  # one close pair, so the greedy grouping runs too
     tracemalloc.start()
     try:
-        channel = softmax_channel(joint)
+        _, sizes = divergence.softmax_channel(cond)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert channel.outcome_size == 2000
+    assert sizes[0] == 1999
     assert peak < 16 * 2**20
 
 
@@ -658,7 +638,7 @@ def test_certify_stack_raises_the_first_failing_pairs_error():
     P, Q = failing["no_q_mass"]
     px, p = divergence._conditional_stack(P[None])
     qx, q = divergence._conditional_stack(Q[None])
-    fields = divergence._decompose_stack(P[None], Q[None], px, p, qx, q)[:, 0]
+    fields = divergence.decompose(P[None], Q[None], px, p, qx, q)[:, 0]
     assert tuple(fields.tolist()) == ref.decompose(P, Q)
     assert fields[3] == fields[4] == math.inf
 
@@ -673,7 +653,7 @@ def test_chunk_draws_match_one_table_draws(monkeypatch, shape, cap, chunks):
     stream, one_at_a_time = np.random.default_rng(9), np.random.default_rng(9)
     stacks = list(divergence._dirichlet_chunks(stream, 5, *shape))
     assert len(stacks) == chunks
-    want = [sample_dirichlet_joint(one_at_a_time, *shape).table for _ in range(10)]
+    want = [sample_dirichlet_joint(one_at_a_time, *shape, size=1)[0] for _ in range(10)]
     assert np.concatenate(stacks).reshape(10, *shape).tobytes() == np.stack(want).tobytes()
     assert stream.bit_generator.state == one_at_a_time.bit_generator.state
 
@@ -696,7 +676,7 @@ class _SpoiledDraws:
 def test_stacked_draw_checks_every_table_as_a_joint_does(delta):
     bad = _SpoiledDraws(delta).dirichlet(np.ones(24), size=5)[-2]
     with pytest.raises(ValidationError) as want:
-        DiscreteJoint.from_array(bad.reshape(6, 4))
+        divergence._check_tables(bad.reshape(1, 6, 4), 6, 4)
     with pytest.raises(ValidationError, match=f"^{re.escape(str(want.value))}$"):
         sample_dirichlet_joint(_SpoiledDraws(delta), 6, 4, size=5)
 
@@ -705,8 +685,8 @@ def test_certify_bounds_draws_consecutive_pairs_from_one_stream():
     rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(7,)))
     want = []
     for _ in range(30):
-        jp = sample_dirichlet_joint(rng, 3, 4)
-        want.append(decompose(jp, sample_dirichlet_joint(rng, 3, 4)))
+        P = sample_dirichlet_joint(rng, 3, 4, size=1)[0]
+        want.append(decompose(P, sample_dirichlet_joint(rng, 3, 4, size=1)[0]))
     assert certify_bounds(30, 3, 4, seed=5)[0] == want
 
 

@@ -97,6 +97,11 @@ COMMANDS = [
     # 600 rows are more than one block of the row channels' closeness pass
     ("bounds_600x2", ["bounds", "--x", "600", "--y", "2", "--trials", "2",
                       "--out", "bounds_600x2.csv"]),
+    # rows of 8 or more terms change numpy's summation grouping
+    ("bounds_2x8", ["bounds", "--x", "2", "--y", "8", "--trials", "300",
+                    "--out", "bounds_2x8.csv"]),
+    # one atom on an axis: exit 2
+    ("bounds_bad_shape", ["bounds", "--x", "1", "--out", "bounds_bad_shape.csv"]),
     # d = 256 puts lda_log_joints' whitening solve at the sweep's largest shape
     ("generate_train_d256", ["generate", "--d", "256", "--n", "1000", "--mu", "0.3",
                              "--seed", "5", "--out", "train_d256.csv"]),
