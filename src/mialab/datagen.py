@@ -51,6 +51,22 @@ CSV_SIG_DIGITS = 9
 _NOISE_BLOCK_ELEMENTS = 1 << 15
 
 
+def _is_integer(value) -> bool:
+    # bool is an int to Python, so it is ruled out by name
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# each real GenParams field, the test its value must pass, and what its error says it must be
+_REAL_FIELDS = (
+    ("mu", lambda v: np.isfinite(v) and v >= 0, "be a nonnegative real"),
+    ("sigma", lambda v: np.isfinite(v) and v > 0, "be positive"),
+    ("sigma_noise", lambda v: np.isfinite(v) and v > 0, "be positive"),
+    ("w", lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
+    ("epsilon", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
+    ("tau_mult", lambda v: np.isfinite(v) and v > 0, "be positive"),
+)
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Configuration of one synthetic experiment cell.
@@ -71,27 +87,22 @@ class GenParams:
     tau_mult: float = 10.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.d, (int, np.integer)) or self.d < 1:
+        if not _is_integer(self.d) or self.d < 1:
             raise ValidationError(f"d must be a positive integer, got {self.d!r}")
-        if self.n_train < 2:
-            raise ValidationError(f"n_train must be >= 2, got {self.n_train!r}")
-        if self.n_test < 2:
-            raise ValidationError(f"n_test must be >= 2, got {self.n_test!r}")
-        if not np.isfinite(self.mu) or self.mu < 0:
-            raise ValidationError(f"mu must be a nonnegative real, got {self.mu!r}")
-        if not np.isfinite(self.sigma) or self.sigma <= 0:
-            raise ValidationError(f"sigma must be positive, got {self.sigma!r}")
-        if not np.isfinite(self.sigma_noise) or self.sigma_noise <= 0:
-            raise ValidationError(
-                f"sigma_noise must be positive, got {self.sigma_noise!r}"
-            )
-        if not 0.0 < self.w < 1.0:
-            raise ValidationError(f"w must lie in (0, 1), got {self.w!r}")
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValidationError(f"epsilon must lie in [0, 1), got {self.epsilon!r}")
-        if not np.isfinite(self.tau_mult) or self.tau_mult <= 0:
-            raise ValidationError(f"tau_mult must be positive, got {self.tau_mult!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+        for name in ("n_train", "n_test"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
+            if value < 2:
+                raise ValidationError(f"{name} must be >= 2, got {value!r}")
+        for name, holds, need in _REAL_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
+                                                                 np.floating)):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
+            if not holds(value):
+                raise ValidationError(f"{name} must {need}, got {value!r}")
+        if not _is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
     @property

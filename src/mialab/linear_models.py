@@ -283,32 +283,7 @@ def softmax_pairs(log_scores: np.ndarray) -> np.ndarray:
     return e / (e[:, 0] + e[:, 1])[:, None]
 
 
-def serialize_model(model) -> str:
-    """JSON text for either model family; floats survive round-trips exactly."""
-    if isinstance(model, LogisticModel):
-        payload = {
-            "kind": "logistic",
-            "weights": model.weights.tolist(),
-            "bias": model.bias,
-            "converged": model.converged,
-            "iterations": model.iterations,
-        }
-    elif isinstance(model, LdaModel):
-        payload = {
-            "kind": "lda",
-            "prior_pos": model.prior_pos,
-            "mean_pos": model.mean_pos.tolist(),
-            "mean_neg": model.mean_neg.tolist(),
-            "chol_lower": model.chol_lower.tolist(),
-            "shrinkage_intensity": model.shrinkage_intensity,
-            "log_det": model.log_det,
-        }
-    else:
-        raise ValidationError(f"unsupported model type: {type(model).__name__}")
-    return json.dumps(payload, indent=1)
-
-
-def _json_number(value, name: str) -> float:
+def _number(value, name: str) -> float:
     # float() would take the string "0.1" and True, and neither is a JSON number
     if type(value) not in (int, float):
         raise ValidationError(f"malformed model file: {name} must be a JSON number, "
@@ -316,27 +291,55 @@ def _json_number(value, name: str) -> float:
     return float(value)
 
 
-def _json_numbers(values, name: str) -> np.ndarray:
+def _numbers(values, name: str) -> np.ndarray:
     if not isinstance(values, list):
         raise ValidationError(f"malformed model file: {name} must be a list of JSON numbers, "
                               f"got {type(values).__name__}")
-    return np.array([_json_number(v, f"each entry of {name}") for v in values],
+    return np.array([_number(v, f"each entry of {name}") for v in values], dtype=np.float64)
+
+
+def _rows(rows, name: str) -> np.ndarray:
+    if not isinstance(rows, list):
+        raise ValidationError(f"malformed model file: {name} must be a list of rows, "
+                              f"got {type(rows).__name__}")
+    return np.array([_numbers(row, f"row {i} of {name}") for i, row in enumerate(rows)],
                     dtype=np.float64)
 
 
-# every key serialize_model writes, by model kind
-_MODEL_KEYS = {
-    "logistic": {"kind", "weights", "bias", "converged", "iterations"},
-    "lda": {"kind", "prior_pos", "mean_pos", "mean_neg", "chol_lower", "shrinkage_intensity",
-            "log_det"},
+# bool("false") is True and int(3.7) is 3, so neither reader converts
+def _flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValidationError(f"malformed model file: {name} must be a JSON boolean, "
+                              f"got {value!r}")
+    return value
+
+
+def _count(value, name: str) -> int:
+    if type(value) is not int or value < 0:
+        raise ValidationError(f"malformed model file: {name} must be a nonnegative JSON "
+                              f"integer, got {value!r}")
+    return value
+
+
+# a model file holds exactly "kind" and its kind's fields, in this order, each read by its reader
+_MODEL_FILES = {
+    "logistic": (LogisticModel, {"weights": _numbers, "bias": _number, "converged": _flag,
+                                 "iterations": _count}),
+    "lda": (LdaModel, {"prior_pos": _number, "mean_pos": _numbers, "mean_neg": _numbers,
+                       "chol_lower": _rows, "shrinkage_intensity": _number, "log_det": _number}),
 }
 
 
-def _reject_unknown_keys(payload: dict, kind: str) -> None:
-    unknown = sorted(set(payload) - _MODEL_KEYS[kind])
-    if unknown:
-        raise ValidationError(f"malformed model file: keys {unknown} are not defined "
-                              f"for kind {kind!r}")
+def serialize_model(model) -> str:
+    """JSON text for either model family; floats survive round-trips exactly."""
+    for kind, (cls, fields) in _MODEL_FILES.items():
+        if isinstance(model, cls):
+            payload = {"kind": kind}
+            for name in fields:
+                value = getattr(model, name)
+                payload[name] = value.tolist() if isinstance(value, np.ndarray) else value
+            return json.dumps(payload, indent=1)
+    raise ValidationError(f"unsupported model type: {type(model).__name__}")
 
 
 def deserialize_model(text: str):
@@ -344,66 +347,41 @@ def deserialize_model(text: str):
     try:
         payload = json.loads(text)
         kind = payload["kind"]
-        if kind == "logistic":
-            _reject_unknown_keys(payload, kind)
-            converged, iterations = payload["converged"], payload["iterations"]
-            # bool("false") is True and int(3.7) is 3, so neither is converted
-            if not isinstance(converged, bool):
-                raise ValidationError(f"malformed model file: converged must be a JSON "
-                                      f"boolean, got {converged!r}")
-            if type(iterations) is not int or iterations < 0:
-                raise ValidationError(f"malformed model file: iterations must be a "
-                                      f"nonnegative JSON integer, got {iterations!r}")
-            model = LogisticModel(
-                weights=_json_numbers(payload["weights"], "weights"),
-                bias=_json_number(payload["bias"], "bias"),
-                converged=converged,
-                iterations=iterations,
-            )
+        if not isinstance(kind, str) or kind not in _MODEL_FILES:
+            raise ValidationError(f"unknown model kind: {kind!r}")
+        cls, fields = _MODEL_FILES[kind]
+        unknown = sorted(set(payload) - {"kind", *fields})
+        if unknown:
+            raise ValidationError(f"malformed model file: keys {unknown} are not defined "
+                                  f"for kind {kind!r}")
+        model = cls(**{name: read(payload[name], name) for name, read in fields.items()})
+        if cls is LogisticModel:
             if not model.weights.size \
                     or not np.isfinite(np.append(model.weights, model.bias)).all():
                 raise ValidationError("weights must be a nonempty finite vector, bias finite")
             return model
-        if kind == "lda":
-            _reject_unknown_keys(payload, kind)
-            prior_pos = _json_number(payload["prior_pos"], "prior_pos")
-            log_det = _json_number(payload["log_det"], "log_det")
-            mean_pos, mean_neg = (_json_numbers(payload[key], key)
-                                  for key in ("mean_pos", "mean_neg"))
-            chol_rows = payload["chol_lower"]
-            if not isinstance(chol_rows, list):
-                raise ValidationError("malformed model file: chol_lower must be a list of rows, "
-                                      f"got {type(chol_rows).__name__}")
-            chol = np.array([_json_numbers(row, f"row {i} of chol_lower")
-                             for i, row in enumerate(chol_rows)], dtype=np.float64)
-            d = mean_pos.size
-            if not 0.0 < prior_pos < 1.0:
-                raise ValidationError(f"prior_pos must lie in (0, 1), got {prior_pos!r}")
-            if not d or (mean_pos.shape, mean_neg.shape, chol.shape) != ((d,), (d,), (d, d)):
-                raise ValidationError("need means of one length d and a d x d chol_lower, "
-                                      f"got {mean_pos.shape}, {mean_neg.shape}, {chol.shape}")
-            if not (np.isfinite(np.concatenate([mean_pos, mean_neg, chol.ravel()])).all()
-                    and not np.triu(chol, 1).any() and np.all(np.diag(chol) > 0.0)):
-                raise ValidationError("means and chol_lower must be finite, and chol_lower "
-                                      "lower-triangular with a positive diagonal")
-            model = LdaModel(
-                prior_pos=prior_pos,
-                mean_pos=mean_pos,
-                mean_neg=mean_neg,
-                chol_lower=chol,
-                shrinkage_intensity=_json_number(payload["shrinkage_intensity"],
-                                                 "shrinkage_intensity"),
-                log_det=2.0 * float(np.sum(np.log(np.diag(chol)))),
-            )
-            with np.errstate(over="ignore", invalid="ignore"):
-                log_joints = lda_log_joints(model, np.vstack([mean_neg, mean_pos]))
-            if not np.isfinite(log_joints).all():
-                raise ValidationError("malformed model file: log-joints at the model's means "
-                                      "are not finite (chol_lower is too small)")
-            if not math.isclose(log_det, model.log_det, rel_tol=1e-9):
-                raise ValidationError(f"malformed model file: log_det {log_det!r} disagrees "
-                                      f"with chol_lower's {model.log_det!r}")
-            return model
-        raise ValidationError(f"unknown model kind: {kind!r}")
+        mean_pos, mean_neg, chol = model.mean_pos, model.mean_neg, model.chol_lower
+        d = mean_pos.size
+        if not 0.0 < model.prior_pos < 1.0:
+            raise ValidationError(f"prior_pos must lie in (0, 1), got {model.prior_pos!r}")
+        if not d or (mean_pos.shape, mean_neg.shape, chol.shape) != ((d,), (d,), (d, d)):
+            raise ValidationError("need means of one length d and a d x d chol_lower, "
+                                  f"got {mean_pos.shape}, {mean_neg.shape}, {chol.shape}")
+        if not (np.isfinite(np.concatenate([mean_pos, mean_neg, chol.ravel()])).all()
+                and not np.triu(chol, 1).any() and np.all(np.diag(chol) > 0.0)):
+            raise ValidationError("means and chol_lower must be finite, and chol_lower "
+                                  "lower-triangular with a positive diagonal")
+        # the model carries the log_det chol_lower gives; the file's must agree with it
+        checked = LdaModel(model.prior_pos, mean_pos, mean_neg, chol, model.shrinkage_intensity,
+                           2.0 * float(np.sum(np.log(np.diag(chol)))))
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_joints = lda_log_joints(checked, np.vstack([mean_neg, mean_pos]))
+        if not np.isfinite(log_joints).all():
+            raise ValidationError("malformed model file: log-joints at the model's means "
+                                  "are not finite (chol_lower is too small)")
+        if not math.isclose(model.log_det, checked.log_det, rel_tol=1e-9):
+            raise ValidationError(f"malformed model file: log_det {model.log_det!r} disagrees "
+                                  f"with chol_lower's {checked.log_det!r}")
+        return checked
     except (KeyError, TypeError, ValueError, OverflowError, DataError) as exc:
         raise ValidationError(f"malformed model file: {exc}") from exc

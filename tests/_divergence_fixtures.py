@@ -94,18 +94,23 @@ def scalar_conditional_channel(P):
     return _one(_chain_stack(_conditional_stack(P[None])[1].reshape(1, -1)), P.shape)
 
 
-def laws(P, Q, channel):
-    """The laws of ``P`` and of ``Q`` through ``channel``, from the ``pushforward`` stage."""
+def _laws(P, Q, channel):
+    """The (1, 2, size) ``pushforward`` laws of the pair through ``channel``, and its sizes."""
     outcomes, size = channel
     tables, _ = _pair(P, Q)
-    law = divergence.pushforward(tables, [(np.asarray(outcomes).reshape(1, -1),
-                                           np.array([size]))])[0][0]
+    sizes = np.array([size])
+    return divergence.pushforward(tables, [(np.asarray(outcomes).reshape(1, -1), sizes)])[0], sizes
+
+
+def laws(P, Q, channel):
+    """The laws of ``P`` and of ``Q`` through ``channel``, from the ``pushforward`` stage."""
+    law = _laws(P, Q, channel)[0][0]
     return law[0], law[1]
 
 
 def channel_tv(P, Q, channel) -> float:
-    """TV between the laws of ``P`` and ``Q`` through ``channel``."""
-    return divergence.tv(*laws(P, Q, channel))
+    """TV between the laws of ``P`` and ``Q`` through ``channel``, from the kernel's law TV."""
+    return float(divergence._law_tv(*_laws(P, Q, channel))[0])
 
 
 def lr_constants(P, Q):

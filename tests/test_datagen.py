@@ -36,6 +36,20 @@ def test_param_validation():
         dict(good, tau_mult=0.0),
         dict(good, tau_mult=-1.0),
         dict(good, seed=-1),
+        # bools, and values that are not integers or not reals, are rejected by type
+        dict(good, n_train=50.5),
+        dict(good, n_test=100.5),
+        dict(good, mu="0.1"),
+        dict(good, sigma=None),
+        dict(good, w="0.5"),
+        dict(good, d=True),
+        dict(good, seed=True),
+        dict(good, n_train=True),
+        dict(good, n_test=np.float64(100.0)),
+        dict(good, sigma_noise=True),
+        dict(good, epsilon=False),
+        dict(good, tau_mult=1 + 2j),
+        dict(good, seed=1.0),
     ):
         with pytest.raises(ValidationError):
             GenParams(**bad)

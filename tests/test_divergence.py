@@ -14,9 +14,7 @@ from mialab.divergence import (
     BoundsReport,
     c_coeff,
     certify_bounds,
-    kl,
     sample_dirichlet_joint,
-    tv,
 )
 from mialab.errors import UnboundedRatioError, ValidationError
 
@@ -44,30 +42,37 @@ def _channel(outcomes):
 
 def _tv_before_and_after(P, Q, channel):
     """TV of the joint pair and of the pair's laws through ``channel``."""
-    return tv(P.ravel(), Q.ravel()), channel_tv(P, Q, channel)
+    return decompose(P, Q).tv_joint, channel_tv(P, Q, channel)
+
+
+def _column(v):
+    """An (n, 1) table: its marginal is ``v`` and so is its flattened table."""
+    return np.array(v, dtype=np.float64)[:, None]
+
+
+def _marginal(p, q) -> BoundsReport:
+    return decompose(_column(p), _column(q))
 
 
 # ------------------------------------------------------------------ tv / kl
 
 
 def test_tv_cases():
-    assert tv([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert tv([1.0, 0.0], [0.0, 1.0]) == 1.0
-    assert tv([0.5, 0.5], [1.0, 0.0]) == 0.5
-    with pytest.raises(ValidationError):
-        tv([0.5, 0.4], [0.5, 0.5])
-    with pytest.raises(ValidationError):
-        tv([0.5, 0.5], [0.25, 0.25, 0.5])
+    for p, q, want in (([0.5, 0.5], [0.5, 0.5], 0.0), ([1.0, 0.0], [0.0, 1.0], 1.0),
+                       ([0.5, 0.5], [1.0, 0.0], 0.5)):
+        rep = _marginal(p, q)
+        assert rep.tv_marginal == rep.tv_joint == want
+        assert channel_tv(_column(p), _column(q), _channel([[0], [1]])) == want
 
 
 def test_kl_cases():
-    assert kl([0.3, 0.7], [0.3, 0.7]) == 0.0
-    assert kl([1.0, 0.0], [0.5, 0.5]) == pytest.approx(math.log(2), abs=1e-15)
+    assert _marginal([0.3, 0.7], [0.3, 0.7]).kl_x == 0.0
+    assert _marginal([1.0, 0.0], [0.5, 0.5]).kl_x == pytest.approx(math.log(2), abs=1e-15)
     expected = float(mpf("0.5") * mp.log(mpf("0.5") / mpf("0.75"))
                      + mpf("0.5") * mp.log(mpf("0.5") / mpf("0.25")))
-    assert kl([0.5, 0.5], [0.75, 0.25]) == pytest.approx(expected, abs=1e-15)
-    assert kl([0.5, 0.5], [0.75, 0.25]) == pytest.approx(0.143841, abs=5e-7)
-    assert kl([0.5, 0.5], [1.0, 0.0]) == math.inf
+    assert _marginal([0.5, 0.5], [0.75, 0.25]).kl_x == pytest.approx(expected, abs=1e-15)
+    assert _marginal([0.5, 0.5], [0.75, 0.25]).kl_x == pytest.approx(0.143841, abs=5e-7)
+    assert _marginal([0.5, 0.5], [1.0, 0.0]).kl_x == math.inf
 
 
 def test_divergences_match_high_precision_oracle():

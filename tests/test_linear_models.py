@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import tracemalloc
@@ -450,6 +451,15 @@ def test_serialization_round_trip_bit_exact():
             a = softmax_pairs(lda_log_joints(model, X))
             b = softmax_pairs(lda_log_joints(clone, X))
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 6])
+@pytest.mark.parametrize("fit", [fit_logistic, fit_lda])
+def test_serialized_text_round_trips_with_keys_in_field_order(fit, d):
+    text = serialize_model(fit(_random_dataset(50, d, seed=13)))
+    model = deserialize_model(text)
+    assert serialize_model(model) == text
+    assert list(json.loads(text)) == ["kind", *(f.name for f in dataclasses.fields(model))]
 
 
 def test_deserialize_rejects_garbage():

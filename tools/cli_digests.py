@@ -61,6 +61,18 @@ LOG_DET_MISMATCH_MODEL = json.dumps({
     "shrinkage_intensity": 0.0, "log_det": 1.0})
 UNKNOWN_KEY_MODEL = json.dumps({"kind": "logistic", "weights": [0.1] * 8, "bias": 0.1,
                                 "converged": True, "iterations": 3, "log_det": 0.0})
+# d = 8 model files that each break one rule of reading a field or the kind;
+# attack must reject each.  A list kind must print as unknown, not as unhashable.
+_LOGISTIC_FIELDS = {"kind": "logistic", "weights": [0.1] * 8, "bias": 0.1, "converged": True,
+                    "iterations": 3}
+_LDA_FIELDS = json.loads(LOG_DET_MISMATCH_MODEL) | {"log_det": 0.0}
+READER_MODELS = {
+    "no_log_det": {k: v for k, v in _LDA_FIELDS.items() if k != "log_det"},
+    "mystery_kind": _LOGISTIC_FIELDS | {"kind": "mystery"},
+    "list_kind": _LDA_FIELDS | {"kind": ["lda"]},
+    "converged_string": _LOGISTIC_FIELDS | {"converged": "false"},
+    "iterations_float": _LOGISTIC_FIELDS | {"iterations": 3.7},
+}
 
 COMMANDS = [
     ("generate_train", ["generate", "--d", "8", "--n", "200", "--mu", "0.4", "--seed", "3",
@@ -158,6 +170,10 @@ COMMANDS = [
     ("attack_unknown_key_model", ["attack", "--model-file", "unknown_key.json",
                                   "--member", "train.csv", "--nonmember", "test.csv",
                                   "--scores", "max_prob", "--out", "scores_unknown_key.csv"]),
+    *((f"attack_{name}_model", ["attack", "--model-file", f"{name}.json", "--member", "train.csv",
+                                "--nonmember", "test.csv", "--scores", "max_prob",
+                                "--out", f"scores_{name}.csv"])
+      for name in READER_MODELS),
 ]
 
 
@@ -178,6 +194,8 @@ def main(argv: list[str]) -> int:
     (out / "bool_shrinkage.json").write_text(BOOL_SHRINKAGE_MODEL)
     (out / "log_det_mismatch.json").write_text(LOG_DET_MISMATCH_MODEL)
     (out / "unknown_key.json").write_text(UNKNOWN_KEY_MODEL)
+    for name, payload in READER_MODELS.items():
+        (out / f"{name}.json").write_text(json.dumps(payload))
     env = {k: v for k, v in os.environ.items() if k != "MIALAB_WORKERS"}
     env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
     logs = out / "logs"
