@@ -58,12 +58,12 @@ def _is_integer(value) -> bool:
 
 # each real GenParams field, the test its value must pass, and what its error says it must be
 _REAL_FIELDS = (
-    ("mu", lambda v: np.isfinite(v) and v >= 0, "be a nonnegative real"),
-    ("sigma", lambda v: np.isfinite(v) and v > 0, "be positive"),
-    ("sigma_noise", lambda v: np.isfinite(v) and v > 0, "be positive"),
+    ("mu", lambda v: math.isfinite(v) and v >= 0, "be a nonnegative real"),
+    ("sigma", lambda v: math.isfinite(v) and v > 0, "be positive"),
+    ("sigma_noise", lambda v: math.isfinite(v) and v > 0, "be positive"),
     ("w", lambda v: 0.0 < v < 1.0, "lie in (0, 1)"),
     ("epsilon", lambda v: 0.0 <= v < 1.0, "lie in [0, 1)"),
-    ("tau_mult", lambda v: np.isfinite(v) and v > 0, "be positive"),
+    ("tau_mult", lambda v: math.isfinite(v) and v > 0, "be positive"),
 )
 
 
@@ -100,7 +100,11 @@ class GenParams:
             if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
                                                                  np.floating)):
                 raise ValidationError(f"{name} must be a real number, got {value!r}")
-            if not holds(value):
+            try:
+                real = float(value)
+            except OverflowError:  # an int past the float range is no finite real
+                real = math.nan
+            if not holds(real):
                 raise ValidationError(f"{name} must {need}, got {value!r}")
         if not _is_integer(self.seed) or self.seed < 0:
             raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")

@@ -215,7 +215,7 @@ def _law_tv(laws: np.ndarray, sizes: np.ndarray) -> np.ndarray:
 
 def c_coeff(alpha: float, beta: float) -> float:
     """``log(beta/alpha) / (1 + log(beta/alpha))``; zero exactly when alpha == beta."""
-    if not (np.isfinite(alpha) and np.isfinite(beta)):
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
         raise ValidationError("alpha and beta must be finite")
     if alpha <= 0.0 or alpha > beta:
         raise ValidationError(f"need 0 < alpha <= beta, got ({alpha!r}, {beta!r})")

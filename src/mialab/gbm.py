@@ -41,9 +41,9 @@ from dataclasses import dataclass
 from numbers import Integral, Real
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DataError, DegenerateDataError, ValidationError
+from .lazy_scipy import expit
 
 HESSIAN_FLOOR = 1e-12
 # Bytes of node records one fit may keep across its stages, beyond the root.

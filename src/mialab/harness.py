@@ -16,7 +16,9 @@ Every sweep runs its cells on one BLAS thread per process.  Pool workers
 pin OpenBLAS in their initializer; a serial sweep pins for the duration of
 the run and then restores the caller's thread counts.  On a machine with as
 many workers as cores, each worker's default BLAS thread pool would compete
-with the other workers for the same cores.
+with the other workers for the same cores.  Either way the sweep first loads
+the scipy functions the cells call, so scipy's own OpenBLAS is mapped and
+pinned too.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
+from . import lazy_scipy
 from .attacks import ScoreKind, accuracy, membership_scores, model_outputs
 from .datagen import GenParams, generate_dataset
 from .errors import MialabError, ValidationError, open_text
@@ -259,6 +262,9 @@ def run_sweep(
     # A fork pool starts all its workers at the first submit, so it gets no
     # more workers than cells; a single cell runs serially.
     workers = min(resolve_workers(workers), len(items))
+    # scipy maps its own OpenBLAS only once it loads: load it before the pin,
+    # which then finds both libraries, and before the fork, so no worker loads it.
+    lazy_scipy.load()
     if workers == 1:
         previous = pin_blas_threads()
         try:

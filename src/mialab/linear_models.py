@@ -21,13 +21,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dtrmm
-from scipy.optimize import minimize
-from scipy.special import expit
 
 from .datagen import Dataset
 from .errors import DataError, DegenerateDataError, ValidationError
+from .lazy_scipy import dtrmm, expit, minimize, solve_triangular
 
 LOG_FLOOR = 1e-300  # probabilities are clamped here only where logs are taken
 
@@ -364,6 +361,10 @@ def deserialize_model(text: str):
         d = mean_pos.size
         if not 0.0 < model.prior_pos < 1.0:
             raise ValidationError(f"prior_pos must lie in (0, 1), got {model.prior_pos!r}")
+        # fit_lda's intensity is a ratio in [0, 1]; NaN fails both comparisons
+        if not 0.0 <= model.shrinkage_intensity <= 1.0:
+            raise ValidationError("malformed model file: shrinkage_intensity must lie in "
+                                  f"[0, 1], got {model.shrinkage_intensity!r}")
         if not d or (mean_pos.shape, mean_neg.shape, chol.shape) != ((d,), (d,), (d, d)):
             raise ValidationError("need means of one length d and a d x d chol_lower, "
                                   f"got {mean_pos.shape}, {mean_neg.shape}, {chol.shape}")

@@ -234,6 +234,10 @@ _MALFORMED_MODELS = {
                              "malformed model file: each entry of mean_neg must be a JSON"),
     "shrinkage_true": ("lda", _set("shrinkage_intensity", True),
                        "malformed model file: shrinkage_intensity must be a JSON number"),
+    # fit_lda's intensity is a ratio in [0, 1]; a file's must be one too
+    **{f"shrinkage_{name}": ("lda", _set("shrinkage_intensity", value),
+                             "malformed model file: shrinkage_intensity must lie in [0, 1]")
+       for name, value in (("nan", float("nan")), ("negative", -7.0), ("above_1", 3.5))},
     "chol_row_numeric_strings": ("lda", lambda payload: payload["chol_lower"].__setitem__(
         1, ["0.1", "1.0", "0.0", "0.0"]),
         "malformed model file: each entry of row 1 of chol_lower must be a JSON number"),

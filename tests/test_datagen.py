@@ -50,9 +50,15 @@ def test_param_validation():
         dict(good, epsilon=False),
         dict(good, tau_mult=1 + 2j),
         dict(good, seed=1.0),
+        # ints past the float range
+        *(dict(good, **{name: 10**400}) for name in ("mu", "sigma", "sigma_noise", "w",
+                                                     "epsilon", "tau_mult")),
     ):
         with pytest.raises(ValidationError):
             GenParams(**bad)
+    # an int past the float range gets the field's own message, not numpy's TypeError
+    with pytest.raises(ValidationError, match="^sigma must be positive, got 1000"):
+        GenParams(**dict(good, sigma=10**400))
 
 
 def test_bad_split_rejected():

@@ -7,7 +7,7 @@ checkout's ``src``, in OUTDIR, which must be new or empty.  The manifest,
 ``OUTDIR/MANIFEST``, holds one ``sha256  path`` line per file under OUTDIR,
 sorted by path: every output file, and each command's stdout, stderr and exit
 code.  Run it on two checkouts and diff the two manifests to see which CLI
-output bytes a change alters.  It takes about 30 s on two cores.
+output bytes a change alters.  It takes about 20 s on two cores.
 """
 
 from __future__ import annotations
@@ -72,6 +72,9 @@ READER_MODELS = {
     "list_kind": _LDA_FIELDS | {"kind": ["lda"]},
     "converged_string": _LOGISTIC_FIELDS | {"converged": "false"},
     "iterations_float": _LOGISTIC_FIELDS | {"iterations": 3.7},
+    # fit_lda's shrinkage intensity lies in [0, 1]; NaN is written as the JSON extension NaN
+    "shrinkage_nan": _LDA_FIELDS | {"shrinkage_intensity": float("nan")},
+    "shrinkage_above_1": _LDA_FIELDS | {"shrinkage_intensity": 3.5},
 }
 
 COMMANDS = [
