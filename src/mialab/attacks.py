@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datagen import Dataset
+from .datagen import Dataset, stream
 from .errors import InsufficientDataError, ValidationError
 from .gbm import fit_gbm, gbm_predict_matrix
 from .linear_models import (
@@ -176,14 +176,12 @@ def _gbm_scores(
     split 50/50 into attack-train and attack-eval halves (seeded), and the
     returned scores are attack-model probabilities on the eval halves.
     """
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    rng = stream("gbm_split", seed)
     rows_m = _attack_matrix(member, kind)
     rows_n = _attack_matrix(nonmember, kind)
     if min(rows_m.shape[0], rows_n.shape[0]) < 4:
         raise InsufficientDataError("need at least 4 samples per side")
 
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(3,)))
     size = min(rows_m.shape[0], rows_n.shape[0])
     halves = []
     for rows in (rows_m, rows_n):

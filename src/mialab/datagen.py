@@ -13,12 +13,21 @@ replacement is recorded in ``contaminated_mask``.
 
 Randomness contract
 -------------------
-All draws use numpy's PCG64 generator seeded through ``SeedSequence`` with
-a spawn key that mixes the user seed and a stream tag:
+Every random draw in mialab comes from this module: :func:`stream` builds a
+numpy PCG64 generator from ``SeedSequence(seed, spawn_key=STREAMS[name])``,
+and no other module builds a seed sequence or a generator.  The streams:
 
-* train data      -> ``SeedSequence(seed, spawn_key=(0,))``
-* test data       -> ``SeedSequence(seed, spawn_key=(1,))``
-* contamination   -> ``SeedSequence(seed, spawn_key=(2, split_tag))``
+* ``train``, ``test``        -> spawn keys ``(0,)``, ``(1,)``: the two splits
+* ``train_contamination``,
+  ``test_contamination``     -> ``(2, 0)``, ``(2, 1)``: each split's contamination
+* ``gbm_split``              -> ``(3,)``: the boosted attack's downsampling and split
+* ``certification``          -> ``(7,)``: the Dirichlet pairs of the bound certifier
+
+A sweep seeds each (cell, seed) work item with :func:`cell_seed`, a
+splitmix64 mix of the base seed, the grid seed entry and the bits of every
+``GenParams`` field but ``seed``, so results never depend on enumeration or
+scheduling order.  Its boosted attacks take the seed
+:func:`gbm_split_seed`, ``splitmix64(cell seed ^ 0xA77ACC)``.
 
 Within a stream the draw order is fixed (label uniforms, then core normals,
 then noise normals), so identical ``(GenParams, split)`` produce
@@ -34,18 +43,18 @@ that was not replaced.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError, ValidationError, open_text
 
-_TAG_TRAIN = 0
-_TAG_TEST = 1
-_TAG_CONTAM = 2
+# each random stream's spawn key; the module docstring says what draws from it
+STREAMS = {"train": (0,), "test": (1,), "train_contamination": (2, 0),
+           "test_contamination": (2, 1), "gbm_split": (3,), "certification": (7,)}
 
-_SPLIT_TAGS = {"train": _TAG_TRAIN, "test": _TAG_TEST}
-
+_MASK64 = (1 << 64) - 1
 CSV_SIG_DIGITS = 9
 # most noise normals one draw holds (256 KB), so no whole-matrix temporary is made
 _NOISE_BLOCK_ELEMENTS = 1 << 15
@@ -131,8 +140,43 @@ class Dataset:
         return self.features.shape[1]
 
 
-def _stream(seed: int, *tags: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=tags))
+def stream(name: str, seed: int) -> np.random.Generator:
+    """The generator of stream ``name`` (a ``STREAMS`` key) under ``seed``, a
+    nonnegative integer."""
+    if not _is_integer(seed):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=STREAMS[name]))
+
+
+def _splitmix64(z: int) -> int:
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def _float_bits(v: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", float(v)))[0]
+
+
+def cell_seed(base_seed: int, grid_seed: int, params: GenParams) -> int:
+    """Order-independent 64-bit seed for one (cell, seed) work item."""
+    state = _splitmix64(base_seed & _MASK64)
+    for v in (
+        grid_seed, params.d, params.n_train, params.n_test,
+        _float_bits(params.mu), _float_bits(params.sigma),
+        _float_bits(params.sigma_noise), _float_bits(params.w),
+        _float_bits(params.epsilon), _float_bits(params.tau_mult),
+    ):
+        state = _splitmix64(state ^ (int(v) & _MASK64))
+    return state
+
+
+def gbm_split_seed(seed: int) -> int:
+    """The boosted attacks' split seed in the sweep cell seeded ``seed``."""
+    return _splitmix64(seed ^ 0xA77ACC)
 
 
 def generate_dataset(params: GenParams, split: str) -> Dataset:
@@ -141,12 +185,11 @@ def generate_dataset(params: GenParams, split: str) -> Dataset:
     ``split`` selects the sample count (``n_train`` or ``n_test``) and the
     RNG substream; both splits use the same distribution parameters.
     """
-    if split not in _SPLIT_TAGS:
+    if split not in ("train", "test"):
         raise ValidationError(f"split must be 'train' or 'test', got {split!r}")
-    tag = _SPLIT_TAGS[split]
     n = params.n_train if split == "train" else params.n_test
 
-    rng = _stream(params.seed, tag)
+    rng = stream(split, params.seed)
     labels = np.where(rng.random(n) < params.w, 1, -1).astype(np.int64)
     features = np.empty((n, params.d))
     features[:, 0] = rng.normal(labels * params.mu, params.sigma)
@@ -162,7 +205,8 @@ def generate_dataset(params: GenParams, split: str) -> Dataset:
         contaminated_mask=np.zeros(n, dtype=bool),
     )
     if params.epsilon > 0.0:
-        _contaminate(data, params.epsilon, params.tau, _stream(params.seed, _TAG_CONTAM, tag))
+        _contaminate(data, params.epsilon, params.tau,
+                     stream(f"{split}_contamination", params.seed))
     return data
 
 

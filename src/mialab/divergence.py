@@ -41,11 +41,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import compress
 from numbers import Integral
 
 import numpy as np
 
+from .datagen import stream
 from .errors import UnboundedRatioError, ValidationError
 
 _GROUP_ATOL = 1e-9
@@ -297,68 +297,44 @@ def _close(openers: np.ndarray, rest: np.ndarray) -> np.ndarray:
     return ((np.abs(openers - rest) <= _GROUP_ATOL) | (openers == rest)).all(axis=-1)
 
 
-def _row_channel(rows: np.ndarray) -> tuple[list[int], int]:
-    """Each x's group and the group count: the first unlabelled row opens a
-    group that takes every unlabelled row close to it.
-
-    Two rows are close when every entry pair has ``|a - b| <= _GROUP_ATOL``
-    or ``a == b`` (numpy's closeness test with no relative tolerance), so
-    equal infinities are close and nan is close to nothing.  Closeness is
-    computed in one broadcast per block of opener rows, against the rows
-    from the block on; a block holds as many rows as keep that temporary
-    within ``_CLOSE_BLOCK_ELEMENTS`` entries (at least one row), so a small
-    table is one block.
-    """
-    x_size, y_size = rows.shape
-    labels = [-1] * x_size
-    size = 0
-    step = max(1, _CLOSE_BLOCK_ELEMENTS // (x_size * y_size))
-    with np.errstate(invalid="ignore"):  # inf - inf
-        for start in range(0, x_size, step):
-            close = _close(rows[start:start + step, None, :], rows[None, start:, :])
-            later = list(range(start, x_size))
-            for i, near in enumerate(close.tolist(), start):
-                if labels[i] < 0:
-                    for k in compress(later, near):
-                        if labels[k] < 0:
-                            labels[k] = size
-                    size += 1
-    return labels, size
-
-
-def _any_close_rows(rows: np.ndarray) -> np.ndarray:
-    """Whether each (T, x, y) table has two distinct rows that are close.
-
-    Blocks of tables, or of one table's opener rows, are compared against
-    the rows from the block on, each in one broadcast within
-    ``_CLOSE_BLOCK_ELEMENTS`` entries.
-    """
-    count, x_size, y_size = rows.shape
-    found = np.zeros(count, dtype=bool)
-    tables = max(1, _CLOSE_BLOCK_ELEMENTS // (x_size * x_size * y_size))
-    step = max(1, _CLOSE_BLOCK_ELEMENTS // (tables * x_size * y_size))
-    with np.errstate(invalid="ignore"):  # inf - inf
-        for first in range(0, count, tables):
-            block = rows[first:first + tables]
-            for start in range(0, x_size, step):
-                close = _close(block[:, start:start + step, None, :], block[:, None, start:, :])
-                own = np.arange(close.shape[1])
-                close[:, own, own] = False
-                found[first:first + tables] |= close.any(axis=(1, 2))
-    return found
-
-
 def _row_channel_stack(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-atom outcomes and outcome counts of each (T, x, y) table's row channel.
 
-    With no two rows close, :func:`_row_channel` labels the rows 0 to x-1 in
-    order, so only tables with a close pair run it.
+    In each table the first unlabelled row opens a group that takes every
+    unlabelled row close to it.  Two rows are close when every entry pair
+    has ``|a - b| <= _GROUP_ATOL`` or ``a == b`` (numpy's closeness test with
+    no relative tolerance), so equal infinities are close and nan is close
+    to nothing.  Closeness is computed once, in one broadcast per block of
+    tables, or of one table's opener rows, against the rows from the block
+    on, within ``_CLOSE_BLOCK_ELEMENTS`` entries.  A table keeps the labels
+    0 to x-1 (each row a group of its own) until a block shows one of its
+    close pairs, and runs the greedy grouping from that block on.
     """
     count, x_size, y_size = rows.shape
     labels = np.tile(np.arange(x_size, dtype=np.int64), (count, 1))
     sizes = np.full(count, x_size, dtype=np.int64)
-    for t in np.flatnonzero(_any_close_rows(rows)):
-        labels[t], sizes[t] = _row_channel(rows[t])
+    tables = max(1, _CLOSE_BLOCK_ELEMENTS // (x_size * x_size * y_size))
+    step = max(1, _CLOSE_BLOCK_ELEMENTS // (tables * x_size * y_size))
+    for first in range(0, count, tables):
+        block, out, size = (a[first:first + tables] for a in (rows, labels, sizes))
+        grouping = np.zeros(len(block), dtype=bool)
+        for start in range(0, x_size, step):
+            with np.errstate(invalid="ignore"):  # inf - inf
+                close = _close(block[:, start:start + step, None, :], block[:, None, start:, :])
+            own = np.arange(close.shape[1])
+            close[:, own, own] = False
+            for t in np.flatnonzero(close.any(axis=(1, 2)) | grouping):
+                group = out[t]
+                if not grouping[t]:  # its first close pair: each earlier row is its own group
+                    grouping[t] = True
+                    group[start:] = -1
+                    size[t] = start
+                for i, opener in enumerate(range(start, start + close.shape[1])):
+                    if group[opener] < 0:
+                        near = np.flatnonzero(close[t, i]) + start
+                        group[near[group[near] < 0]] = size[t]
+                        group[opener] = size[t]
+                        size[t] += 1
     return np.repeat(labels, y_size, axis=1), sizes
 
 
@@ -470,17 +446,14 @@ def certify(trials: int, x_size: int, y_size: int, seed: int = 0) -> Certificati
     misses).  The expected violation count is 0.  The counts and the seed
     must be integers.
     """
-    for name, value in (("trials", trials), ("x_size", x_size), ("y_size", y_size),
-                        ("seed", seed)):
+    for name, value in (("trials", trials), ("x_size", x_size), ("y_size", y_size)):
         if isinstance(value, bool) or not isinstance(value, Integral):
             raise ValidationError(f"{name} must be an integer, got {value!r}")
     if trials < 0:
         raise ValidationError(f"trials must be nonnegative, got {trials}")
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    rng = stream("certification", seed)  # checks the seed
     if x_size < 2 or y_size < 2:
         raise ValidationError("need at least 2 atoms on each axis")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(7,)))
     return _certify_chunks(_dirichlet_chunks(rng, trials, x_size, y_size))
 
 

@@ -6,26 +6,24 @@ training set and nonmember scores on the test set for every requested
 score kind, and reduces them to AUROC/advantage.  A *sweep* is the
 deterministic Cartesian product of grid axes crossed with a list of seeds.
 
-Per-cell seeds are derived by a splitmix-style 64-bit mix of the base
-seed, the grid seed entry, and the bits of every cell parameter, so
-results never depend on enumeration or scheduling order.  Cells are pure
+Each (cell, seed) work item runs under its own seed, ``datagen.cell_seed``
+(``datagen``'s randomness contract says how it is mixed).  Cells are pure
 and independent; a process pool may execute them in any order and the
 aggregated tables come out identical.
 
 Every sweep runs its cells on one BLAS thread per process.  Pool workers
-pin OpenBLAS in their initializer; a serial sweep pins for the duration of
-the run and then restores the caller's thread counts.  On a machine with as
-many workers as cores, each worker's default BLAS thread pool would compete
-with the other workers for the same cores.  Either way the sweep first loads
-the scipy functions the cells call, so scipy's own OpenBLAS is mapped and
-pinned too.
+load the scipy functions the cells call and then pin every mapped OpenBLAS
+in their initializer, so scipy's own OpenBLAS is pinned too, whatever the
+start method.  A serial sweep loads scipy, pins for the duration of the run
+and then restores the caller's thread counts.  On a machine with as many workers
+as cores, each worker's default BLAS thread pool would compete with the
+other workers for the same cores.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import struct
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -33,7 +31,7 @@ import numpy as np
 
 from . import lazy_scipy
 from .attacks import ScoreKind, accuracy, membership_scores, model_outputs
-from .datagen import GenParams, generate_dataset
+from .datagen import GenParams, cell_seed, gbm_split_seed, generate_dataset
 from .errors import MialabError, ValidationError, open_text
 from .linear_models import fit_lda, fit_logistic
 from .metrics import CELL_COLUMNS, attack_result, mean_sem, sort_key
@@ -47,8 +45,6 @@ DEFAULT_SCORE_KINDS = (
     ScoreKind.LOG_LOSS,
     ScoreKind.LDA_LOG_JOINT,
 )
-
-_MASK64 = (1 << 64) - 1
 
 # Names of the OpenBLAS thread-count functions, ``{}`` being get or set:
 # scipy's wheels rename ``openblas_`` to ``scipy_openblas_``, and ILP64
@@ -121,30 +117,6 @@ class SweepTable:
     failures: list[dict] = field(default_factory=list)
 
 
-def _splitmix64(z: int) -> int:
-    z = (z + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
-def _float_bits(v: float) -> int:
-    return struct.unpack("<Q", struct.pack("<d", float(v)))[0]
-
-
-def cell_seed(base_seed: int, grid_seed: int, params: GenParams) -> int:
-    """Order-independent 64-bit seed for one (cell, seed) work item."""
-    state = _splitmix64(base_seed & _MASK64)
-    for v in (
-        grid_seed, params.d, params.n_train, params.n_test,
-        _float_bits(params.mu), _float_bits(params.sigma),
-        _float_bits(params.sigma_noise), _float_bits(params.w),
-        _float_bits(params.epsilon), _float_bits(params.tau_mult),
-    ):
-        state = _splitmix64(state ^ (int(v) & _MASK64))
-    return state
-
-
 def attack_target(model, member, nonmember, kinds, seed: int):
     """Attack ``model``, trained on ``member``, with each of ``kinds`` from one output pass.
 
@@ -171,7 +143,7 @@ def run_cell(params: GenParams, kinds=DEFAULT_SCORE_KINDS) -> list[dict]:
     try:
         train = generate_dataset(params, "train")
         test = generate_dataset(params, "test")
-        split_seed = _splitmix64(params.seed ^ 0xA77ACC)
+        split_seed = gbm_split_seed(params.seed)
 
         rows = []
         for name, fit in (("logistic", fit_logistic), ("lda", fit_lda)):
@@ -234,6 +206,12 @@ def pin_blas_threads() -> list[tuple]:
     return previous
 
 
+def _start_worker() -> None:
+    """Pool initializer: load scipy, then pin every OpenBLAS the worker maps."""
+    lazy_scipy.load()
+    pin_blas_threads()
+
+
 def resolve_workers(workers: int | None) -> int:
     if workers is None:
         raw = os.environ.get(WORKERS_ENV_VAR, "1")
@@ -263,7 +241,8 @@ def run_sweep(
     # more workers than cells; a single cell runs serially.
     workers = min(resolve_workers(workers), len(items))
     # scipy maps its own OpenBLAS only once it loads: load it before the pin,
-    # which then finds both libraries, and before the fork, so no worker loads it.
+    # which then finds both libraries, and before any fork, so no forked
+    # worker loads it again.
     lazy_scipy.load()
     if workers == 1:
         previous = pin_blas_threads()
@@ -273,10 +252,9 @@ def run_sweep(
             for set_, count in previous:
                 set_(count)
     else:
-        # Workers are forked, so they inherit the parent's mapped libraries.
         # Cells go out one at a time: the grid is d-major, so batches would
         # leave the largest cells to one worker at the end.
-        with ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
             results = list(pool.map(_worker, items))
 
     # Both maps yield in submission order, so rows follow the deterministic

@@ -8,8 +8,8 @@ alone.  A stand-in imports its scipy module the first time it is called and
 then calls the real function.
 
 ``scipy.linalg`` maps scipy's own OpenBLAS, a second library beside numpy's.
-A sweep calls :func:`load` before it pins the BLAS threads, so the pin finds
-both libraries and forked workers inherit scipy already loaded.
+A sweep, and each of its pool workers, calls :func:`load` before it pins the
+BLAS threads, so the pin finds both libraries whatever the start method.
 """
 
 from __future__ import annotations

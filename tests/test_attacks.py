@@ -272,6 +272,30 @@ def test_gbm_attack_deterministic_in_split_seed():
     assert a.nonmember_scores.tobytes() == b.nonmember_scores.tobytes()
 
 
+def test_gbm_split_draws_from_spawn_key_3(monkeypatch):
+    import mialab.attacks as attacks
+
+    member, nonmember = _toy_pair(seed=6, n_train=30, n_test=50)
+    model = fit_logistic(member)
+    seen = []
+    monkeypatch.setattr(attacks, "fit_gbm", lambda X, y, **_: seen.append(X))
+    monkeypatch.setattr(attacks, "gbm_predict_matrix",
+                        lambda _, rows: seen.append(rows) or np.full(len(rows), 0.5))
+    run_gbm_attack(model, member, nonmember, interface="probs", split_seed=9)
+
+    # the downsampling and the 50/50 split, drawn from a hand-built stream
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=9, spawn_key=(3,)))
+    halves = []
+    for data in (member, nonmember):
+        rows = _attack_matrix(model_outputs(model, data), ScoreKind.GBM_PROBS)
+        keep = np.sort(rng.permutation(len(rows))[:30])
+        rows = rows[keep][rng.permutation(30)]
+        halves.append((rows[:15], rows[15:]))
+    (train_m, eval_m), (train_n, eval_n) = halves
+    assert seen[0].tobytes() == np.vstack([train_m, train_n]).tobytes()
+    assert seen[1].tobytes() == np.vstack([eval_m, eval_n]).tobytes()
+
+
 def test_scores_csv(tmp_path):
     # the side,score,kind table that `mialab attack` writes
     rows = [{"side": "member", "score": np.float64(0.25), "kind": ScoreKind.MAX_PROB.value},

@@ -8,6 +8,8 @@ import json
 import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 import pytest
@@ -62,3 +64,17 @@ def test_sweep_loads_scipy_then_pins_every_openblas_library(workers):
     # every library this scipy-loaded process maps, scipy's own OpenBLAS among them
     ones = [1] * len(harness.openblas_thread_controls())
     assert cells == [[ones, True]] * 4
+
+
+def _thread_counts():
+    """OpenBLAS thread counts of the process this runs in, each library's in turn."""
+    return [get() for get, _ in harness.openblas_thread_controls()]
+
+
+@pytest.mark.skipif(not harness.openblas_thread_controls(), reason="no OpenBLAS library is mapped")
+def test_sweep_worker_pins_every_openblas_library_when_spawned():
+    # a spawned worker inherits nothing: only the initializer loads scipy before it pins
+    with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"),
+                             initializer=harness._start_worker) as pool:
+        threads = pool.submit(_thread_counts).result(timeout=120)
+    assert threads == [1] * len(harness.openblas_thread_controls())

@@ -110,6 +110,27 @@ def _one_call_dataset(params, split):
     return features, labels, mask
 
 
+# every random stream's spawn key, written out
+_SPAWN_KEYS = {"train": (0,), "test": (1,), "train_contamination": (2, 0),
+               "test_contamination": (2, 1), "gbm_split": (3,), "certification": (7,)}
+
+
+@pytest.mark.parametrize("name", list(_SPAWN_KEYS))
+def test_each_stream_draws_from_its_spawn_key(name):
+    assert set(datagen.STREAMS) == set(_SPAWN_KEYS)
+    want = np.random.default_rng(np.random.SeedSequence(entropy=23, spawn_key=_SPAWN_KEYS[name]))
+    assert datagen.stream(name, 23).random(8).tobytes() == want.random(8).tobytes()
+
+
+@pytest.mark.parametrize("seed, message", [
+    (True, "seed must be an integer, got True"), (1.0, "seed must be an integer, got 1.0"),
+    ("1", "seed must be an integer, got '1'"), (-1, "seed must be nonnegative, got -1"),
+])
+def test_stream_rejects_seeds_that_are_not_nonnegative_integers(seed, message):
+    with pytest.raises(ValidationError, match=f"^{message}$"):
+        datagen.stream("train", seed)
+
+
 @pytest.mark.parametrize("cap", [1, 7, datagen._NOISE_BLOCK_ELEMENTS])
 @pytest.mark.parametrize("epsilon", [0.0, 0.3])
 @pytest.mark.parametrize("n", [1, 2, 127, 4097])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from mialab.attacks import ScoreKind
-from mialab.datagen import GenParams, generate_dataset
+from mialab.attacks import ScoreKind, run_gbm_attack
+from mialab.datagen import GenParams, cell_seed, generate_dataset
 from mialab.errors import MialabError, ValidationError
 from mialab import harness
 from mialab.harness import (
@@ -13,7 +13,6 @@ from mialab.harness import (
     REPORT_COLUMNS,
     SUMMARY_COLUMNS,
     SweepGrid,
-    cell_seed,
     load_sweep_config,
     parse_sweep_config,
     privacy_utility_report,
@@ -111,6 +110,29 @@ def test_run_cell_gbm_kinds(monkeypatch):
     assert sizes == [(30, 30)] * 4
 
 
+def _reference_splitmix64(z):
+    """The splitmix64 output for state ``z``, written out from its published constants."""
+    mask = (1 << 64) - 1
+    z = (z + 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def test_run_cell_seeds_the_boosted_split_with_the_salted_cell_seed():
+    # splitmix64's first output from state 0
+    assert _reference_splitmix64(0) == 0xE220A8397B1DCDAF
+    params = GenParams(d=4, n_train=60, n_test=200, mu=0.3, seed=5)
+    rows = run_cell(params, kinds=(ScoreKind.GBM_PROBS,))
+    train, test = generate_dataset(params, "train"), generate_dataset(params, "test")
+    split_seed = _reference_splitmix64(params.seed ^ 0xA77ACC)
+    for row in rows:
+        fit = {"logistic": fit_logistic, "lda": fit_lda}[row["model"]]
+        scores = run_gbm_attack(fit(train), train, test, interface="probs", split_seed=split_seed)
+        assert row["auroc"] == auroc(scores)
+    assert len(rows) == 2
+
+
 def test_run_cell_computes_lda_outputs_once_per_dataset(lda_log_joints_calls):
     # every score kind, the boosted ones included, reads the shared outputs
     params = GenParams(d=4, n_train=60, n_test=200, mu=0.3, seed=5)
@@ -157,6 +179,11 @@ def test_cell_seed_sensitive_to_every_axis():
     assert cell_seed(0, 1, base) != s0
     assert cell_seed(0, 0, GenParams(d=8, n_train=40, mu=0.1, seed=0)) != s0
     assert cell_seed(0, 0, GenParams(d=4, n_train=40, mu=0.2, seed=0)) != s0
+    for change in (dict(n_train=41), dict(n_test=4001), dict(sigma=0.2),
+                   dict(sigma_noise=1.5), dict(w=0.4), dict(epsilon=0.05),
+                   dict(tau_mult=5.0)):
+        cell = GenParams(**dict(dict(d=4, n_train=40, mu=0.1, seed=0), **change))
+        assert cell_seed(0, 0, cell) != s0, change
 
 
 def test_run_sweep_single_cell_sem_zero():
