@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ValidationError, open_text
+from .errors import DataError, ValidationError, integer, open_text, real
 
 # each random stream's spawn key; the module docstring says what draws from it
 STREAMS = {"train": (0,), "test": (1,), "train_contamination": (2, 0),
@@ -58,11 +58,6 @@ _MASK64 = (1 << 64) - 1
 CSV_SIG_DIGITS = 9
 # most noise normals one draw holds (256 KB), so no whole-matrix temporary is made
 _NOISE_BLOCK_ELEMENTS = 1 << 15
-
-
-def _is_integer(value) -> bool:
-    # bool is an int to Python, so it is ruled out by name
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 # each real GenParams field, the test its value must pass, and what its error says it must be
@@ -96,27 +91,11 @@ class GenParams:
     tau_mult: float = 10.0
 
     def __post_init__(self) -> None:
-        if not _is_integer(self.d) or self.d < 1:
-            raise ValidationError(f"d must be a positive integer, got {self.d!r}")
-        for name in ("n_train", "n_test"):
-            value = getattr(self, name)
-            if not _is_integer(value):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-            if value < 2:
-                raise ValidationError(f"{name} must be >= 2, got {value!r}")
+        for name, minimum in (("d", 1), ("n_train", 2), ("n_test", 2)):
+            integer(name, getattr(self, name), minimum)
         for name, holds, need in _REAL_FIELDS:
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float, np.integer,
-                                                                 np.floating)):
-                raise ValidationError(f"{name} must be a real number, got {value!r}")
-            try:
-                real = float(value)
-            except OverflowError:  # an int past the float range is no finite real
-                real = math.nan
-            if not holds(real):
-                raise ValidationError(f"{name} must {need}, got {value!r}")
-        if not _is_integer(self.seed) or self.seed < 0:
-            raise ValidationError(f"seed must be a nonnegative integer, got {self.seed!r}")
+            real(name, getattr(self, name), holds, need)
+        integer("seed", self.seed, 0)
 
     @property
     def tau(self) -> float:
@@ -143,10 +122,7 @@ class Dataset:
 def stream(name: str, seed: int) -> np.random.Generator:
     """The generator of stream ``name`` (a ``STREAMS`` key) under ``seed``, a
     nonnegative integer."""
-    if not _is_integer(seed):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    if seed < 0:
-        raise ValidationError(f"seed must be nonnegative, got {seed}")
+    seed = integer("seed", seed, 0)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=STREAMS[name]))
 
 

@@ -41,12 +41,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral
 
 import numpy as np
 
 from .datagen import stream
-from .errors import UnboundedRatioError, ValidationError
+from .errors import UnboundedRatioError, ValidationError, integer
 
 _GROUP_ATOL = 1e-9
 # most entries one closeness broadcast holds (2 MB per float temporary)
@@ -446,11 +445,8 @@ def certify(trials: int, x_size: int, y_size: int, seed: int = 0) -> Certificati
     misses).  The expected violation count is 0.  The counts and the seed
     must be integers.
     """
-    for name, value in (("trials", trials), ("x_size", x_size), ("y_size", y_size)):
-        if isinstance(value, bool) or not isinstance(value, Integral):
-            raise ValidationError(f"{name} must be an integer, got {value!r}")
-    if trials < 0:
-        raise ValidationError(f"trials must be nonnegative, got {trials}")
+    trials = integer("trials", trials, 0)
+    x_size, y_size = integer("x_size", x_size), integer("y_size", y_size)
     rng = stream("certification", seed)  # checks the seed
     if x_size < 2 or y_size < 2:
         raise ValidationError("need at least 2 atoms on each axis")

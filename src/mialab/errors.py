@@ -1,7 +1,11 @@
-"""Exception types shared across the package, and the text-file reader that maps
-undecodable input onto them."""
+"""Exception types shared across the package, the argument checks that raise them
+(:func:`integer` for counts and seeds, :func:`real` for real-valued parameters), and
+the text-file reader that maps undecodable input onto them."""
 
 import contextlib
+import math
+
+import numpy as np
 
 
 class MialabError(Exception):
@@ -26,6 +30,31 @@ class InsufficientDataError(DataError):
 
 class UnboundedRatioError(MialabError):
     """No finite likelihood-ratio bounds exist for the given pair."""
+
+
+def integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int; a bool, a non-integer or a value below ``minimum`` raises
+    ``ValidationError``."""
+    # bool is an int to Python, so it is ruled out by name
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def real(name: str, value, holds, need: str) -> float:
+    """``value`` as a float; a bool, a non-real or a value failing ``holds`` raises
+    ``ValidationError`` saying that ``name`` must ``need``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        number = float(value)
+    except OverflowError:  # an int past the float range is no finite real
+        number = math.nan
+    if not holds(number):
+        raise ValidationError(f"{name} must {need}, got {value!r}")
+    return number
 
 
 @contextlib.contextmanager

@@ -38,11 +38,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
-from .errors import DataError, DegenerateDataError, ValidationError
+from .errors import DataError, DegenerateDataError, ValidationError, integer, real
 from .lazy_scipy import expit
 
 HESSIAN_FLOOR = 1e-12
@@ -227,13 +226,10 @@ def fit_gbm(
         raise ValidationError("labels must be 0 or 1")
     if y.min() == y.max():
         raise DegenerateDataError("both label values must be present")
-    for name, value in (("n_estimators", n_estimators), ("max_depth", max_depth)):
-        if isinstance(value, bool) or not isinstance(value, Integral) or value < 0:
-            raise ValidationError(f"{name} must be a nonnegative integer, got {value!r}")
-    if isinstance(learning_rate, bool) or not isinstance(learning_rate, Real) \
-            or not (math.isfinite(learning_rate) and learning_rate >= 0):
-        raise ValidationError(
-            f"learning_rate must be a finite number >= 0, got {learning_rate!r}")
+    integer("n_estimators", n_estimators, 0)
+    integer("max_depth", max_depth, 0)
+    real("learning_rate", learning_rate, lambda v: math.isfinite(v) and v >= 0,
+         "be a finite number >= 0")
 
     rate = y.mean()
     base = float(np.log(rate / (1.0 - rate)))

@@ -23,6 +23,7 @@ other workers for the same cores.
 from __future__ import annotations
 
 import ctypes
+import itertools
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
@@ -32,7 +33,7 @@ import numpy as np
 from . import lazy_scipy
 from .attacks import ScoreKind, accuracy, membership_scores, model_outputs
 from .datagen import GenParams, cell_seed, gbm_split_seed, generate_dataset
-from .errors import MialabError, ValidationError, open_text
+from .errors import MialabError, ValidationError, integer, open_text
 from .linear_models import fit_lda, fit_logistic
 from .metrics import CELL_COLUMNS, attack_result, mean_sem, sort_key
 
@@ -95,20 +96,12 @@ class SweepGrid:
 
     def cells(self) -> list[GenParams]:
         """All (cell, seed) combinations as fully seeded parameter sets."""
-        out = []
-        for d in self.d_values:
-            for n in self.n_train_values:
-                for mu in self.mu_values:
-                    for w in self.w_values:
-                        for eps in self.epsilon_values:
-                            for seed in self.seeds:
-                                out.append(GenParams(
-                                    d=d, n_train=n, mu=mu, seed=seed,
-                                    n_test=self.n_test, sigma=self.sigma,
-                                    sigma_noise=self.sigma_noise, w=w,
-                                    epsilon=eps, tau_mult=self.tau_mult,
-                                ))
-        return out
+        axes = (self.d_values, self.n_train_values, self.mu_values, self.w_values,
+                self.epsilon_values, self.seeds)
+        return [GenParams(d=d, n_train=n, mu=mu, seed=seed, n_test=self.n_test,
+                          sigma=self.sigma, sigma_noise=self.sigma_noise, w=w, epsilon=eps,
+                          tau_mult=self.tau_mult)
+                for d, n, mu, w, eps, seed in itertools.product(*axes)]
 
 
 @dataclass
@@ -219,9 +212,7 @@ def resolve_workers(workers: int | None) -> int:
             workers = int(raw)
         except ValueError:
             raise ValidationError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValidationError(f"worker count must be >= 1, got {workers}")
-    return workers
+    return integer("workers", workers, 1)
 
 
 def run_sweep(
@@ -232,6 +223,7 @@ def run_sweep(
 ) -> SweepTable:
     """Run every (cell, seed) of the grid; failures are recorded, not raised."""
     kinds = tuple(kinds)
+    base_seed = integer("base_seed", base_seed)  # any sign: cell_seed masks it to 64 bits
     items = []
     for params in grid.cells():
         derived = replace(params, seed=cell_seed(base_seed, params.seed, params))

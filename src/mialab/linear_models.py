@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import Dataset
-from .errors import DataError, DegenerateDataError, ValidationError
+from .errors import DataError, DegenerateDataError, ValidationError, integer, real
 from .lazy_scipy import dtrmm, expit, minimize, solve_triangular
 
 LOG_FLOOR = 1e-300  # probabilities are clamped here only where logs are taken
@@ -106,10 +106,8 @@ def fit_logistic(data: Dataset, tol: float = 1e-8, max_iter: int = 10_000) -> Lo
     that is recorded, not raised.  Features so large that the loss or its
     gradient overflows raise ``DataError``.
     """
-    if max_iter < 1:
-        raise ValidationError(f"max_iter must be >= 1, got {max_iter}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValidationError(f"tol must be finite and > 0, got {tol!r}")
+    max_iter = integer("max_iter", max_iter, 1)
+    real("tol", tol, lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0")
     _check_train(data)
     X = np.asarray(data.features, dtype=np.float64)
     y = data.labels.astype(np.float64)

@@ -369,7 +369,7 @@ def test_negative_seed_exit_2(tmp_path, capsys, command):
     capsys.readouterr()
     code = main([*argv, "--seed", "-1", "--out", str(tmp_path / "out.csv")])
     assert code == 2
-    assert "error: seed must be nonnegative, got -1" in capsys.readouterr().err
+    assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
 
 
 def test_bounds_prints_each_check_after_the_violation_total(tmp_path, capsys):

@@ -124,7 +124,7 @@ def test_each_stream_draws_from_its_spawn_key(name):
 
 @pytest.mark.parametrize("seed, message", [
     (True, "seed must be an integer, got True"), (1.0, "seed must be an integer, got 1.0"),
-    ("1", "seed must be an integer, got '1'"), (-1, "seed must be nonnegative, got -1"),
+    ("1", "seed must be an integer, got '1'"), (-1, "seed must be >= 0, got -1"),
 ])
 def test_stream_rejects_seeds_that_are_not_nonnegative_integers(seed, message):
     with pytest.raises(ValidationError, match=f"^{message}$"):

@@ -172,6 +172,24 @@ def test_cell_seed_no_collisions_on_default_grid():
     assert len(seeds) == len(grid.cells()) == 450
 
 
+def test_cells_nest_d_n_train_mu_w_epsilon_seed_outermost_first():
+    # the sweep reports failed cells in this order, so it is part of the CLI output
+    grid = SweepGrid(mu_values=(0.3, 0.1), d_values=(4, 2), n_train_values=(40, 10),
+                     w_values=(0.5, 0.3), epsilon_values=(0.0, 0.1), seeds=(1, 0),
+                     n_test=50, sigma=0.2, sigma_noise=0.5, tau_mult=3.0)
+    want = []
+    for d in grid.d_values:
+        for n in grid.n_train_values:
+            for mu in grid.mu_values:
+                for w in grid.w_values:
+                    for eps in grid.epsilon_values:
+                        for seed in grid.seeds:
+                            want.append(GenParams(d=d, n_train=n, mu=mu, seed=seed, n_test=50,
+                                                  sigma=0.2, sigma_noise=0.5, w=w,
+                                                  epsilon=eps, tau_mult=3.0))
+    assert grid.cells() == want
+
+
 def test_cell_seed_sensitive_to_every_axis():
     base = GenParams(d=4, n_train=40, mu=0.1, seed=0)
     s0 = cell_seed(0, 0, base)

@@ -141,6 +141,17 @@ COMMANDS = [
                        "--out", "logistic_tol_nan.json"]),
     ("train_tol_negative", ["train", "--model", "logistic", "--data", "train.csv", "--tol", "-1",
                             "--out", "logistic_tol_negative.json"]),
+    # counts and seeds below their minimum: exit 2, nothing written
+    ("generate_d_0", ["generate", "--d", "0", "--n", "10", "--mu", "0.4", "--out", "d_0.csv"]),
+    ("generate_seed_negative", ["generate", "--d", "8", "--n", "10", "--mu", "0.4",
+                                "--seed", "-1", "--out", "seed_negative.csv"]),
+    ("bounds_trials_negative", ["bounds", "--trials", "-1",
+                                "--out", "bounds_trials_negative.csv"]),
+    ("train_max_iter_0", ["train", "--model", "logistic", "--data", "train.csv",
+                          "--max-iter", "0", "--out", "logistic_max_iter_0.json"]),
+    ("sweep_workers_0", ["sweep", "--config", "grid.cfg", "--workers", "0",
+                         "--out", "results_workers_0.csv",
+                         "--summary-out", "summary_workers_0.csv"]),
     # finite features near the float limit, whose LDA covariance overflows
     ("generate_overflow", ["generate", "--d", "3", "--n", "5", "--mu", "0.1", "--epsilon", "0.5",
                            "--tau-mult", "1e308", "--out", "overflow.csv"]),
