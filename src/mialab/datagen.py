@@ -159,15 +159,19 @@ def generate_dataset(params: GenParams, split: str) -> Dataset:
     """Draw one split of the synthetic task, contaminating it if requested.
 
     ``split`` selects the sample count (``n_train`` or ``n_test``) and the
-    RNG substream; both splits use the same distribution parameters.
+    RNG substream; both splits use the same distribution parameters.  A
+    feature matrix numpy cannot allocate raises ``DataError``.
     """
     if split not in ("train", "test"):
         raise ValidationError(f"split must be 'train' or 'test', got {split!r}")
     n = params.n_train if split == "train" else params.n_test
 
+    try:  # before any draw: a size numpy refuses takes no randomness
+        features = np.empty((n, params.d))
+    except (ValueError, MemoryError) as exc:
+        raise DataError(f"cannot allocate {n} x {params.d} features: {exc}") from None
     rng = stream(split, params.seed)
     labels = np.where(rng.random(n) < params.w, 1, -1).astype(np.int64)
-    features = np.empty((n, params.d))
     features[:, 0] = rng.normal(labels * params.mu, params.sigma)
     if params.d > 1:
         step = max(1, _NOISE_BLOCK_ELEMENTS // (params.d - 1))

@@ -16,7 +16,10 @@ every stage takes the whole stack (leading axis: the pair):
   ``|TV_X - E TV_cond| <= TV_joint <= TV_X + E TV_cond`` together with the
   KL-based upper bound ``sqrt(KL_X/2) + sqrt(E KL_cond / 2)``.
 * ``log_joint_vector_channel`` and ``softmax_channel`` group each target's
-  x atoms by their log-joint row and by their posterior row.
+  x atoms by their log-joint row and by their posterior row.  Close rows
+  share a chain of their first entries (the scalar channel's sort), so only
+  a table whose first column chains two rows together runs the greedy
+  grouping.
 * ``pushforward`` gives the law of both tables of each pair through every
   channel.
 * ``dominance_probe`` evaluates the coefficient
@@ -48,8 +51,6 @@ from .datagen import stream
 from .errors import UnboundedRatioError, ValidationError, integer
 
 _GROUP_ATOL = 1e-9
-# most entries one closeness broadcast holds (2 MB per float temporary)
-_CLOSE_BLOCK_ELEMENTS = 1 << 18
 # most table entries per side in one certification stack (512 KB per table stack)
 _STACK_ELEMENTS = 1 << 16
 # slack a certified check may show from rounding
@@ -166,8 +167,7 @@ def decompose(P, Q, px, p, qx, q) -> np.ndarray:
     # a running sum over x adds left to right, as a per-x loop does; numpy's
     # pairwise sum does not
     exp_cond_tv = np.cumsum(np.where(seen, px * 0.5 * tv_rows, 0.0), axis=-1)[:, -1]
-    unbounded = (seen & q_missing).any(axis=-1) | ((p > 0.0) & (q == 0.0)).any(axis=(1, 2))
-    exp_kl_cond = np.where(unbounded, np.inf,
+    exp_kl_cond = np.where(_unbounded_rows(px, p, qx, q).any(axis=-1), np.inf,
                            np.cumsum(np.where(seen, px * kl_rows, 0.0), axis=-1)[:, -1])
 
     finite = np.isfinite(kl_x) & np.isfinite(exp_kl_cond)
@@ -229,23 +229,27 @@ def _lr_range_stack(px, p, qx, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Where ``unbounded[t]`` the range is not finite and ``alpha, beta`` are
     meaningless; :func:`_unbounded_ratio` says why.
     """
-    seen = px > 0.0
-    bad = (seen & (qx <= 0.0)).any(axis=-1) | ((p > 0.0) & (q == 0.0)).any(axis=(1, 2))
-    defined = seen[..., None] & (q > 0.0)
+    defined = (px > 0.0)[..., None] & (q > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = p / q
     alpha = np.where(defined, ratios, np.inf).min(axis=(1, 2))
     beta = np.where(defined, ratios, -np.inf).max(axis=(1, 2))
-    return alpha, beta, bad
+    return alpha, beta, _unbounded_rows(px, p, qx, q).any(axis=-1)
+
+
+def _unbounded_rows(px, p, qx, q) -> np.ndarray:
+    """Whether the conditional ratio ``P(y|x)/Q(y|x)`` is unbounded at each x of
+    a pair's (or a stack's) :func:`_conditional_stack`: Q has no mass at a
+    supported x, or ``Q(y|x)`` vanishes where ``P(y|x)`` does not."""
+    return ((px > 0.0) & (qx <= 0.0)) | ((p > 0.0) & (q == 0.0)).any(axis=-1)
 
 
 def _unbounded_ratio(px, p, qx, q) -> UnboundedRatioError:
     """Why one pair's conditional ratio has no finite range: the first bad x."""
-    no_q, unbounded = (px > 0.0) & (qx <= 0.0), (p > 0.0) & (q == 0.0)
-    x = int(np.argmax(no_q | unbounded.any(axis=1)))
-    if no_q[x]:
+    x = int(np.argmax(_unbounded_rows(px, p, qx, q)))
+    if qx[x] <= 0.0:  # q[x] is -1 here, so x is unbounded only where P supports it
         return UnboundedRatioError(f"Q has no mass at supported x={x}")
-    y = int(np.argmax(unbounded[x]))
+    y = int(np.argmax((p[x] > 0.0) & (q[x] == 0.0)))
     return UnboundedRatioError(f"conditional ratio unbounded at (x={x}, y={y})")
 
 
@@ -303,37 +307,25 @@ def _row_channel_stack(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     unlabelled row close to it.  Two rows are close when every entry pair
     has ``|a - b| <= _GROUP_ATOL`` or ``a == b`` (numpy's closeness test with
     no relative tolerance), so equal infinities are close and nan is close
-    to nothing.  Closeness is computed once, in one broadcast per block of
-    tables, or of one table's opener rows, against the rows from the block
-    on, within ``_CLOSE_BLOCK_ELEMENTS`` entries.  A table keeps the labels
-    0 to x-1 (each row a group of its own) until a block shows one of its
-    close pairs, and runs the greedy grouping from that block on.
+    to nothing.  Close rows share a :func:`_chain_stack` chain of column 0:
+    every sorted gap between their first entries is at most theirs.  So a
+    table with one chain per row has no close pair and keeps the labels 0
+    to x-1, and only the other tables run the greedy grouping.
     """
     count, x_size, y_size = rows.shape
     labels = np.tile(np.arange(x_size, dtype=np.int64), (count, 1))
-    sizes = np.full(count, x_size, dtype=np.int64)
-    tables = max(1, _CLOSE_BLOCK_ELEMENTS // (x_size * x_size * y_size))
-    step = max(1, _CLOSE_BLOCK_ELEMENTS // (tables * x_size * y_size))
-    for first in range(0, count, tables):
-        block, out, size = (a[first:first + tables] for a in (rows, labels, sizes))
-        grouping = np.zeros(len(block), dtype=bool)
-        for start in range(0, x_size, step):
-            with np.errstate(invalid="ignore"):  # inf - inf
-                close = _close(block[:, start:start + step, None, :], block[:, None, start:, :])
-            own = np.arange(close.shape[1])
-            close[:, own, own] = False
-            for t in np.flatnonzero(close.any(axis=(1, 2)) | grouping):
-                group = out[t]
-                if not grouping[t]:  # its first close pair: each earlier row is its own group
-                    grouping[t] = True
-                    group[start:] = -1
-                    size[t] = start
-                for i, opener in enumerate(range(start, start + close.shape[1])):
-                    if group[opener] < 0:
-                        near = np.flatnonzero(close[t, i]) + start
-                        group[near[group[near] < 0]] = size[t]
-                        group[opener] = size[t]
-                        size[t] += 1
+    _, sizes = _chain_stack(rows[..., 0])
+    for t in np.flatnonzero(sizes < x_size):
+        group, table, size = labels[t], rows[t], 0
+        group[:] = -1
+        for opener in range(x_size):
+            if group[opener] < 0:
+                rest = np.flatnonzero(group < 0)
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    group[rest[_close(table[opener], table[rest])]] = size
+                group[opener] = size  # a row holding nan is close to nothing
+                size += 1
+        sizes[t] = size
     return np.repeat(labels, y_size, axis=1), sizes
 
 

@@ -123,11 +123,10 @@ def fit_logistic(data: Dataset, tol: float = 1e-8, max_iter: int = 10_000) -> Lo
             method="L-BFGS-B",
             options={"maxiter": max_iter, "maxfun": 50 * max_iter, "ftol": 1e-16, "gtol": tol},
         )
-        _, grad = _logistic_objective(res.x, X, y)
     return LogisticModel(
         weights=res.x[:d].copy(),
         bias=float(res.x[d]),
-        converged=bool(np.max(np.abs(grad)) <= tol),
+        converged=bool(np.max(np.abs(res.jac)) <= tol),  # res.jac: the gradient at res.x
         iterations=int(res.nit),
     )
 

@@ -52,6 +52,15 @@ def test_generate_validation_error_exit_2(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("d, n", [("99999999999999999999", "10"), ("8", "99999999999999999999")])
+def test_generate_size_numpy_refuses_exit_2(tmp_path, capsys, d, n):
+    out = tmp_path / "x.csv"
+    code = main(["generate", "--d", d, "--n", n, "--mu", "0.1", "--out", str(out)])
+    assert code == 2
+    assert "Maximum allowed dimension exceeded" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_generate_refuses_to_write_non_finite_features_exit_2(tmp_path, capsys):
     # contamination at tau_mult 1e308 draws some features beyond the float range
     out = tmp_path / "x.csv"

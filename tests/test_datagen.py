@@ -14,7 +14,7 @@ from mialab.datagen import (
     read_csv,
     write_csv,
 )
-from mialab.errors import MialabError, ValidationError
+from mialab.errors import DataError, MialabError, ValidationError
 
 from _payloads import table_payloads
 
@@ -64,6 +64,16 @@ def test_param_validation():
 def test_bad_split_rejected():
     with pytest.raises(ValidationError):
         generate_dataset(GenParams(d=2, n_train=4, mu=0.0, seed=0), "validation")
+
+
+# sizes past numpy's index range fail before anything is allocated; the
+# MemoryError of a size within it goes untested, since provoking it allocates
+@pytest.mark.parametrize("d, n", [(10**20, 10), (8, 10**20), (2**62, 10)])
+def test_sizes_numpy_refuses_raise_data_error(d, n):
+    params = GenParams(d=d, n_train=n, n_test=n, mu=0.1, seed=0)
+    for split in ("train", "test"):
+        with pytest.raises(DataError, match=f"^cannot allocate {n} x {d} features: "):
+            generate_dataset(params, split)
 
 
 def test_shapes_and_label_domain():

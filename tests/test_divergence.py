@@ -477,9 +477,6 @@ def test_certify_bounds_does_each_stack_step_once_per_chunk(monkeypatch, stack_w
 
 _ATOL = ref.GROUP_ATOL
 _BASE_ROW = np.log([0.1, 0.2, 0.3, 0.4])
-# the default (one block for these tables), 24 entries (blocks of two or more
-# rows on tables of up to 12 entries, one row on larger ones) and 1 entry
-_BLOCK_CAPS = (divergence._CLOSE_BLOCK_ELEMENTS, 24, 1)
 
 # name -> (rows, expected group of each row)
 _GROUPING_EDGES = {
@@ -500,10 +497,8 @@ _GROUPING_EDGES = {
 }
 
 
-@pytest.mark.parametrize("cap", _BLOCK_CAPS)
 @pytest.mark.parametrize("case", list(_GROUPING_EDGES))
-def test_row_grouping_edges_match_oracle(monkeypatch, case, cap):
-    monkeypatch.setattr(divergence, "_CLOSE_BLOCK_ELEMENTS", cap)
+def test_row_grouping_edges_match_oracle(case):
     rows, groups = _GROUPING_EDGES[case]
     rows = np.asarray(rows, dtype=np.float64)
     got, sizes = divergence.log_joint_vector_channel(rows[None])
@@ -513,26 +508,48 @@ def test_row_grouping_edges_match_oracle(monkeypatch, case, cap):
     assert sizes[0] == size
 
 
-@pytest.mark.parametrize("cap", _BLOCK_CAPS)
-def test_row_grouping_across_blocks_matches_oracle(monkeypatch, cap):
-    """Rows a fraction of atol apart, some with -inf entries, so groups cross block edges."""
-    monkeypatch.setattr(divergence, "_CLOSE_BLOCK_ELEMENTS", cap)
-    rng = np.random.default_rng(31)
-    for _ in range(40):
-        y_size = int(rng.integers(1, 5))
-        bases = np.log(rng.dirichlet(np.ones(y_size), size=int(rng.integers(1, 6))))
-        bases[rng.random(bases.shape) < 0.2] = -np.inf
-        x_size = int(rng.integers(1, 25))
-        offsets = rng.choice([-1.2, -0.6, 0.0, 0.6, 1.2], size=(x_size, y_size)) * _ATOL
-        rows = bases[rng.integers(len(bases), size=x_size)] + offsets
-        got, sizes = divergence.log_joint_vector_channel(rows[None])
-        outcomes, size = ref._group_rows(rows)
-        np.testing.assert_array_equal(got[0].reshape(rows.shape), outcomes)
-        assert sizes[0] == size
+def _random_row_stack(rng, mode):
+    """A (T, x, y) stack of rows a fraction of atol apart, some with -inf
+    entries; ``mode`` 1 adds +inf and nan entries, 2 shares column 0 across
+    each table while the other columns differ, 3 puts column 0 within atol
+    while the other columns differ."""
+    count, x_size, y_size = (int(rng.integers(1, high)) for high in (5, 25, 5))
+    bases = np.log(rng.dirichlet(np.ones(y_size), size=(count, int(rng.integers(1, 6)))))
+    bases[rng.random(bases.shape) < 0.15] = -np.inf
+    if mode == 1:
+        for value in (np.inf, np.nan):
+            bases[rng.random(bases.shape) < 0.05] = value
+    rows = np.take_along_axis(bases, rng.integers(bases.shape[1], size=(count, x_size, 1)),
+                              axis=1)
+    rows = rows + rng.choice([-1.5, -1.2, -0.6, -0.3, 0.0, 0.3, 0.6, 1.2, 1.5],
+                             size=rows.shape) * _ATOL
+    if mode == 2:
+        rows[..., 0] = rows[:, :1, 0]
+    if mode == 3:
+        rows[..., 0] = 0.5 + rng.choice([0.0, 0.4, 0.8], size=(count, x_size)) * _ATOL
+    if mode >= 2:
+        rows[..., 1:] += rng.choice([0.0, 1.0, 10 * _ATOL], size=rows[..., 1:].shape)
+    return rows
+
+
+@pytest.mark.parametrize("mode", [0, 1, 2, 3], ids=["near", "inf_nan", "shared_x0", "close_x0"])
+def test_row_channel_stack_matches_oracle_on_random_stacks(mode):
+    """Each table of a stack, whether or not its column 0 chains rows together."""
+    rng = np.random.default_rng(33 + mode)
+    grouped = 0
+    for _ in range(150):
+        rows = _random_row_stack(rng, mode)
+        got, sizes = divergence._row_channel_stack(rows)
+        for table, outcomes, size in zip(rows, got, sizes):
+            want, want_size = ref._group_rows(table)
+            np.testing.assert_array_equal(outcomes.reshape(table.shape), want)
+            assert size == want_size
+            grouped += size < len(table)
+    assert grouped > 50  # the greedy grouping really runs
 
 
 def test_row_grouping_holds_a_bounded_temporary():
-    # one (x, x, y) broadcast at 2000 x 4 peaks near 244 MB
+    # one (x, x, y) closeness broadcast at 2000 x 4 would peak near 244 MB
     tables = sample_dirichlet_joint(np.random.default_rng(32), 2000, 4, size=1)
     cond = divergence._conditional_stack(tables)[1]
     cond[0, 1] = cond[0, 0]  # one close pair, so the greedy grouping runs too
@@ -543,7 +560,7 @@ def test_row_grouping_holds_a_bounded_temporary():
     finally:
         tracemalloc.stop()
     assert sizes[0] == 1999
-    assert peak < 16 * 2**20
+    assert peak < 2**20
 
 
 # ------------------------------------------------------- stacked certification
@@ -601,9 +618,7 @@ def _hand_built_pairs():
             "zero_row_x9": wide, "p_zero_row": _normalised(p_zero_row, other)}
 
 
-@pytest.mark.parametrize("cap", [divergence._CLOSE_BLOCK_ELEMENTS, 24])
-def test_certify_stack_matches_reference_on_hand_built_pairs(monkeypatch, cap):
-    monkeypatch.setattr(divergence, "_CLOSE_BLOCK_ELEMENTS", cap)
+def test_certify_stack_matches_reference_on_hand_built_pairs():
     pairs = _hand_built_pairs()
     # the greedy grouping really is exercised, and the scalar channel merges
     assert ref.softmax_channel(pairs["close_rows"][0])[1] < 4

@@ -98,6 +98,22 @@ def test_logistic_gradient_matches_finite_differences():
         assert fd == pytest.approx(grad_off[j], rel=1e-4)
 
 
+# separable fits converge too: their margins saturate at the clip, where the gradient vanishes
+@pytest.mark.parametrize("d, n, epsilon, max_iter, converged", [
+    (16, 200, 0.02, 10_000, True),   # contaminated
+    (64, 50, 0.0, 10_000, True),     # separable: n < d
+    (256, 200, 0.02, 10_000, True),  # contaminated and separable
+    (16, 200, 0.02, 3, False),       # contaminated, stopped by max_iter
+    (64, 50, 0.0, 3, False),         # separable, stopped by max_iter
+])
+def test_logistic_converged_agrees_with_a_fresh_gradient(d, n, epsilon, max_iter, converged):
+    data = generate_dataset(GenParams(d=d, n_train=n, mu=0.3, epsilon=epsilon, seed=7), "train")
+    model = fit_logistic(data, max_iter=max_iter)
+    theta = np.concatenate([model.weights, [model.bias]])
+    _, grad = _logistic_objective(theta, data.features, data.labels.astype(float))
+    assert model.converged == (np.max(np.abs(grad)) <= 1e-8) == converged
+
+
 def test_logistic_errors(recwarn):
     data = _dataset([[0.0], [1.0]], [1, 1])
     with pytest.raises(DegenerateDataError):

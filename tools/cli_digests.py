@@ -109,9 +109,11 @@ COMMANDS = [
     # both violations come from the scalar dominance check
     ("bounds_3x3", ["bounds", "--x", "3", "--y", "3", "--trials", "1000", "--seed", "1",
                     "--out", "bounds_3x3.csv"]),
-    # 600 rows are more than one block of the row channels' closeness pass
+    # long tables, whose rows the row channels' column-0 chain filter keeps apart
     ("bounds_600x2", ["bounds", "--x", "600", "--y", "2", "--trials", "2",
                       "--out", "bounds_600x2.csv"]),
+    ("bounds_2000x4", ["bounds", "--x", "2000", "--y", "4", "--trials", "3",
+                       "--out", "bounds_2000x4.csv"]),
     # rows of 8 or more terms change numpy's summation grouping
     ("bounds_2x8", ["bounds", "--x", "2", "--y", "8", "--trials", "300",
                     "--out", "bounds_2x8.csv"]),
@@ -145,6 +147,9 @@ COMMANDS = [
     ("generate_d_0", ["generate", "--d", "0", "--n", "10", "--mu", "0.4", "--out", "d_0.csv"]),
     ("generate_seed_negative", ["generate", "--d", "8", "--n", "10", "--mu", "0.4",
                                 "--seed", "-1", "--out", "seed_negative.csv"]),
+    # a size past numpy's index range: exit 2, nothing written
+    ("generate_d_huge", ["generate", "--d", "99999999999999999999", "--n", "10", "--mu", "0.4",
+                         "--out", "d_huge.csv"]),
     ("bounds_trials_negative", ["bounds", "--trials", "-1",
                                 "--out", "bounds_trials_negative.csv"]),
     ("train_max_iter_0", ["train", "--model", "logistic", "--data", "train.csv",
