@@ -477,6 +477,8 @@ def test_certify_bounds_does_each_stack_step_once_per_chunk(monkeypatch, stack_w
 
 _ATOL = ref.GROUP_ATOL
 _BASE_ROW = np.log([0.1, 0.2, 0.3, 0.4])
+# stack sizes in entries: one table alone, a few small tables, thousands of tables
+_STACK_CAPS = (1 << 18, 24, 1)
 
 # name -> (rows, expected group of each row)
 _GROUPING_EDGES = {
@@ -497,15 +499,52 @@ _GROUPING_EDGES = {
 }
 
 
+def _among_chain_free_tables(rows, cap):
+    """A stack of ``max(1, cap // rows.size)`` tables: ``rows`` at each even
+    place, and at each odd place a table whose rows are 1 apart in every
+    entry, so its column 0 has one chain per row and it skips the greedy."""
+    count = max(1, cap // rows.size)
+    steps = np.arange(len(rows), dtype=np.float64)[:, None]
+    stack = np.broadcast_to(steps, (count, *rows.shape)).copy()
+    stack[::2] = rows
+    return stack
+
+
+@pytest.mark.parametrize("cap", _STACK_CAPS)
 @pytest.mark.parametrize("case", list(_GROUPING_EDGES))
-def test_row_grouping_edges_match_oracle(case):
+def test_row_grouping_edges_match_oracle(case, cap):
     rows, groups = _GROUPING_EDGES[case]
     rows = np.asarray(rows, dtype=np.float64)
-    got, sizes = divergence.log_joint_vector_channel(rows[None])
+    got, sizes = divergence.log_joint_vector_channel(_among_chain_free_tables(rows, cap))
     outcomes, size = ref._group_rows(rows)
     np.testing.assert_array_equal(outcomes[:, 0], groups)
-    np.testing.assert_array_equal(got[0].reshape(rows.shape), outcomes)
-    assert sizes[0] == size
+    np.testing.assert_array_equal(got[::2], np.broadcast_to(outcomes.ravel(), got[::2].shape))
+    assert (sizes[::2] == size).all()
+    labels = np.repeat(np.arange(len(rows)), rows.shape[1])
+    np.testing.assert_array_equal(got[1::2], np.broadcast_to(labels, got[1::2].shape))
+    assert (sizes[1::2] == len(rows)).all()
+
+
+@pytest.mark.parametrize("cap", _STACK_CAPS)
+def test_row_grouping_across_blocks_matches_oracle(cap):
+    """Rows a fraction of atol apart, some with -inf entries, in stacks of
+    at most ``cap`` entries, so a table's groups cannot lean on its stack."""
+    rng = np.random.default_rng(31)
+    for _ in range(20):
+        y_size = int(rng.integers(1, 5))
+        bases = np.log(rng.dirichlet(np.ones(y_size), size=int(rng.integers(1, 6))))
+        bases[rng.random(bases.shape) < 0.2] = -np.inf
+        x_size = int(rng.integers(1, 25))
+        offsets = rng.choice([-1.2, -0.6, 0.0, 0.6, 1.2], size=(6, x_size, y_size)) * _ATOL
+        tables = bases[rng.integers(len(bases), size=(6, x_size))] + offsets
+        per_stack = max(1, cap // (x_size * y_size))
+        for start in range(0, len(tables), per_stack):
+            stack = tables[start:start + per_stack]
+            got, sizes = divergence.log_joint_vector_channel(stack)
+            for rows, outcomes, size in zip(stack, got, sizes):
+                want, want_size = ref._group_rows(rows)
+                np.testing.assert_array_equal(outcomes.reshape(rows.shape), want)
+                assert size == want_size
 
 
 def _random_row_stack(rng, mode):
@@ -618,7 +657,8 @@ def _hand_built_pairs():
             "zero_row_x9": wide, "p_zero_row": _normalised(p_zero_row, other)}
 
 
-def test_certify_stack_matches_reference_on_hand_built_pairs():
+@pytest.mark.parametrize("cap", [1 << 18, 24])
+def test_certify_stack_matches_reference_on_hand_built_pairs(cap):
     pairs = _hand_built_pairs()
     # the greedy grouping really is exercised, and the scalar channel merges
     assert ref.softmax_channel(pairs["close_rows"][0])[1] < 4
@@ -627,8 +667,12 @@ def test_certify_stack_matches_reference_on_hand_built_pairs():
     for pair in pairs.values():
         result = divergence._certify_chunks([np.stack(pair)[None]])
         _assert_matches_reference(result, [pair])
-    same_shape = [pair for pair in pairs.values() if pair[0].shape == (4, 3)]
-    result = divergence._certify_chunks([np.stack([np.stack(pair) for pair in same_shape])])
+    same_shape = [np.stack(pair) for pair in pairs.values() if pair[0].shape == (4, 3)]
+    per_chunk = max(1, cap // 12)  # as _dirichlet_chunks splits at cap entries a table
+    chunks = [np.stack(same_shape[start:start + per_chunk])
+              for start in range(0, len(same_shape), per_chunk)]
+    assert len(chunks) == (1 if cap > 48 else 2)
+    result = divergence._certify_chunks(chunks)
     _assert_matches_reference(result, same_shape)
 
 
