@@ -2,9 +2,9 @@
 
 Subcommands: generate, train, attack, sweep, bounds, plot, report.
 Exit codes: 0 success, 1 usage error, 2 data/validation error,
-3 sweep finished with failed cells.  Every command accepts ``--seed`` and
-``--out``; the worker-pool default can be set via the ``MIALAB_WORKERS``
-environment variable.
+3 sweep finished with failed cells.  Every command accepts ``--out``; the
+commands that draw random numbers (generate, attack, sweep, bounds) also
+accept ``--seed``.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="mialab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    def add_common(p, out_default=None):
-        p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
+    def add_common(p, out_default=None, seeded=True):
+        if seeded:
+            p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
         if out_default is None:
             p.add_argument("--out", required=True, help="output path")
         else:
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="gradient tolerance (default 1e-8)")
     p.add_argument("--max-iter", type=int, default=10_000,
                    help="iteration cap (default 10000)")
-    add_common(p)
+    add_common(p, seeded=False)
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("attack", help="score a member/nonmember pair of CSVs")
@@ -191,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", nargs="+",
                    default=[k.value for k in harness.DEFAULT_SCORE_KINDS],
                    help="score kinds (default: the four threshold/log-joint scores)")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes (default: $MIALAB_WORKERS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--summary-out", default="summary.csv",
                    help="summary CSV path (default summary.csv)")
     add_common(p, out_default="results.csv")
@@ -209,12 +209,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="emit SVG figures from a results CSV")
     p.add_argument("--results", required=True, help="results CSV path")
     p.add_argument("--prefix", default="mu_trends", help="output file prefix")
-    add_common(p, out_default="plots")
+    add_common(p, out_default="plots", seeded=False)
     p.set_defaults(func=_cmd_plot)
 
     p = sub.add_parser("report", help="privacy-utility scatter CSV from results")
     p.add_argument("--results", required=True, help="results CSV path")
-    add_common(p, out_default="privacy_utility.csv")
+    add_common(p, out_default="privacy_utility.csv", seeded=False)
     p.set_defaults(func=_cmd_report)
 
     return parser

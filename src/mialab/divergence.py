@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datagen import stream
-from .errors import UnboundedRatioError, ValidationError, integer
+from .errors import DataError, UnboundedRatioError, ValidationError, integer
 
 _GROUP_ATOL = 1e-9
 # most table entries per side in one certification stack (512 KB per table stack)
@@ -310,19 +310,22 @@ def _row_channel_stack(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     to nothing.  Close rows share a :func:`_chain_stack` chain of column 0:
     every sorted gap between their first entries is at most theirs.  So a
     table with one chain per row has no close pair and keeps the labels 0
-    to x-1, and only the other tables run the greedy grouping.
+    to x-1; in the other tables an opener alone in its chain takes its own
+    label, and any other opener tests only the unlabelled rows of its chain.
     """
     count, x_size, y_size = rows.shape
     labels = np.tile(np.arange(x_size, dtype=np.int64), (count, 1))
-    _, sizes = _chain_stack(rows[..., 0])
+    chains, sizes = _chain_stack(rows[..., 0])
     for t in np.flatnonzero(sizes < x_size):
-        group, table, size = labels[t], rows[t], 0
+        group, table, chain, size = labels[t], rows[t], chains[t], 0
+        members = np.bincount(chain)
         group[:] = -1
         for opener in range(x_size):
             if group[opener] < 0:
-                rest = np.flatnonzero(group < 0)
-                with np.errstate(invalid="ignore"):  # inf - inf
-                    group[rest[_close(table[opener], table[rest])]] = size
+                if members[chain[opener]] > 1:
+                    rest = np.flatnonzero((group < 0) & (chain == chain[opener]))
+                    with np.errstate(invalid="ignore"):  # inf - inf
+                        group[rest[_close(table[opener], table[rest])]] = size
                 group[opener] = size  # a row holding nan is close to nothing
                 size += 1
         sizes[t] = size
@@ -351,9 +354,12 @@ def sample_dirichlet_joint(rng: np.random.Generator, x_size: int, y_size: int,
     almost surely), drawn in one call and checked at once.
 
     ``rng`` yields the same tables, and ends in the same state, as ``size``
-    one-table draws.
+    one-table draws.  A stack numpy cannot allocate raises ``DataError``.
     """
-    flat = rng.dirichlet(np.ones(x_size * y_size), size=size)
+    try:
+        flat = rng.dirichlet(np.ones(x_size * y_size), size=size)
+    except (ValueError, MemoryError) as exc:
+        raise DataError(f"cannot allocate {size} tables of {x_size} x {y_size}: {exc}") from None
     tables = flat.reshape(size, x_size, y_size)
     _check_tables(tables, x_size, y_size)
     return tables

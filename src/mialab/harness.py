@@ -11,20 +11,19 @@ Each (cell, seed) work item runs under its own seed, ``datagen.cell_seed``
 and independent; a process pool may execute them in any order and the
 aggregated tables come out identical.
 
-Every sweep runs its cells on one BLAS thread per process.  Pool workers
-load the scipy functions the cells call and then pin every mapped OpenBLAS
-in their initializer, so scipy's own OpenBLAS is pinned too, whatever the
-start method.  A serial sweep loads scipy, pins for the duration of the run
-and then restores the caller's thread counts.  On a machine with as many workers
-as cores, each worker's default BLAS thread pool would compete with the
-other workers for the same cores.
+Every sweep runs its cells on one BLAS thread per process.  The pin,
+:func:`pin_blas_threads`, loads the scipy functions the cells call before it
+pins every mapped OpenBLAS, so scipy's own OpenBLAS is pinned too.  It is the
+pool's initializer, whatever the start method; a serial sweep pins for the
+duration of the run and then restores the caller's thread counts.  On a
+machine with as many workers as cores, each worker's default BLAS thread pool
+would compete with the other workers for the same cores.
 """
 
 from __future__ import annotations
 
 import ctypes
 import itertools
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -37,7 +36,6 @@ from .errors import MialabError, ValidationError, integer, open_text
 from .linear_models import fit_lda, fit_logistic
 from .metrics import CELL_COLUMNS, attack_result, mean_sem, sort_key
 
-WORKERS_ENV_VAR = "MIALAB_WORKERS"
 CONFIG_HEADER = "# mialab sweep config v1"
 
 DEFAULT_SCORE_KINDS = (
@@ -191,7 +189,9 @@ def openblas_thread_controls() -> list[tuple]:
 
 
 def pin_blas_threads() -> list[tuple]:
-    """Run every mapped OpenBLAS on one thread; return ``(set, count)`` pairs to restore."""
+    """Load scipy, then run every mapped OpenBLAS on one thread (scipy maps its own only
+    once it loads); return ``(set, count)`` pairs to restore."""
+    lazy_scipy.load()
     previous = []
     for get, set_ in openblas_thread_controls():
         previous.append((set_, get()))
@@ -199,26 +199,10 @@ def pin_blas_threads() -> list[tuple]:
     return previous
 
 
-def _start_worker() -> None:
-    """Pool initializer: load scipy, then pin every OpenBLAS the worker maps."""
-    lazy_scipy.load()
-    pin_blas_threads()
-
-
-def resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ValidationError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-    return integer("workers", workers, 1)
-
-
 def run_sweep(
     grid: SweepGrid,
     kinds=DEFAULT_SCORE_KINDS,
-    workers: int | None = None,
+    workers: int = 1,
     base_seed: int = 0,
 ) -> SweepTable:
     """Run every (cell, seed) of the grid; failures are recorded, not raised."""
@@ -231,11 +215,7 @@ def run_sweep(
 
     # A fork pool starts all its workers at the first submit, so it gets no
     # more workers than cells; a single cell runs serially.
-    workers = min(resolve_workers(workers), len(items))
-    # scipy maps its own OpenBLAS only once it loads: load it before the pin,
-    # which then finds both libraries, and before any fork, so no forked
-    # worker loads it again.
-    lazy_scipy.load()
+    workers = min(integer("workers", workers, 1), len(items))
     if workers == 1:
         previous = pin_blas_threads()
         try:
@@ -245,8 +225,10 @@ def run_sweep(
                 set_(count)
     else:
         # Cells go out one at a time: the grid is d-major, so batches would
-        # leave the largest cells to one worker at the end.
-        with ProcessPoolExecutor(max_workers=workers, initializer=_start_worker) as pool:
+        # leave the largest cells to one worker at the end.  scipy loads before
+        # the fork, so forked workers inherit it; the caller stays unpinned.
+        lazy_scipy.load()
+        with ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_threads) as pool:
             results = list(pool.map(_worker, items))
 
     # Both maps yield in submission order, so rows follow the deterministic

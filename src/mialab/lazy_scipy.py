@@ -8,8 +8,9 @@ alone.  A stand-in imports its scipy module the first time it is called and
 then calls the real function.
 
 ``scipy.linalg`` maps scipy's own OpenBLAS, a second library beside numpy's.
-A sweep, and each of its pool workers, calls :func:`load` before it pins the
-BLAS threads, so the pin finds both libraries whatever the start method.
+``harness.pin_blas_threads`` calls :func:`load` before it pins the BLAS
+threads, so the pin finds both libraries whatever the start method, and a
+pooled sweep calls it before it forks, so its workers inherit scipy loaded.
 """
 
 from __future__ import annotations
@@ -42,6 +43,6 @@ solve_triangular = ScipyFunction("scipy.linalg", "solve_triangular")
 
 
 def load() -> None:
-    """Import every scipy function above now, as a sweep does before it pins and forks."""
+    """Import every scipy function above now, as the BLAS pin and a pooled sweep do."""
     for function in (dtrmm, expit, minimize, solve_triangular):
         function.resolve()

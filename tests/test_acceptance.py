@@ -2,9 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines as they
 pass.  The sweep-backed criteria 7, 8 and 11 dominate the runtime.  On two
-shared cores the file took 38 s: 26 s for criterion 11, which runs the
-default grid three times, and 7 s and 3.5 s for the sweeps behind criteria 8
-and 7.  Every other criterion took under a second.
+shared cores the file took 47 s: 31 s for criterion 11, which runs the
+default grid three times, and 8.7 s and 4.6 s for the sweeps behind criteria
+8 and 7.  Every other criterion took under a second.
 """
 
 import math

@@ -287,16 +287,6 @@ def test_attack_rejects_malformed_model_file_exit_2(tmp_path, capsys, recwarn, c
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
-def test_sweep_rejects_non_integer_workers_env_exit_2(tmp_path, capsys, monkeypatch):
-    cfg = tmp_path / "sweep.cfg"
-    cfg.write_text(CONFIG)
-    monkeypatch.setenv("MIALAB_WORKERS", "abc")
-    code = main(["sweep", "--config", str(cfg), "--scores", "max_prob",
-                 "--out", str(tmp_path / "r.csv"), "--summary-out", str(tmp_path / "s.csv")])
-    assert code == 2
-    assert "MIALAB_WORKERS must be an integer, got 'abc'" in capsys.readouterr().err
-
-
 def test_sweep_with_config(tmp_path, capsys):
     cfg = tmp_path / "sweep.cfg"
     cfg.write_text(CONFIG)
@@ -379,6 +369,48 @@ def test_negative_seed_exit_2(tmp_path, capsys, command):
     code = main([*argv, "--seed", "-1", "--out", str(tmp_path / "out.csv")])
     assert code == 2
     assert "error: seed must be >= 0, got -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, draws", [
+    ("generate", True), ("attack", True), ("sweep", True), ("bounds", True),
+    ("train", False), ("plot", False), ("report", False)])
+def test_seed_is_an_option_only_of_commands_that_draw(tmp_path, capsys, command, draws):
+    data, model_path = _trained_model(tmp_path)
+    results, cfg = tmp_path / "results.csv", tmp_path / "sweep.cfg"
+    _tiny_results_csv(results)
+    cfg.write_text(CONFIG)
+    argv = [command, *{
+        "generate": ["--d", "4", "--n", "20", "--mu", "0.3"],
+        "attack": ["--model-file", str(model_path), "--member", str(data),
+                   "--nonmember", str(data)],
+        "sweep": ["--config", str(cfg), "--scores", "max_prob",
+                  "--summary-out", str(tmp_path / "s.csv")],
+        "bounds": ["--trials", "5"],
+        "train": ["--model", "lda", "--data", str(data)],
+        "plot": ["--results", str(results)],
+        "report": ["--results", str(results)],
+    }[command], "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    code = main([*argv, "--seed", "1"])
+    if draws:
+        assert code == 0
+    else:
+        assert code == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        assert main(argv) == 0  # the same command without --seed runs
+
+
+@pytest.mark.parametrize("x, y", [("99999999999999999999", "2"), ("2", "99999999999999999999")])
+def test_bounds_axis_numpy_refuses_exit_2(tmp_path, capsys, x, y):
+    # only sizes past numpy's index range, which fail before allocating
+    out = tmp_path / "bounds.csv"
+    code = main(["bounds", "--x", x, "--y", y, "--trials", "1", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"error: cannot allocate 2 tables of {x} x {y}: " in err
+    assert "Maximum allowed dimension exceeded" in err
+    assert not out.exists()
 
 
 def test_bounds_prints_each_check_after_the_violation_total(tmp_path, capsys):

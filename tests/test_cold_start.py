@@ -75,6 +75,6 @@ def _thread_counts():
 def test_sweep_worker_pins_every_openblas_library_when_spawned():
     # a spawned worker inherits nothing: only the initializer loads scipy before it pins
     with ProcessPoolExecutor(max_workers=1, mp_context=get_context("spawn"),
-                             initializer=harness._start_worker) as pool:
+                             initializer=harness.pin_blas_threads) as pool:
         threads = pool.submit(_thread_counts).result(timeout=120)
     assert threads == [1] * len(harness.openblas_thread_controls())

@@ -551,7 +551,8 @@ def _random_row_stack(rng, mode):
     """A (T, x, y) stack of rows a fraction of atol apart, some with -inf
     entries; ``mode`` 1 adds +inf and nan entries, 2 shares column 0 across
     each table while the other columns differ, 3 puts column 0 within atol
-    while the other columns differ."""
+    while the other columns differ, and 4 spreads column 0 over a few chains
+    1 apart, so rows of several chains interleave."""
     count, x_size, y_size = (int(rng.integers(1, high)) for high in (5, 25, 5))
     bases = np.log(rng.dirichlet(np.ones(y_size), size=(count, int(rng.integers(1, 6)))))
     bases[rng.random(bases.shape) < 0.15] = -np.inf
@@ -564,14 +565,17 @@ def _random_row_stack(rng, mode):
                              size=rows.shape) * _ATOL
     if mode == 2:
         rows[..., 0] = rows[:, :1, 0]
-    if mode == 3:
+    if mode >= 3:
         rows[..., 0] = 0.5 + rng.choice([0.0, 0.4, 0.8], size=(count, x_size)) * _ATOL
+    if mode == 4:
+        rows[..., 0] += rng.integers(4, size=(count, x_size))
     if mode >= 2:
         rows[..., 1:] += rng.choice([0.0, 1.0, 10 * _ATOL], size=rows[..., 1:].shape)
     return rows
 
 
-@pytest.mark.parametrize("mode", [0, 1, 2, 3], ids=["near", "inf_nan", "shared_x0", "close_x0"])
+@pytest.mark.parametrize("mode", [0, 1, 2, 3, 4],
+                         ids=["near", "inf_nan", "shared_x0", "close_x0", "chains_x0"])
 def test_row_channel_stack_matches_oracle_on_random_stacks(mode):
     """Each table of a stack, whether or not its column 0 chains rows together."""
     rng = np.random.default_rng(33 + mode)

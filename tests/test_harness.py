@@ -452,21 +452,6 @@ def test_grid_validation():
         parse_sweep_config("# mialab sweep config v1\nmu_values = 0.1\nmu_values = 0.3\n")
 
 
-def test_worker_env_var_default(monkeypatch):
-    from mialab.harness import resolve_workers
-
-    monkeypatch.delenv("MIALAB_WORKERS", raising=False)
-    assert resolve_workers(None) == 1
-    monkeypatch.setenv("MIALAB_WORKERS", "3")
-    assert resolve_workers(None) == 3
-    assert resolve_workers(2) == 2
-    with pytest.raises(ValidationError):
-        resolve_workers(0)
-    monkeypatch.setenv("MIALAB_WORKERS", "abc")
-    with pytest.raises(ValidationError, match="MIALAB_WORKERS must be an integer, got 'abc'"):
-        resolve_workers(None)
-
-
 @settings(max_examples=300, deadline=None)
 @given(config_payloads(harness.CONFIG_HEADER, sorted(f.name for f in fields(SweepGrid))
                        + ["", "bogus", "# note"]))

@@ -7,7 +7,7 @@ checkout's ``src``, in OUTDIR, which must be new or empty.  The manifest,
 ``OUTDIR/MANIFEST``, holds one ``sha256  path`` line per file under OUTDIR,
 sorted by path: every output file, and each command's stdout, stderr and exit
 code.  Run it on two checkouts and diff the two manifests to see which CLI
-output bytes a change alters.  It takes about 20 s on two cores.
+output bytes a change alters.  It takes about 25 s on two cores.
 """
 
 from __future__ import annotations
@@ -150,6 +150,8 @@ COMMANDS = [
     # a size past numpy's index range: exit 2, nothing written
     ("generate_d_huge", ["generate", "--d", "99999999999999999999", "--n", "10", "--mu", "0.4",
                          "--out", "d_huge.csv"]),
+    ("bounds_x_huge", ["bounds", "--x", "99999999999999999999", "--trials", "1",
+                       "--out", "bounds_x_huge.csv"]),
     ("bounds_trials_negative", ["bounds", "--trials", "-1",
                                 "--out", "bounds_trials_negative.csv"]),
     ("train_max_iter_0", ["train", "--model", "logistic", "--data", "train.csv",
@@ -157,6 +159,10 @@ COMMANDS = [
     ("sweep_workers_0", ["sweep", "--config", "grid.cfg", "--workers", "0",
                          "--out", "results_workers_0.csv",
                          "--summary-out", "summary_workers_0.csv"]),
+    # --seed on commands that draw no random numbers: usage error, exit 1
+    ("train_seed", ["train", "--model", "lda", "--data", "train.csv", "--seed", "1",
+                    "--out", "lda_seed.json"]),
+    ("plot_seed", ["plot", "--results", "results_w1.csv", "--seed", "1", "--out", "plots_seed"]),
     # finite features near the float limit, whose LDA covariance overflows
     ("generate_overflow", ["generate", "--d", "3", "--n", "5", "--mu", "0.1", "--epsilon", "0.5",
                            "--tau-mult", "1e308", "--out", "overflow.csv"]),
@@ -215,8 +221,7 @@ def main(argv: list[str]) -> int:
     (out / "unknown_key.json").write_text(UNKNOWN_KEY_MODEL)
     for name, payload in READER_MODELS.items():
         (out / f"{name}.json").write_text(json.dumps(payload))
-    env = {k: v for k, v in os.environ.items() if k != "MIALAB_WORKERS"}
-    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     logs = out / "logs"
     logs.mkdir()
     for name, args in COMMANDS:
