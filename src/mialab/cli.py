@@ -141,6 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     def add_common(p, out_default=None, seeded=True):
+        p.set_defaults(parser=p)
         if seeded:
             p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
         if out_default is None:
@@ -223,7 +224,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse reports a subcommand's unknown options from the top parser;
+        # report them with the subcommand's own usage instead.
+        args, unknown = parser.parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

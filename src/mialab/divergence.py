@@ -441,13 +441,16 @@ def certify(trials: int, x_size: int, y_size: int, seed: int = 0) -> Certificati
     channel TV >= its ``bound``.  A check fails when it misses by more than
     1e-12; its slack is the margin by which it holds (negative when it
     misses).  The expected violation count is 0.  The counts and the seed
-    must be integers.
+    must be integers, and an axis numpy cannot index raises ``DataError``
+    even at 0 trials.
     """
     trials = integer("trials", trials, 0)
     x_size, y_size = integer("x_size", x_size), integer("y_size", y_size)
     rng = stream("certification", seed)  # checks the seed
     if x_size < 2 or y_size < 2:
         raise ValidationError("need at least 2 atoms on each axis")
+    if trials == 0:  # no draw would meet numpy's size check, so make an empty one
+        sample_dirichlet_joint(rng, x_size, y_size, 0)
     return _certify_chunks(_dirichlet_chunks(rng, trials, x_size, y_size))
 
 

@@ -42,7 +42,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, DegenerateDataError, ValidationError, integer, real
-from .lazy_scipy import expit
 
 HESSIAN_FLOOR = 1e-12
 # Bytes of node records one fit may keep across its stages, beyond the root.
@@ -214,6 +213,7 @@ def fit_gbm(
     learning_rate: float = 0.1,
 ) -> GbmModel:
     """Fit the boosted classifier on 0/1 labels; the procedure draws no random numbers."""
+    import scipy.special
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
@@ -237,7 +237,7 @@ def fit_gbm(
     grower = _Grower(X, max_depth)
     trees: list[TreeNode] = []
     for _ in range(n_estimators):
-        p = expit(raw)
+        p = scipy.special.expit(raw)
         residuals = y - p
         hessians = p * (1.0 - p)
         contrib = np.zeros(X.shape[0])
@@ -281,5 +281,6 @@ def gbm_raw_scores(model: GbmModel, X: np.ndarray) -> np.ndarray:
 
 
 def gbm_predict_matrix(model: GbmModel, X: np.ndarray) -> np.ndarray:
-    return expit(gbm_raw_scores(model, X))
+    import scipy.special
+    return scipy.special.expit(gbm_raw_scores(model, X))
 

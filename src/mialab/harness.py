@@ -11,11 +11,18 @@ Each (cell, seed) work item runs under its own seed, ``datagen.cell_seed``
 and independent; a process pool may execute them in any order and the
 aggregated tables come out identical.
 
-Every sweep runs its cells on one BLAS thread per process.  The pin,
-:func:`pin_blas_threads`, loads the scipy functions the cells call before it
-pins every mapped OpenBLAS, so scipy's own OpenBLAS is pinned too.  It is the
-pool's initializer, whatever the start method; a serial sweep pins for the
-duration of the run and then restores the caller's thread counts.  On a
+Importing scipy takes most of a mialab start-up, and ``generate``,
+``bounds``, ``plot`` and ``report`` never call it.  So no mialab module
+imports scipy at its top: the few functions that call it import it in their
+own body, and ``import mialab`` loads numpy alone.
+
+Every sweep runs its cells on one BLAS thread per process.  scipy's wheels
+carry their own OpenBLAS beside numpy's, mapped only once ``scipy.linalg``
+loads, so the pin, :func:`pin_blas_threads`, loads the scipy modules the
+cells call before it pins every mapped OpenBLAS.  It is the pool's
+initializer, whatever the start method; a serial sweep pins for the duration
+of the run and then restores the caller's thread counts.  A pooled sweep
+also loads scipy before it forks, so its workers inherit it loaded.  On a
 machine with as many workers as cores, each worker's default BLAS thread pool
 would compete with the other workers for the same cores.
 """
@@ -29,7 +36,6 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import lazy_scipy
 from .attacks import ScoreKind, accuracy, membership_scores, model_outputs
 from .datagen import GenParams, cell_seed, gbm_split_seed, generate_dataset
 from .errors import MialabError, ValidationError, integer, open_text
@@ -188,10 +194,15 @@ def openblas_thread_controls() -> list[tuple]:
     return controls
 
 
+def _load_scipy() -> None:
+    """Import the scipy modules the cells call (mapping scipy's OpenBLAS)."""
+    import scipy.linalg, scipy.optimize, scipy.special  # noqa: E401, F401
+
+
 def pin_blas_threads() -> list[tuple]:
-    """Load scipy, then run every mapped OpenBLAS on one thread (scipy maps its own only
-    once it loads); return ``(set, count)`` pairs to restore."""
-    lazy_scipy.load()
+    """Load scipy, then run every mapped OpenBLAS, scipy's among them, on one thread;
+    return ``(set, count)`` pairs to restore."""
+    _load_scipy()
     previous = []
     for get, set_ in openblas_thread_controls():
         previous.append((set_, get()))
@@ -226,8 +237,8 @@ def run_sweep(
     else:
         # Cells go out one at a time: the grid is d-major, so batches would
         # leave the largest cells to one worker at the end.  scipy loads before
-        # the fork, so forked workers inherit it; the caller stays unpinned.
-        lazy_scipy.load()
+        # the fork (see the module docstring); the caller stays unpinned.
+        _load_scipy()
         with ProcessPoolExecutor(max_workers=workers, initializer=pin_blas_threads) as pool:
             results = list(pool.map(_worker, items))
 

@@ -24,7 +24,6 @@ import numpy as np
 
 from .datagen import Dataset
 from .errors import DataError, DegenerateDataError, ValidationError, integer, real
-from .lazy_scipy import dtrmm, expit, minimize, solve_triangular
 
 LOG_FLOOR = 1e-300  # probabilities are clamped here only where logs are taken
 
@@ -61,7 +60,8 @@ class LdaModel:
     @functools.cached_property
     def whitener(self) -> np.ndarray:
         """``L^-1``, lower-triangular: one d x d solve per model, shared by every scoring call."""
-        return solve_triangular(self.chol_lower, np.eye(self.d), lower=True)
+        import scipy.linalg
+        return scipy.linalg.solve_triangular(self.chol_lower, np.eye(self.d), lower=True)
 
 
 def _check_train(data: Dataset, min_per_class: int = 1) -> None:
@@ -85,11 +85,12 @@ def _logistic_objective(theta, X, y):
     Finite features near the float limit overflow the margins or the
     gradient; that raises ``DataError`` instead of steering the optimizer.
     """
+    import scipy.special
     n, d = X.shape
     w, b = theta[:d], theta[d]
     margins = np.clip(y * (X @ w + b), -690.0, 690.0)
     loss = float(np.mean(np.logaddexp(0.0, -margins)))
-    coef = -y * expit(-margins) / n
+    coef = -y * scipy.special.expit(-margins) / n
     grad = np.empty(d + 1)
     grad[:d] = X.T @ coef
     grad[d] = coef.sum()
@@ -106,6 +107,7 @@ def fit_logistic(data: Dataset, tol: float = 1e-8, max_iter: int = 10_000) -> Lo
     that is recorded, not raised.  Features so large that the loss or its
     gradient overflows raise ``DataError``.
     """
+    import scipy.optimize
     max_iter = integer("max_iter", max_iter, 1)
     real("tol", tol, lambda v: math.isfinite(v) and v > 0.0, "be finite and > 0")
     _check_train(data)
@@ -115,7 +117,7 @@ def fit_logistic(data: Dataset, tol: float = 1e-8, max_iter: int = 10_000) -> Lo
 
     # The objective raises DataError where it overflows, so numpy's warnings are moot.
     with np.errstate(over="ignore", invalid="ignore"):
-        res = minimize(
+        res = scipy.optimize.minimize(
             _logistic_objective,
             np.zeros(d + 1),
             args=(X, y),
@@ -138,7 +140,8 @@ def logistic_margins(model: LogisticModel, X: np.ndarray) -> np.ndarray:
 
 def logistic_posteriors(margins: np.ndarray) -> np.ndarray:
     """Posterior pairs ``(P(-1|x), P(+1|x))`` of logistic margins, shape (n, 2)."""
-    return np.column_stack([expit(-margins), expit(margins)])
+    import scipy.special
+    return np.column_stack([scipy.special.expit(-margins), scipy.special.expit(margins)])
 
 
 def _ledoit_wolf_shrinkage(centered: np.ndarray, pooled: np.ndarray) -> float:
@@ -244,6 +247,7 @@ def lda_log_joints(model: LdaModel, X: np.ndarray) -> np.ndarray:
 
     Rows that are not finite once centred raise ``DataError``.
     """
+    import scipy.linalg.blas
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     d = X.shape[1]
     const = -0.5 * (d * _LOG_2PI + model.log_det)
@@ -252,7 +256,7 @@ def lda_log_joints(model: LdaModel, X: np.ndarray) -> np.ndarray:
     centered = (X - center).T  # F-contiguous d x n, a fresh array trmm may overwrite
     if not np.isfinite(centered).all():
         raise DataError("rows are not finite once centred at the class-mean midpoint")
-    z = dtrmm(1.0, model.whitener, centered, lower=1, overwrite_b=1)
+    z = scipy.linalg.blas.dtrmm(1.0, model.whitener, centered, lower=1, overwrite_b=1)
     shifts = model.whitener @ (means - center[:, None])
     logs = [np.log(max(prior, LOG_FLOOR)) + const
             for prior in (1.0 - model.prior_pos, model.prior_pos)]

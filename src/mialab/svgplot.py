@@ -16,6 +16,7 @@ settings at one dimensionality are rejected rather than averaged.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -238,8 +239,6 @@ def render_figure(summaries: list[dict], d: int) -> str:
 def render_sweep_figures(summaries: list[dict], out_dir: str,
                          prefix: str = "mu_trends") -> list[str]:
     """Write one SVG per dimensionality of ``harness.summarize`` rows; returns the paths."""
-    import os
-
     if not summaries:
         raise ValidationError("no result rows to plot")
     # every figure is rendered, and so checked, before any file is written

@@ -396,7 +396,9 @@ def test_seed_is_an_option_only_of_commands_that_draw(tmp_path, capsys, command,
         assert code == 0
     else:
         assert code == 1
-        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: mialab {command} [-h]")  # the subcommand's usage
+        assert "unrecognized arguments: --seed 1" in err
         assert not (tmp_path / "out").exists()
         assert main(argv) == 0  # the same command without --seed runs
 
@@ -410,6 +412,26 @@ def test_bounds_axis_numpy_refuses_exit_2(tmp_path, capsys, x, y):
     err = capsys.readouterr().err
     assert f"error: cannot allocate 2 tables of {x} x {y}: " in err
     assert "Maximum allowed dimension exceeded" in err
+    assert not out.exists()
+
+
+def test_bounds_axis_numpy_refuses_exit_2_at_zero_trials(tmp_path, capsys):
+    # only a size past numpy's index range; an in-range huge axis would allocate
+    out = tmp_path / "bounds.csv"
+    code = main(["bounds", "--x", "99999999999999999999", "--trials", "0", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: cannot allocate 0 tables of 99999999999999999999 x 4: " in err
+    assert not out.exists()
+
+
+def test_unknown_option_prints_the_subcommands_usage_exit_1(tmp_path, capsys):
+    out = tmp_path / "bounds.csv"
+    code = main(["bounds", "--trials", "5", "--bogus", "3", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: mialab bounds [-h] [--trials TRIALS]")
+    assert err[-1] == "mialab bounds: error: unrecognized arguments: --bogus 3"
     assert not out.exists()
 
 

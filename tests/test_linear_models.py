@@ -402,7 +402,7 @@ def test_lda_log_joints_solve_only_for_the_whitener_once_per_model(monkeypatch):
         shapes.append(np.shape(b))
         return solve_triangular(a, b, **kwargs)
 
-    monkeypatch.setattr("mialab.linear_models.solve_triangular", recording)
+    monkeypatch.setattr("scipy.linalg.solve_triangular", recording)
     first = lda_log_joints(model, X)
     for _ in range(2):
         assert lda_log_joints(model, X).tobytes() == first.tobytes()

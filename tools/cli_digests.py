@@ -152,6 +152,8 @@ COMMANDS = [
                          "--out", "d_huge.csv"]),
     ("bounds_x_huge", ["bounds", "--x", "99999999999999999999", "--trials", "1",
                        "--out", "bounds_x_huge.csv"]),
+    ("bounds_x_huge_no_trials", ["bounds", "--x", "99999999999999999999", "--trials", "0",
+                                 "--out", "bounds_x_huge_no_trials.csv"]),
     ("bounds_trials_negative", ["bounds", "--trials", "-1",
                                 "--out", "bounds_trials_negative.csv"]),
     ("train_max_iter_0", ["train", "--model", "logistic", "--data", "train.csv",
