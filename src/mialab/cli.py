@@ -223,10 +223,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        # argparse reports a subcommand's unknown options from the top parser;
-        # report them with the subcommand's own usage instead.
+        # argparse reports every unknown option from the top parser; report
+        # those given after the subcommand with the subcommand's own usage
         args, unknown = parser.parse_known_args(argv)
+        head = argv[:argv.index(args.command)]
+        if head:
+            parser.error(f"unrecognized arguments: {' '.join(head)}")
         if unknown:
             args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
     except SystemExit as exc:

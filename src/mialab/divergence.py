@@ -7,25 +7,27 @@ marginal/conditional decomposition bounds can all be evaluated exactly
 
 ``certify`` draws each stack of Dirichlet-random ``(p, q)`` pairs in one
 sized draw, checks every table in it at once, and runs one kernel pass
-over the stack.  The pass computes each pair's conditional table and the
-``log`` of its target table once, shares them, and calls each stage once;
-every stage takes the whole stack (leading axis: the pair):
+over the stack.  The pass computes each pair's conditional table, the
+``log`` of its target table and where its ratio is unbounded once, and
+shares them; every stage takes a stack (leading axis: the pair):
 
 * ``decompose`` splits the joint TV into a marginal part and an expected
   conditional part, giving the sandwich
   ``|TV_X - E TV_cond| <= TV_joint <= TV_X + E TV_cond`` together with the
   KL-based upper bound ``sqrt(KL_X/2) + sqrt(E KL_cond / 2)``.
+* ``dominance_probe`` evaluates the coefficient
+  ``c(alpha, beta) = log(beta/alpha) / (1 + log(beta/alpha))`` built from
+  the conditional likelihood-ratio range, and gives the bound
+  ``sqrt(max(0, c*KL_X - E KL_cond)/2)`` that the exact TV of the scalar
+  log-joint channel must clear where ``c*KL_X > E KL_cond``.
 * ``log_joint_vector_channel`` and ``softmax_channel`` group each target's
   x atoms by their log-joint row and by their posterior row.  Close rows
   share a chain of their first entries (the scalar channel's sort), so only
   a table whose first column chains two rows together runs the greedy
   grouping.
 * ``pushforward`` gives the law of both tables of each pair through every
-  channel.
-* ``dominance_probe`` evaluates the coefficient
-  ``c(alpha, beta) = log(beta/alpha) / (1 + log(beta/alpha))`` built from
-  the conditional likelihood-ratio range, and compares the exact TV of the
-  scalar log-joint channel against ``sqrt(max(0, c*KL_X - KL_cond)/2)``.
+  channel, on only the pairs where the dominance bound applies or where
+  column 0 chains two rows (elsewhere check 4's slack is exactly 0).
 
 The pass reports each check's triggered count, violation count and minimum
 slack.  Every sum keeps the order a single-pair computation uses, so a
@@ -150,12 +152,15 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def decompose(P, Q, px, p, qx, q) -> np.ndarray:
+def decompose(P, Q, px, p, qx, q, unbounded=None) -> np.ndarray:
     """The :class:`BoundsReport` fields of each (T, x, y) table pair, an (8, T) array.
 
     The exact TV/KL decomposition of each pair into marginal and conditional
-    parts; ``px, p`` and ``qx, q`` are the pairs' :func:`_conditional_stack`.
+    parts; ``px, p`` and ``qx, q`` are the pairs' :func:`_conditional_stack`
+    and ``unbounded`` their :func:`_unbounded_rows` (computed when omitted).
     """
+    if unbounded is None:
+        unbounded = _unbounded_rows(px, p, qx, q)
     seen, q_missing = px > 0.0, qx <= 0.0
     tv_joint = _half_l1(P.reshape(len(P), -1), Q.reshape(len(Q), -1))
     tv_marginal = _half_l1(px, qx)
@@ -167,14 +172,14 @@ def decompose(P, Q, px, p, qx, q) -> np.ndarray:
     # a running sum over x adds left to right, as a per-x loop does; numpy's
     # pairwise sum does not
     exp_cond_tv = np.cumsum(np.where(seen, px * 0.5 * tv_rows, 0.0), axis=-1)[:, -1]
-    exp_kl_cond = np.where(_unbounded_rows(px, p, qx, q).any(axis=-1), np.inf,
+    exp_kl_cond = np.where(unbounded.any(axis=-1), np.inf,
                            np.cumsum(np.where(seen, px * kl_rows, 0.0), axis=-1)[:, -1])
 
     finite = np.isfinite(kl_x) & np.isfinite(exp_kl_cond)
     with np.errstate(invalid="ignore"):
         pinsker_upper = np.where(finite, np.sqrt(kl_x / 2.0) + np.sqrt(exp_kl_cond / 2.0),
                                  np.inf)
-    return np.stack([tv_joint, tv_marginal, exp_cond_tv, kl_x, exp_kl_cond,
+    return np.array([tv_joint, tv_marginal, exp_cond_tv, kl_x, exp_kl_cond,
                      np.abs(tv_marginal - exp_cond_tv), tv_marginal + exp_cond_tv,
                      pinsker_upper])
 
@@ -222,19 +227,15 @@ def c_coeff(alpha: float, beta: float) -> float:
     return gap / (1.0 + gap)
 
 
-def _lr_range_stack(px, p, qx, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(alpha, beta, unbounded)``: the range of each (T, x, y) pair's
-    conditional ratio ``P(y|x)/Q(y|x)`` over supported x, where 0/0 is free.
-
-    Where ``unbounded[t]`` the range is not finite and ``alpha, beta`` are
-    meaningless; :func:`_unbounded_ratio` says why.
-    """
+def _lr_range_stack(px, p, qx, q) -> tuple[np.ndarray, np.ndarray]:
+    """``(alpha, beta)``: the range of each (T, x, y) pair's conditional ratio
+    ``P(y|x)/Q(y|x)`` over supported x, where 0/0 is free.  It is meaningless
+    where the ratio is unbounded (:func:`_unbounded_rows`)."""
     defined = (px > 0.0)[..., None] & (q > 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = p / q
-    alpha = np.where(defined, ratios, np.inf).min(axis=(1, 2))
-    beta = np.where(defined, ratios, -np.inf).max(axis=(1, 2))
-    return alpha, beta, _unbounded_rows(px, p, qx, q).any(axis=-1)
+    return (np.where(defined, ratios, np.inf).min(axis=(1, 2)),
+            np.where(defined, ratios, -np.inf).max(axis=(1, 2)))
 
 
 def _unbounded_rows(px, p, qx, q) -> np.ndarray:
@@ -253,27 +254,32 @@ def _unbounded_ratio(px, p, qx, q) -> UnboundedRatioError:
     return UnboundedRatioError(f"conditional ratio unbounded at (x={x}, y={y})")
 
 
-def dominance_probe(pair, kl_x, exp_kl_cond, scalar_laws, scalar_sizes):
-    """``(holds, bound, tv_scalar)`` of the scalar-joint dominance check, per pair.
+def dominance_probe(pair, kl_x, exp_kl_cond, unbounded):
+    """``(holds, bound)`` of the scalar-joint dominance check, per pair.
 
-    ``pair`` is ``(px, p, qx, q)``, the pairs' :func:`_conditional_stack`;
-    ``c`` comes from the range of their conditional ratio.  ``holds`` is
-    ``c * KL_X > E KL_cond``; where it does, ``tv_scalar``, the exact TV of
-    the scalar log-joint channel (its :func:`pushforward` laws and outcome
-    counts), is expected to clear ``bound = sqrt(max(0, c*KL_X - E KL_cond) / 2)``.
-    Raises the error of the first pair whose ratio range is not finite or
-    whose ``c`` is undefined.
+    ``pair`` is ``(px, p, qx, q)``, the pairs' :func:`_conditional_stack`,
+    and ``unbounded`` their :func:`_unbounded_rows`; ``c`` comes from the
+    range of their conditional ratio.  ``holds`` is ``c * KL_X > E KL_cond``;
+    where it does, the exact TV of the scalar log-joint channel is expected
+    to clear ``bound = sqrt(max(0, c*KL_X - E KL_cond) / 2)``.  Raises the
+    error of the first pair whose ratio range is not finite or whose ``c``
+    is undefined.
     """
-    alpha, beta, unbounded = _lr_range_stack(*pair)
-    c = np.empty(len(alpha))
-    for t, (a, b) in enumerate(zip(alpha.tolist(), beta.tolist())):
+    alpha, beta = _lr_range_stack(*pair)
+    unbounded = unbounded.any(axis=-1)
+    # c_coeff's test: both ends finite and 0 < alpha <= beta
+    bad = unbounded | ~((alpha > 0.0) & (alpha <= beta) & (beta < np.inf))
+    if bad.any():
+        t = int(np.argmax(bad))
         if unbounded[t]:
             raise _unbounded_ratio(*(part[t] for part in pair))
-        c[t] = c_coeff(a, b)
-    gap = c * kl_x - exp_kl_cond
+        c_coeff(float(alpha[t]), float(beta[t]))  # raises, naming the bad range
+    # math.log, as c_coeff takes it: numpy's log need not round the same
+    spread = np.array([math.log(b) - math.log(a) for a, b in zip(alpha.tolist(), beta.tolist())])
+    gap = spread / (1.0 + spread) * kl_x - exp_kl_cond
     with np.errstate(invalid="ignore"):
         bound = np.where(np.isfinite(gap), np.sqrt(np.maximum(gap, 0.0) / 2.0), np.inf)
-    return gap > 0.0, bound, _law_tv(scalar_laws, scalar_sizes)
+    return gap > 0.0, bound
 
 
 def _chain_stack(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -286,12 +292,13 @@ def _chain_stack(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     zero atoms all score ``-inf``.
     """
     order = np.argsort(values, axis=-1, kind="mergesort")
+    rows = np.arange(len(values))[:, None]
     with np.errstate(invalid="ignore"):
-        opens = np.diff(np.take_along_axis(values, order, axis=-1), axis=-1) > _GROUP_ATOL
+        opens = np.diff(values[rows, order], axis=-1) > _GROUP_ATOL
     ids = np.zeros(values.shape, dtype=np.int64)
     np.cumsum(opens, axis=-1, out=ids[:, 1:])
     outcomes = np.empty_like(ids)
-    np.put_along_axis(outcomes, order, ids, axis=-1)
+    outcomes[rows, order] = ids
     return outcomes, ids[:, -1] + 1
 
 
@@ -354,12 +361,12 @@ def sample_dirichlet_joint(rng: np.random.Generator, x_size: int, y_size: int,
     almost surely), drawn in one call and checked at once.
 
     ``rng`` yields the same tables, and ends in the same state, as ``size``
-    one-table draws.  A stack numpy cannot allocate raises ``DataError``.
+    one-table draws.  A table size numpy cannot allocate raises ``DataError``.
     """
     try:
         flat = rng.dirichlet(np.ones(x_size * y_size), size=size)
     except (ValueError, MemoryError) as exc:
-        raise DataError(f"cannot allocate {size} tables of {x_size} x {y_size}: {exc}") from None
+        raise DataError(f"cannot allocate {x_size} x {y_size} tables: {exc}") from None
     tables = flat.reshape(size, x_size, y_size)
     _check_tables(tables, x_size, y_size)
     return tables
@@ -371,31 +378,40 @@ def _certify_stack(tables: np.ndarray):
     Returns the (8, T) :class:`BoundsReport` fields and three (5, T) arrays
     over ``CHECKS``: whether each check applied to each pair, whether it
     failed, and its slack.  Raises the error :func:`dominance_probe` raises
-    for the first failing pair.
+    for the first failing pair.  Where check 5 does not apply and no
+    column-0 chain holds two rows, both row channels keep every row, so
+    their laws are the same and check 4's slack is exactly 0: such a pair
+    skips the channels, with ``tv_vec = tv_soft`` and no scalar TV.
     """
-    count = len(tables)
+    count, _, x_size, _ = tables.shape
     P, Q = tables[:, 0], tables[:, 1]
     px, cond = _conditional_stack(tables)
     pair = (px[:, 0], cond[:, 0], px[:, 1], cond[:, 1])
-    fields = decompose(P, Q, *pair)
+    unbounded = _unbounded_rows(*pair)
+    fields = decompose(P, Q, *pair, unbounded)
     tv_joint, _, _, kl_x, exp_kl_cond, lower, upper, pinsker = fields
+    holds, bound = dominance_probe(pair, kl_x, exp_kl_cond, unbounded)
 
     logs = _log_tables(P)
-    channels = (_chain_stack(logs.reshape(count, -1)), log_joint_vector_channel(logs),
-                softmax_channel(cond[:, 0]))
-    scalar_sizes, vec_sizes, soft_sizes = (sizes for _, sizes in channels)
-    scalar_laws, vec_laws, soft_laws = pushforward(tables, channels)
-    holds, bound, tv_scalar = dominance_probe(pair, kl_x, exp_kl_cond, scalar_laws, scalar_sizes)
-    tv_vec, tv_soft = _law_tv(vec_laws, vec_sizes), _law_tv(soft_laws, soft_sizes)
+    _, chains = _chain_stack(np.concatenate([logs[..., 0], cond[:, 0, :, 0]]))
+    need = np.flatnonzero(holds | (chains < x_size).reshape(2, count).any(axis=0))
+    tv_vec, tv_soft, tv_scalar = np.zeros(count), np.zeros(count), np.full(count, np.nan)
+    if need.size:
+        logs = logs[need]
+        channels = (_chain_stack(logs.reshape(len(need), -1)), log_joint_vector_channel(logs),
+                    softmax_channel(cond[need, 0]))
+        laws = pushforward(tables[need], channels)
+        tv_scalar[need], tv_vec[need], tv_soft[need] = (
+            _law_tv(law, sizes) for law, (_, sizes) in zip(laws, channels))
 
     tol = _CHECK_TOL
     finite = np.isfinite(pinsker)
     always = np.ones(count, dtype=bool)
-    triggered = np.stack([always, finite, finite, always, holds])
+    triggered = np.array([always, finite, finite, always, holds])
     with np.errstate(invalid="ignore"):  # inf - inf where a check does not apply
-        slack = np.stack([np.minimum(tv_joint - lower, upper - tv_joint), pinsker - tv_joint,
+        slack = np.array([np.minimum(tv_joint - lower, upper - tv_joint), pinsker - tv_joint,
                           pinsker - upper, tv_vec - tv_soft, tv_scalar - bound])
-    passed = np.stack([(lower <= tv_joint + tol) & (tv_joint <= upper + tol),
+    passed = np.array([(lower <= tv_joint + tol) & (tv_joint <= upper + tol),
                        tv_joint <= pinsker + tol, upper <= pinsker + tol,
                        tv_soft <= tv_vec + tol, tv_scalar >= bound - tol])
     return fields, triggered, triggered & ~passed, slack

@@ -115,17 +115,18 @@ def channel_tv(P, Q, channel) -> float:
 
 def lr_constants(P, Q):
     """(min, max) of the pair's conditional ratio; the pair's range must be finite."""
-    alpha, beta, unbounded = divergence._lr_range_stack(*_pair(P, Q)[1])
-    assert not unbounded[0]
+    pair = _pair(P, Q)[1]
+    assert not divergence._unbounded_rows(*pair).any()
+    alpha, beta = divergence._lr_range_stack(*pair)
     return float(alpha[0]), float(beta[0])
 
 
 def dominance_probe(P, Q):
-    """``(holds, bound, tv_scalar)`` of the pair, from the ``dominance_probe`` stage."""
+    """``(holds, bound)`` of the pair, from the ``dominance_probe`` stage, and
+    ``tv_scalar``, the TV of its laws through the scalar log-joint channel."""
     tables, pair = _pair(P, Q)
     report = decompose(P, Q)
-    scalar = _chain_stack(_log_tables(tables[:, 0]).reshape(1, -1))
-    scalar_laws, = divergence.pushforward(tables, [scalar])
-    holds, bound, tv_scalar = divergence.dominance_probe(
-        pair, np.array([report.kl_x]), np.array([report.exp_kl_cond]), scalar_laws, scalar[1])
-    return bool(holds[0]), float(bound[0]), float(tv_scalar[0])
+    holds, bound = divergence.dominance_probe(
+        pair, np.array([report.kl_x]), np.array([report.exp_kl_cond]),
+        divergence._unbounded_rows(*pair))
+    return bool(holds[0]), float(bound[0]), channel_tv(P, Q, scalar_log_joint_channel(P))

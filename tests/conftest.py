@@ -34,15 +34,18 @@ def lda_log_joints_calls(monkeypatch):
 @pytest.fixture
 def stack_work_calls(monkeypatch):
     """Names of every table draw, certification kernel pass, stage and shared
-    table computed inside it."""
+    table computed inside it; a channel stage's name comes paired with the
+    number of tables or pairs in its stack."""
     from mialab import divergence
 
     calls = []
     for real in (divergence.sample_dirichlet_joint, divergence._certify_stack,
-                 divergence._conditional_stack, divergence._log_tables,
-                 divergence.decompose, divergence.pushforward,
-                 divergence.log_joint_vector_channel, divergence.softmax_channel,
-                 divergence.dominance_probe):
+                 divergence._conditional_stack, divergence._unbounded_rows,
+                 divergence._log_tables, divergence.decompose, divergence.dominance_probe):
         _record_calls(monkeypatch, real, calls,
                       lambda *args, name=real.__name__, **kwargs: name)
+    for real in (divergence.log_joint_vector_channel, divergence.softmax_channel,
+                 divergence.pushforward):
+        _record_calls(monkeypatch, real, calls,
+                      lambda stack, *args, name=real.__name__: (name, len(stack)))
     return calls

@@ -410,7 +410,7 @@ def test_bounds_axis_numpy_refuses_exit_2(tmp_path, capsys, x, y):
     code = main(["bounds", "--x", x, "--y", y, "--trials", "1", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert f"error: cannot allocate 2 tables of {x} x {y}: " in err
+    assert f"error: cannot allocate {x} x {y} tables: " in err
     assert "Maximum allowed dimension exceeded" in err
     assert not out.exists()
 
@@ -421,7 +421,7 @@ def test_bounds_axis_numpy_refuses_exit_2_at_zero_trials(tmp_path, capsys):
     code = main(["bounds", "--x", "99999999999999999999", "--trials", "0", "--out", str(out)])
     assert code == 2
     err = capsys.readouterr().err
-    assert "error: cannot allocate 0 tables of 99999999999999999999 x 4: " in err
+    assert "error: cannot allocate 99999999999999999999 x 4 tables: " in err
     assert not out.exists()
 
 
@@ -432,6 +432,18 @@ def test_unknown_option_prints_the_subcommands_usage_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert err[0].startswith("usage: mialab bounds [-h] [--trials TRIALS]")
     assert err[-1] == "mialab bounds: error: unrecognized arguments: --bogus 3"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("after", [[], ["--bogus"]], ids=["alone", "and_after"])
+def test_unknown_option_before_the_subcommand_prints_the_top_level_usage_exit_1(
+        tmp_path, capsys, after):
+    out = tmp_path / "bounds.csv"
+    code = main(["--foo", "bounds", "--trials", "1", *after, "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("usage: mialab [-h] {generate,")
+    assert err[-1] == "mialab: error: unrecognized arguments: --foo"
     assert not out.exists()
 
 

@@ -455,22 +455,66 @@ def test_conditionals_mark_zero_marginal_rows_without_warning():
                                          [math.log(0.5), math.log(0.1)]])
 
 
-@pytest.mark.parametrize("cap, chunks", [(divergence._STACK_ELEMENTS, 1), (48, 3)],
+def _needs_channels(P, Q):
+    """Whether certifying the pair must push it through the channels: check 5
+    applies to it, or column 0 of the target's log table or of its posterior
+    has a sorted gap of at most the grouping tolerance, so its rows may merge."""
+    triggered = ref.certify([(P, Q)])[2][4][0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        columns = (np.log(P[:, 0]), ref._conditional_rows(P)[:, 0])
+        return bool(triggered) or any((~(np.diff(np.sort(c)) > ref.GROUP_ATOL)).any()
+                                      for c in columns)
+
+
+@pytest.mark.parametrize("cap, chunks", [(divergence._STACK_ELEMENTS, 1), (8, 3)],
                          ids=["one_chunk", "three_chunks"])
 def test_certify_bounds_does_each_stack_step_once_per_chunk(monkeypatch, stack_work_calls,
                                                            cap, chunks):
-    # 48 entries hold two 6 x 4 pairs, so five trials take three chunks
+    # 8 entries hold two 2 x 2 pairs, so five trials take three chunks
     monkeypatch.setattr(divergence, "_STACK_ELEMENTS", cap)
-    certify_bounds(5, 6, 4)
+    certify_bounds(5, 2, 2)
+    pairs = list(ref.dirichlet_pairs(5, 2, 2, 0))
+    per_chunk = max(1, cap // 4)
     # per chunk: one draw of all its tables, one kernel pass, one conditional
-    # table for all its tables, one decomposition, one log of the target
-    # stack that the scalar and vector log-joint channels share, one pass per
-    # row channel, one pushforward through all three channels and one
-    # dominance probe
-    assert stack_work_calls == ["sample_dirichlet_joint", "_certify_stack",
-                                "_conditional_stack", "decompose", "_log_tables",
-                                "log_joint_vector_channel", "softmax_channel", "pushforward",
-                                "dominance_probe"] * chunks
+    # table for all its tables, one unbounded-ratio test that the
+    # decomposition and the dominance probe share, one decomposition, one
+    # dominance probe and one log of the target stack; then, only if some
+    # pair needs them, one pass per row channel and one pushforward through
+    # all three channels, each on those pairs alone
+    want = []
+    for start in range(0, len(pairs), per_chunk):
+        want += ["sample_dirichlet_joint", "_certify_stack", "_conditional_stack",
+                 "_unbounded_rows", "decompose", "dominance_probe", "_log_tables"]
+        need = sum(_needs_channels(P, Q) for P, Q in pairs[start:start + per_chunk])
+        if need:
+            want += [(name, need) for name in
+                     ("log_joint_vector_channel", "softmax_channel", "pushforward")]
+    # pairs 1 and 3 meet check 5: one chunk runs the channels once, three chunks twice
+    assert len(want) == 7 * chunks + 3 * min(chunks, 2)
+    assert stack_work_calls == want
+
+
+@pytest.fixture
+def pushforward_stacks(monkeypatch):
+    """A copy of every stack of pairs that ``pushforward`` receives."""
+    stacks = []
+    real = divergence.pushforward
+
+    def recording(tables, channels):
+        stacks.append(tables.copy())
+        return real(tables, channels)
+
+    monkeypatch.setattr(divergence, "pushforward", recording)
+    return stacks
+
+
+def test_generic_stack_sends_no_pair_through_the_channels(pushforward_stacks):
+    # no pair of this stack meets check 5's condition, and no target has close rows
+    result = divergence.certify(20, 6, 4, seed=0)
+    assert result.checks[4].triggered == 0
+    assert [len(stack) for stack in pushforward_stacks] == []
+    assert result.checks[3].min_slack == 0.0
+    _assert_matches_reference(result, ref.dirichlet_pairs(20, 6, 4, 0))
 
 
 # ------------------------------------------------------- row grouping
@@ -678,6 +722,25 @@ def test_certify_stack_matches_reference_on_hand_built_pairs(cap):
     assert len(chunks) == (1 if cap > 48 else 2)
     result = divergence._certify_chunks(chunks)
     _assert_matches_reference(result, same_shape)
+
+
+def test_mixed_stack_sends_only_the_pairs_that_need_the_channels(pushforward_stacks):
+    hand_built = _hand_built_pairs()
+    rng = np.random.default_rng(43)
+    generic = [tuple(sample_dirichlet_joint(rng, 4, 3, size=2)) for _ in range(3)]
+    skew = marginal_skew_pair(rng, 4, 3)
+    pairs = [generic[0], hand_built["close_rows"], generic[1], skew, hand_built["tied_logs"],
+             generic[2]]
+    # close_rows merges rows, tied_logs ties column 0, and check 5 applies to
+    # skew and tied_logs alone
+    assert ref.softmax_channel(hand_built["close_rows"][0])[1] < 4
+    assert [ref.certify([pair])[2][4][0] for pair in pairs] == [0, 0, 0, 1, 1, 0]
+    assert [_needs_channels(*pair) for pair in pairs] == [False, True, False, True, True, False]
+    stack = np.stack([np.stack(pair) for pair in pairs])
+    result = divergence._certify_chunks([stack])
+    assert len(pushforward_stacks) == 1
+    assert pushforward_stacks[0].tobytes() == stack[[1, 3, 4]].tobytes()
+    _assert_matches_reference(result, pairs)
 
 
 def test_certify_stack_raises_the_first_failing_pairs_error():

@@ -165,6 +165,9 @@ COMMANDS = [
     ("train_seed", ["train", "--model", "lda", "--data", "train.csv", "--seed", "1",
                     "--out", "lda_seed.json"]),
     ("plot_seed", ["plot", "--results", "results_w1.csv", "--seed", "1", "--out", "plots_seed"]),
+    # an unknown option before the subcommand: the top-level usage, exit 1
+    ("top_level_unknown_option", ["--foo", "bounds", "--trials", "1",
+                                  "--out", "bounds_top_level_unknown_option.csv"]),
     # finite features near the float limit, whose LDA covariance overflows
     ("generate_overflow", ["generate", "--d", "3", "--n", "5", "--mu", "0.1", "--epsilon", "0.5",
                            "--tau-mult", "1e308", "--out", "overflow.csv"]),
