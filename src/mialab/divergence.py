@@ -15,9 +15,9 @@ shares them; every stage takes a stack (leading axis: the pair):
   conditional part, giving the sandwich
   ``|TV_X - E TV_cond| <= TV_joint <= TV_X + E TV_cond`` together with the
   KL-based upper bound ``sqrt(KL_X/2) + sqrt(E KL_cond / 2)``.
-* ``dominance_probe`` evaluates the coefficient
-  ``c(alpha, beta) = log(beta/alpha) / (1 + log(beta/alpha))`` built from
-  the conditional likelihood-ratio range, and gives the bound
+* ``dominance_probe`` takes each pair's coefficient
+  ``c(alpha, beta) = log(beta/alpha) / (1 + log(beta/alpha))`` from
+  ``c_coeff`` of its conditional likelihood-ratio range, and gives the bound
   ``sqrt(max(0, c*KL_X - E KL_cond)/2)`` that the exact TV of the scalar
   log-joint channel must clear where ``c*KL_X > E KL_cond``.
 * ``log_joint_vector_channel`` and ``softmax_channel`` group each target's
@@ -25,9 +25,10 @@ shares them; every stage takes a stack (leading axis: the pair):
   share a chain of their first entries (the scalar channel's sort), so only
   a table whose first column chains two rows together runs the greedy
   grouping.
-* ``pushforward`` gives the law of both tables of each pair through every
-  channel, on only the pairs where the dominance bound applies or where
-  column 0 chains two rows (elsewhere check 4's slack is exactly 0).
+* ``pushforward`` gives the law of both tables of a pair through the
+  scalar channel where the dominance bound applies, and through both row
+  channels where column 0 chains two rows (elsewhere check 4's slack is
+  exactly 0).
 
 The pass reports each check's triggered count, violation count and minimum
 slack.  Every sum keeps the order a single-pair computation uses, so a
@@ -152,15 +153,13 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def decompose(P, Q, px, p, qx, q, unbounded=None) -> np.ndarray:
+def decompose(P, Q, px, p, qx, q, unbounded) -> np.ndarray:
     """The :class:`BoundsReport` fields of each (T, x, y) table pair, an (8, T) array.
 
     The exact TV/KL decomposition of each pair into marginal and conditional
     parts; ``px, p`` and ``qx, q`` are the pairs' :func:`_conditional_stack`
-    and ``unbounded`` their :func:`_unbounded_rows` (computed when omitted).
+    and ``unbounded`` their :func:`_unbounded_rows`.
     """
-    if unbounded is None:
-        unbounded = _unbounded_rows(px, p, qx, q)
     seen, q_missing = px > 0.0, qx <= 0.0
     tv_joint = _half_l1(P.reshape(len(P), -1), Q.reshape(len(Q), -1))
     tv_marginal = _half_l1(px, qx)
@@ -258,25 +257,21 @@ def dominance_probe(pair, kl_x, exp_kl_cond, unbounded):
     """``(holds, bound)`` of the scalar-joint dominance check, per pair.
 
     ``pair`` is ``(px, p, qx, q)``, the pairs' :func:`_conditional_stack`,
-    and ``unbounded`` their :func:`_unbounded_rows`; ``c`` comes from the
-    range of their conditional ratio.  ``holds`` is ``c * KL_X > E KL_cond``;
-    where it does, the exact TV of the scalar log-joint channel is expected
-    to clear ``bound = sqrt(max(0, c*KL_X - E KL_cond) / 2)``.  Raises the
-    error of the first pair whose ratio range is not finite or whose ``c``
-    is undefined.
+    and ``unbounded`` their :func:`_unbounded_rows`; each pair's ``c`` is
+    :func:`c_coeff` of the range of its conditional ratio.  ``holds`` is
+    ``c * KL_X > E KL_cond``; where it does, the exact TV of the scalar
+    log-joint channel is expected to clear
+    ``bound = sqrt(max(0, c*KL_X - E KL_cond) / 2)``.  Raises the error of
+    the first pair whose ratio is unbounded or whose ``c`` is undefined.
     """
     alpha, beta = _lr_range_stack(*pair)
     unbounded = unbounded.any(axis=-1)
-    # c_coeff's test: both ends finite and 0 < alpha <= beta
-    bad = unbounded | ~((alpha > 0.0) & (alpha <= beta) & (beta < np.inf))
-    if bad.any():
-        t = int(np.argmax(bad))
-        if unbounded[t]:
-            raise _unbounded_ratio(*(part[t] for part in pair))
-        c_coeff(float(alpha[t]), float(beta[t]))  # raises, naming the bad range
-    # math.log, as c_coeff takes it: numpy's log need not round the same
-    spread = np.array([math.log(b) - math.log(a) for a, b in zip(alpha.tolist(), beta.tolist())])
-    gap = spread / (1.0 + spread) * kl_x - exp_kl_cond
+    # every pair before the first unbounded one gets c_coeff, which may raise first
+    first = int(np.argmax(unbounded)) if unbounded.any() else len(unbounded)
+    c = np.array([c_coeff(a, b) for a, b in zip(alpha[:first].tolist(), beta[:first].tolist())])
+    if first < len(unbounded):
+        raise _unbounded_ratio(*(part[first] for part in pair))
+    gap = c * kl_x - exp_kl_cond
     with np.errstate(invalid="ignore"):
         bound = np.where(np.isfinite(gap), np.sqrt(np.maximum(gap, 0.0) / 2.0), np.inf)
     return gap > 0.0, bound
@@ -378,10 +373,11 @@ def _certify_stack(tables: np.ndarray):
     Returns the (8, T) :class:`BoundsReport` fields and three (5, T) arrays
     over ``CHECKS``: whether each check applied to each pair, whether it
     failed, and its slack.  Raises the error :func:`dominance_probe` raises
-    for the first failing pair.  Where check 5 does not apply and no
-    column-0 chain holds two rows, both row channels keep every row, so
-    their laws are the same and check 4's slack is exactly 0: such a pair
-    skips the channels, with ``tv_vec = tv_soft`` and no scalar TV.
+    for the first failing pair.  Only the pairs check 5 applies to go
+    through the scalar channel.  Only the pairs with a column-0 chain of
+    two rows go through the row channels: elsewhere both row channels keep
+    every row, so their laws are the same and check 4's slack is exactly 0,
+    which ``tv_vec = tv_soft`` gives without them.
     """
     count, _, x_size, _ = tables.shape
     P, Q = tables[:, 0], tables[:, 1]
@@ -393,15 +389,18 @@ def _certify_stack(tables: np.ndarray):
     holds, bound = dominance_probe(pair, kl_x, exp_kl_cond, unbounded)
 
     logs = _log_tables(P)
-    _, chains = _chain_stack(np.concatenate([logs[..., 0], cond[:, 0, :, 0]]))
-    need = np.flatnonzero(holds | (chains < x_size).reshape(2, count).any(axis=0))
     tv_vec, tv_soft, tv_scalar = np.zeros(count), np.zeros(count), np.full(count, np.nan)
-    if need.size:
-        logs = logs[need]
-        channels = (_chain_stack(logs.reshape(len(need), -1)), log_joint_vector_channel(logs),
-                    softmax_channel(cond[need, 0]))
-        laws = pushforward(tables[need], channels)
-        tv_scalar[need], tv_vec[need], tv_soft[need] = (
+    checked = np.flatnonzero(holds)
+    if checked.size:
+        scalar = _chain_stack(logs[checked].reshape(len(checked), -1))
+        [law] = pushforward(tables[checked], [scalar])
+        tv_scalar[checked] = _law_tv(law, scalar[1])
+    _, chains = _chain_stack(np.concatenate([logs[..., 0], cond[:, 0, :, 0]]))
+    merges = np.flatnonzero((chains < x_size).reshape(2, count).any(axis=0))
+    if merges.size:
+        channels = (log_joint_vector_channel(logs[merges]), softmax_channel(cond[merges, 0]))
+        laws = pushforward(tables[merges], channels)
+        tv_vec[merges], tv_soft[merges] = (
             _law_tv(law, sizes) for law, (_, sizes) in zip(laws, channels))
 
     tol = _CHECK_TOL

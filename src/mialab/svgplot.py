@@ -236,8 +236,7 @@ def render_figure(summaries: list[dict], d: int) -> str:
     return "\n".join(out) + "\n"
 
 
-def render_sweep_figures(summaries: list[dict], out_dir: str,
-                         prefix: str = "mu_trends") -> list[str]:
+def render_sweep_figures(summaries: list[dict], out_dir: str, prefix: str) -> list[str]:
     """Write one SVG per dimensionality of ``harness.summarize`` rows; returns the paths."""
     if not summaries:
         raise ValidationError("no result rows to plot")

@@ -71,7 +71,9 @@ def _one(channel, shape):
 def decompose(P, Q) -> BoundsReport:
     """The pair's :class:`BoundsReport`, from the ``decompose`` stage."""
     tables, pair = _pair(P, Q)
-    return BoundsReport(*divergence.decompose(tables[:, 0], tables[:, 1], *pair)[:, 0].tolist())
+    fields = divergence.decompose(tables[:, 0], tables[:, 1], *pair,
+                                  divergence._unbounded_rows(*pair))
+    return BoundsReport(*fields[:, 0].tolist())
 
 
 def log_joint_vector_channel(P):

@@ -455,15 +455,18 @@ def test_conditionals_mark_zero_marginal_rows_without_warning():
                                          [math.log(0.5), math.log(0.1)]])
 
 
-def _needs_channels(P, Q):
-    """Whether certifying the pair must push it through the channels: check 5
-    applies to it, or column 0 of the target's log table or of its posterior
-    has a sorted gap of at most the grouping tolerance, so its rows may merge."""
-    triggered = ref.certify([(P, Q)])[2][4][0]
+def _meets_check_5(P, Q):
+    """Whether check 5 applies to the pair, so it goes through the scalar channel."""
+    return bool(ref.certify([(P, Q)])[2][4][0])
+
+
+def _chains_column_0(P):
+    """Whether column 0 of the target's log table or of its posterior has a
+    sorted gap of at most the grouping tolerance, so its rows may merge and
+    the pair goes through the row channels."""
     with np.errstate(divide="ignore", invalid="ignore"):
         columns = (np.log(P[:, 0]), ref._conditional_rows(P)[:, 0])
-        return bool(triggered) or any((~(np.diff(np.sort(c)) > ref.GROUP_ATOL)).any()
-                                      for c in columns)
+        return any((~(np.diff(np.sort(c)) > ref.GROUP_ATOL)).any() for c in columns)
 
 
 @pytest.mark.parametrize("cap, chunks", [(divergence._STACK_ELEMENTS, 1), (8, 3)],
@@ -478,19 +481,25 @@ def test_certify_bounds_does_each_stack_step_once_per_chunk(monkeypatch, stack_w
     # per chunk: one draw of all its tables, one kernel pass, one conditional
     # table for all its tables, one unbounded-ratio test that the
     # decomposition and the dominance probe share, one decomposition, one
-    # dominance probe and one log of the target stack; then, only if some
-    # pair needs them, one pass per row channel and one pushforward through
-    # all three channels, each on those pairs alone
+    # dominance probe and one log of the target stack; then one scalar-channel
+    # pushforward of the pairs check 5 applies to, and one pass per row
+    # channel and one row-channel pushforward of the pairs whose column 0
+    # chains two rows, each only where some pair needs it
     want = []
     for start in range(0, len(pairs), per_chunk):
+        chunk = pairs[start:start + per_chunk]
         want += ["sample_dirichlet_joint", "_certify_stack", "_conditional_stack",
                  "_unbounded_rows", "decompose", "dominance_probe", "_log_tables"]
-        need = sum(_needs_channels(P, Q) for P, Q in pairs[start:start + per_chunk])
-        if need:
-            want += [(name, need) for name in
+        checked = sum(_meets_check_5(P, Q) for P, Q in chunk)
+        if checked:
+            want.append(("pushforward", checked))
+        merges = sum(_chains_column_0(P) for P, _ in chunk)
+        if merges:
+            want += [(name, merges) for name in
                      ("log_joint_vector_channel", "softmax_channel", "pushforward")]
-    # pairs 1 and 3 meet check 5: one chunk runs the channels once, three chunks twice
-    assert len(want) == 7 * chunks + 3 * min(chunks, 2)
+    # pairs 1 and 3 meet check 5 and no column 0 chains two rows: one chunk
+    # runs the scalar channel's pushforward once, three chunks twice
+    assert len(want) == 7 * chunks + min(chunks, 2)
     assert stack_work_calls == want
 
 
@@ -735,11 +744,13 @@ def test_mixed_stack_sends_only_the_pairs_that_need_the_channels(pushforward_sta
     # skew and tied_logs alone
     assert ref.softmax_channel(hand_built["close_rows"][0])[1] < 4
     assert [ref.certify([pair])[2][4][0] for pair in pairs] == [0, 0, 0, 1, 1, 0]
-    assert [_needs_channels(*pair) for pair in pairs] == [False, True, False, True, True, False]
+    assert [_chains_column_0(P) for P, _ in pairs] == [False, True, False, False, True, False]
     stack = np.stack([np.stack(pair) for pair in pairs])
     result = divergence._certify_chunks([stack])
-    assert len(pushforward_stacks) == 1
-    assert pushforward_stacks[0].tobytes() == stack[[1, 3, 4]].tobytes()
+    # the scalar channel takes the pairs check 5 applies to, the row channels
+    # the pairs whose column 0 chains two rows
+    assert [s.tobytes() for s in pushforward_stacks] == [stack[[3, 4]].tobytes(),
+                                                        stack[[1, 4]].tobytes()]
     _assert_matches_reference(result, pairs)
 
 
@@ -769,9 +780,29 @@ def test_certify_stack_raises_the_first_failing_pairs_error():
     P, Q = failing["no_q_mass"]
     px, p = divergence._conditional_stack(P[None])
     qx, q = divergence._conditional_stack(Q[None])
-    fields = divergence.decompose(P[None], Q[None], px, p, qx, q)[:, 0]
+    fields = divergence.decompose(P[None], Q[None], px, p, qx, q,
+                                  divergence._unbounded_rows(px, p, qx, q))[:, 0]
     assert tuple(fields.tolist()) == ref.decompose(P, Q)
     assert fields[3] == fields[4] == math.inf
+
+
+def test_dominance_probe_raises_the_first_bad_pairs_error_in_stack_order():
+    rng = np.random.default_rng(44)
+    full_p, full_q = (rng.dirichlet(np.ones(12)).reshape(4, 3) for _ in range(2))
+    p_zero_atom, q_zero_atom = full_p.copy(), full_q.copy()
+    p_zero_atom[1, 2] = 0.0  # P(y|x) = 0 < Q(y|x): alpha = 0, so c is undefined
+    q_zero_atom[3, 1] = 0.0  # Q(y|x) = 0 < P(y|x): the ratio is unbounded
+    zero_alpha = _normalised(p_zero_atom, full_q)
+    unbounded = _normalised(full_p, q_zero_atom)
+    cases = (([zero_alpha, unbounded], ValidationError, "need 0 < alpha <= beta, got (0.0, "),
+             ([unbounded, zero_alpha], UnboundedRatioError,
+              "conditional ratio unbounded at (x=3, y=1)"))
+    for pairs, error, message in cases:
+        px, cond = divergence._conditional_stack(np.stack([np.stack(pair) for pair in pairs]))
+        pair = (px[:, 0], cond[:, 0], px[:, 1], cond[:, 1])
+        with pytest.raises(error, match=re.escape(message)):
+            divergence.dominance_probe(pair, np.zeros(2), np.zeros(2),
+                                       divergence._unbounded_rows(*pair))
 
 
 @pytest.mark.parametrize("shape, cap, chunks", [((6, 4), divergence._STACK_ELEMENTS, 1),
